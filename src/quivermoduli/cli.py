@@ -3,7 +3,9 @@ verification batches, and table/tree/wall emission.
 
 Exact rationals are serialized as "p/q" strings; integers stay JSON numbers
 while they fit in 53 bits.  Exit status: 0 on agreement / all checks passed,
-1 on disagreement or a failed check, 2 on usage errors (argparse default).
+1 on disagreement or a failed check, 2 on usage errors: argparse's own, and
+any ValueError or OSError raised by the input (a bad dimension vector, a
+missing file), reported on one line of stderr.
 """
 
 from __future__ import annotations
@@ -101,12 +103,12 @@ def _load_quiver_setup(args):
         Q = Quiver.from_json(json.load(fh))
     dims = [int(x) for x in args.dim.split(",")]
     if len(dims) != len(Q.ids):
-        raise SystemExit("--dim needs %d entries for this quiver" % len(Q.ids))
+        raise ValueError("--dim needs %d entries for this quiver" % len(Q.ids))
     d = dict(zip(Q.ids, dims))
     if args.theta:
         th = [int(x) for x in args.theta.split(",")]
         if len(th) != len(Q.ids):
-            raise SystemExit("--theta needs %d entries for this quiver" % len(Q.ids))
+            raise ValueError("--theta needs %d entries for this quiver" % len(Q.ids))
         theta = dict(zip(Q.ids, th))
     else:
         theta = {v: (1 if v in Q.sources() else 0) for v in Q.ids}
@@ -163,7 +165,7 @@ def cmd_chi(args):
     else:
         p1, p2 = args.p1, args.p2
         if gcd(sum(p1), sum(p2)) != 1:
-            raise SystemExit("sizes %d, %d must be coprime" % (sum(p1), sum(p2)))
+            raise ValueError("sizes %d, %d must be coprime" % (sum(p1), sum(p2)))
         methods = _METHODS if args.method == "all" else (args.method,)
         report = AgreementReport({"p1": list(p1), "p2": list(p2)})
         for m in methods:
@@ -264,9 +266,9 @@ def cmd_motive(args):
 
 def _check_refinement_sizes(args, r):
     if args.p1 and r.part_sums(1) != args.p1:
-        raise SystemExit("refinement does not split --p1 = %r" % (args.p1,))
+        raise ValueError("refinement does not split --p1 = %r" % (args.p1,))
     if args.p2 and r.part_sums(2) != args.p2:
-        raise SystemExit("refinement does not split --p2 = %r" % (args.p2,))
+        raise ValueError("refinement does not split --p2 = %r" % (args.p2,))
 
 
 def cmd_localize(args):
@@ -468,7 +470,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "chi" and not args.quiver and (not args.p1 or not args.p2):
         build_parser().error("chi needs either --p1/--p2 or --quiver/--dim")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print("quivermoduli %s: error: %s" % (args.command, exc), file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from math import comb, factorial
 
 from .quiver import check_quiver, hat_quiver
 from .ratfunc import Poly, RationalFunction
-from .symfunc import Partition, multiplicity_vectors, partitions
+from .symfunc import Partition, multiplicity_vectors, partitions, weighted_splits
 
 
 class MotiveClass:
@@ -200,10 +200,12 @@ def proj_class(n):
 class _HNSolver:
     """Memoized semistable-class computation for one (quiver, stability).
 
-    Dimension vectors are tuples in vertex order.  Memo keys collapse
-    vertices that are provably interchangeable (equal level and theta, and
-    the transposition is a quiver automorphism) since every quantity in the
-    recursion is invariant under such relabelings.
+    Dimension vectors are tuples in vertex order.  Vertices that are
+    provably interchangeable (equal level and theta, and the transposition
+    is a quiver automorphism) form symmetry classes; every quantity in the
+    recursion is invariant under relabelings within a class.  So the
+    stratum sums enumerate one subvector per orbit of those relabelings,
+    weighted by the orbit size, and the memo keys are orbit invariants.
     """
 
     def __init__(self, Q, stab):
@@ -308,10 +310,37 @@ class _HNSolver:
         self._below[key] = value
         return value
 
+    def _orbits(self, d):
+        """(e, size) for one subvector 0 <= e <= d per orbit of the
+        relabelings that permute vertices of one class carrying equal d_v.
+        Within such a group only the multiset of values e_v matters, so each
+        orbit is a split of the group over the values 0..d_v."""
+        groups = []
+        for cls in self.classes:
+            by_dim = {}
+            for v in cls:
+                by_dim.setdefault(d[v], []).append(v)
+            for x, vs in by_dim.items():
+                options = []
+                for counts, weight in weighted_splits(len(vs), x + 1):
+                    values = [val for val, c in enumerate(counts) for _ in range(c)]
+                    options.append((tuple(zip(vs, values)), weight))
+                groups.append(options)
+        e = [0] * len(d)
+        for choice in product(*groups):
+            size = 1
+            for assigned, weight in choice:
+                for v, val in assigned:
+                    e[v] = val
+                size *= weight
+            yield tuple(e), size
+
     def _stratum_sum(self, d, bound, skip_full):
-        counts = {}
-        reps = {}
-        for e in product(*[range(x + 1) for x in d]):
+        # MotiveClass reduction is partial, so the summation order fixes the
+        # stored shape of the total and the cost of its cofactor products;
+        # representatives are added in lexicographic order
+        total = MotiveClass.zero()
+        for e, mult in sorted(self._orbits(d)):
             if not any(e):
                 continue
             if skip_full and e == d:
@@ -323,16 +352,8 @@ class _HNSolver:
                     continue
             rest = tuple(a - b for a, b in zip(d, e))
             key = self._pairkey(e, rest)
-            if key in counts:
-                counts[key] += 1
-            else:
-                counts[key] = 1
-                reps[key] = (e, rest)
-        total = MotiveClass.zero()
-        for key, mult in counts.items():
             term = self._terms.get(key)
             if term is None:
-                e, rest = reps[key]
                 term = self.sst_class(e)
                 if any(rest):
                     term = term.times_l_power(-self.euler(rest, e))
@@ -353,7 +374,23 @@ def _solver(Q, stab):
 
 
 def _as_tuple(Q, d):
-    return tuple(int(d.get(v, 0)) for v in Q.ids)
+    """The dimension vector in vertex order; unknown ids and negative
+    entries are rejected."""
+    unknown = set(d) - set(Q.ids)
+    if unknown:
+        raise ValueError("dimension vector uses unknown vertex ids %s"
+                         % ", ".join(sorted(map(repr, unknown))))
+    dv = tuple(int(d.get(v, 0)) for v in Q.ids)
+    if any(x < 0 for x in dv):
+        raise ValueError("dimension vector entries must be nonnegative")
+    return dv
+
+
+def _nonzero_tuple(Q, d):
+    dv = _as_tuple(Q, d)
+    if not any(dv):
+        raise ValueError("dimension vector must be nonzero")
+    return dv
 
 
 def hn_types(Q, s, d):
@@ -387,21 +424,29 @@ def hn_types(Q, s, d):
 def hn_sst_class(Q, s, d):
     """[R_d^sst]/[G_d]: the class of all representations minus the strata of
     nontrivial filtration types (grouped by first block and memoized)."""
-    dv = _as_tuple(Q, d)
-    if not any(dv):
-        raise ValueError("dimension vector must be nonzero")
-    return _solver(Q, s).sst_class(dv)
+    return _solver(Q, s).sst_class(_nonzero_tuple(Q, d))
 
 
 def is_theta_coprime(Q, s, d):
-    """No proper nonzero subvector e <= d shares the slope of d."""
-    dv = _as_tuple(Q, d)
+    """No proper nonzero subvector e <= d shares the slope of d.
+
+    Interchangeable vertices share theta and kappa, so the slope of e only
+    depends on its sums over the symmetry classes; those per-class sums are
+    scanned instead of the subvectors themselves.
+    """
+    dv = _nonzero_tuple(Q, d)
     sol = _solver(Q, s)
-    mu_d = sol.mu(dv)
-    for e in product(*[range(x + 1) for x in dv]):
-        if not any(e) or e == dv:
+    theta = [sol.theta[cls[0]] for cls in sol.classes]
+    kappa = [sol.kappa[cls[0]] for cls in sol.classes]
+    full = tuple(sum(dv[v] for v in cls) for cls in sol.classes)
+    th_d = sum(t * x for t, x in zip(theta, full))
+    ka_d = sum(k * x for k, x in zip(kappa, full))
+    for sums in product(*[range(x + 1) for x in full]):
+        if not any(sums) or sums == full:
             continue
-        if sol.mu(e) == mu_d:
+        th = sum(t * x for t, x in zip(theta, sums))
+        ka = sum(k * x for k, x in zip(kappa, sums))
+        if th * ka_d == th_d * ka:
             return False
     return True
 

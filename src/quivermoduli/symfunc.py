@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from .ratfunc import Poly, RationalFunction
 
@@ -85,6 +85,28 @@ class Partition:
 
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
+
+
+def weighted_splits(g, k, caps=None):
+    """Every split of g interchangeable items among k >= 1 ordered slots.
+
+    Yields ``(c, g!/prod c_i!)`` for each count vector c with sum g (and
+    c_i <= caps[i] when ``caps`` is given); the weight is the number of
+    labelled assignments of the items with those counts, so the weights of
+    the uncapped splits sum to k^g.
+    """
+    if caps is None:
+        caps = (g,) * k
+
+    def rec(i, left, weight, acc):
+        if i == k - 1:
+            if left <= caps[i]:
+                yield acc + (left,), weight
+            return
+        for c in range(min(left, caps[i]) + 1):
+            yield from rec(i + 1, left - c, weight * comb(left, c), acc + (c,))
+
+    yield from rec(0, g, 1, ())
 
 
 def multiplicity_vectors(n):

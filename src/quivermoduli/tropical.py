@@ -14,12 +14,12 @@ tree form (stable spanning-tree counts with squared weight factors).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import factorial, gcd
 
 from .localization import admissible_decompositions, chi_trees
 from .quiver import Refinement
-from .symfunc import partitions
+from .symfunc import partitions, weighted_splits
 
 
 def as_weight_vector(entries):
@@ -60,7 +60,7 @@ def ramification_factor(P, w):
     w = as_weight_vector(w)
     if sum(P) != sum(w):
         raise ValueError("|P| = %d and |w| = %d differ" % (sum(P), sum(w)))
-    count = len(_compatible_assignments(w, P))
+    count = sum(mult for _, mult in _compatible_assignments(w, P))
     factor = Fraction(1)
     for x in w:
         factor *= Fraction((-1) ** (x - 1), x * x)
@@ -68,25 +68,33 @@ def ramification_factor(P, w):
 
 
 def _compatible_assignments(weights, targets):
-    """All maps index -> part with per-part weight sums equal to targets."""
+    """Maps index -> part with per-part weight sums equal to targets, one per
+    orbit under permutations of equal entries of the weakly increasing
+    ``weights``.
+
+    Returns ``(groups, multiplicity)`` pairs: ``groups[p]`` is the weakly
+    increasing weight vector sent to part p, and ``multiplicity`` is the
+    number of labelled maps with those groups.  Each run of g equal weights
+    is split among the parts, which gives g!/prod c_p! labelled maps.
+    """
+    runs = [(x, len(list(run))) for x, run in groupby(weights)]
     n = len(targets)
     results = []
 
-    def rec(i, remaining, acc):
-        if i == len(weights):
-            if all(v == 0 for v in remaining):
-                results.append(tuple(acc))
+    def rec(r, remaining, groups, mult):
+        if r == len(runs):
+            if not any(remaining):
+                results.append((tuple(groups), mult))
             return
-        x = weights[i]
-        for p in range(n):
-            if remaining[p] >= x:
-                remaining[p] -= x
-                acc.append(p)
-                rec(i + 1, remaining, acc)
-                acc.pop()
-                remaining[p] += x
+        x, g = runs[r]
+        caps = [left // x for left in remaining]
+        for counts, weight in weighted_splits(g, n, caps):
+            rec(r + 1,
+                [left - x * c for left, c in zip(remaining, counts)],
+                [grp + (x,) * c for grp, c in zip(groups, counts)],
+                mult * weight)
 
-    rec(0, list(targets), [])
+    rec(0, list(targets), [()] * n, 1)
     return results
 
 
@@ -104,9 +112,12 @@ def n_trop(w1, w2, normalize_repeats=True):
     compatible set partitions of the remaining indices, of the product of
     the piece counts times the glueing multiplicities
     |e_k sum_{i<k} d_i - d_k (sum_{i<k} e_i + w)|, divided by prod c! over
-    repeated pieces.  ``normalize_repeats=False`` skips that division at
-    this level (sub-counts stay on the validated convention): the
-    over-counting guard exercised by the negative-control tests.
+    repeated pieces.  Set partitions that differ only by permuting equal
+    weights give the same piece counts, so they are enumerated once per
+    orbit and weighted by the orbit size, never listed one by one.
+    ``normalize_repeats=False`` skips the division by prod c! at this level
+    (sub-counts stay on the validated convention): the over-counting guard
+    exercised by the negative-control tests.
     """
     w1 = as_weight_vector(w1) if w1 else ()
     w2 = as_weight_vector(w2) if w2 else ()
@@ -154,14 +165,11 @@ def _n_trop_recurse(w1, w2, normalize_repeats):
             run_e += ek
 
         sub = 0
-        for a1 in assigns1:
-            groups1 = [tuple(sorted(w1[i] for i in range(len(w1)) if a1[i] == p))
-                       for p in range(n)]
-            for a2 in assigns2:
-                term = 1
+        for groups1, mult1 in assigns1:
+            for groups2, mult2 in assigns2:
+                term = mult1 * mult2
                 for p in range(n):
-                    g2 = tuple(sorted(rest2[i] for i in range(len(rest2)) if a2[i] == p))
-                    term *= n_trop(groups1[p], g2)
+                    term *= n_trop(groups1[p], groups2[p])
                     if not term:
                         break
                 sub += term

@@ -5,7 +5,7 @@ to see one pass/fail line per criterion.
 
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from quivermoduli import vertex
 from quivermoduli.localization import (
@@ -240,3 +240,18 @@ def test_criterion_9_normalization_negative_control():
     assert normalized == 6
     assert raw != normalized
     _report("criterion 9: convention guard 8 != 6", t0, 60)
+
+
+def test_larger_n_closed_form_family():
+    # beyond criterion 1: hn to n=8 and tropical to n=12 (vertex joins once
+    # its ring stops growing with 2^(#tokens))
+    def closed_form(n):
+        return Fraction(comb(2 * n + 1, n) * comb(n + 1, n), 2) - Fraction(2 ** (2 * n + 1), 4)
+
+    t0 = time.monotonic()
+    for n in range(5, 9):
+        Q, d, stab = _bipartite((2,), (1,) * (2 * n + 1))
+        assert euler_char(Q, stab, d) == closed_form(n), n
+    for n in range(5, 13):
+        assert degeneration_total((2,), (1,) * (2 * n + 1)) == closed_form(n), n
+    _report("larger n: chi(2, 1^(2n+1)) by hn (n<=8), tropical (n<=12)", t0, 20)

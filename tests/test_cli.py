@@ -177,3 +177,40 @@ def test_chi_disagreement_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert json.loads(out)["agreement"] is False
+
+
+def _usage_exit(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("quivermoduli chi: error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.fixture
+def k3_file(tmp_path):
+    path = tmp_path / "kronecker3.json"
+    path.write_text(json.dumps(Quiver.kronecker(3).to_json()))
+    return str(path)
+
+
+def test_chi_quiver_not_coprime_is_usage_error(k3_file, capsys):
+    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim", "2,2", "--theta", "1,0"])
+    assert "not theta-coprime" in err
+
+
+def test_chi_quiver_zero_dim_is_usage_error(k3_file, capsys):
+    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim", "0,0"])
+    assert "nonzero" in err
+
+
+def test_chi_quiver_negative_dim_is_usage_error(k3_file, capsys):
+    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim=-1,2"])
+    assert "nonnegative" in err
+
+
+def test_chi_missing_quiver_file_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    err = _usage_exit(capsys, ["chi", "--quiver", missing, "--dim", "2,3"])
+    assert "absent.json" in err

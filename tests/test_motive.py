@@ -185,6 +185,26 @@ def test_theta_coprime():
     assert not is_theta_coprime(K3, S10, {"i1": 2, "j1": 2})
 
 
+def test_dimension_vector_unknown_ids_rejected():
+    for fn in (euler_char, hn_sst_class, is_theta_coprime, poincare, hn_types):
+        with pytest.raises(ValueError, match="unknown vertex ids 'zz'"):
+            fn(K3, S10, {"i1": 2, "j1": 3, "zz": 4})
+
+
+def test_dimension_vector_negative_entries_rejected():
+    for fn in (euler_char, hn_sst_class, is_theta_coprime, poincare, hn_types):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(K3, S10, {"i1": -1, "j1": 2})
+
+
+def test_zero_dimension_vector_rejected():
+    for fn in (is_theta_coprime, poincare, euler_char, hn_sst_class):
+        with pytest.raises(ValueError, match="nonzero"):
+            fn(K3, S10, {"i1": 0, "j1": 0})
+        with pytest.raises(ValueError, match="nonzero"):
+            fn(K3, S10, {})
+
+
 def test_motivic_mps_trivial_vertex():
     # d_i = 1: a single multiplicity vector, support isomorphic to Q
     assert motivic_mps_check(K3, S10, "i1", {"i1": 1, "j1": 1})
