@@ -24,7 +24,7 @@ for d in ({"i1": 1, "j1": 1}, {"i1": 2, "j1": 3}, {"i1": 3, "j1": 4}):
     cls = hn_sst_class(K3, stab, d)
     p = poincare(K3, stab, d)
     print("\nd = (%d,%d)" % (d["i1"], d["j1"]))
-    print("  [R^sst]/[G] =", cls.rational())
+    print("  [R^sst]/[G] =", cls)
     print("  Poincare coefficients:", list(p.c))
     print("  Euler characteristic:", euler_char(K3, stab, d))
 

@@ -16,22 +16,13 @@ binom(2n+1, n) binom(n+1, n) / 2 - 2^(2n+1) / 4.
 import time
 from math import comb
 
-from quivermoduli import Quiver, Stability, degeneration_total, euler_char, mps_euler
+from quivermoduli import degeneration_total, euler_char, mps_euler
+from quivermoduli.quiver import bipartite_setup
 from quivermoduli.vertex import n_trop_via_factorization
 
 
-def bipartite(p1, p2):
-    Q = Quiver.complete_bipartite(len(p1), len(p2))
-    d, theta = {}, {}
-    for k, p in enumerate(p1):
-        d["i%d" % (k + 1)], theta["i%d" % (k + 1)] = p, 1
-    for k, p in enumerate(p2):
-        d["j%d" % (k + 1)], theta["j%d" % (k + 1)] = p, 0
-    return Q, d, Stability.of(theta)
-
-
 def chi_four_ways(p1, p2):
-    Q, d, stab = bipartite(p1, p2)
+    Q, d, stab = bipartite_setup(p1, p2)
     out = {}
     for name, fn in (
         ("hn", lambda: euler_char(Q, stab, d)),

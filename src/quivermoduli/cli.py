@@ -25,6 +25,7 @@ from .quiver import (
     Quiver,
     Refinement,
     Stability,
+    bipartite_setup,
     fraction_to_str,
     n_support,
 )
@@ -85,19 +86,6 @@ def _parse_refinement(s):
         raise argparse.ArgumentTypeError("bad refinement syntax: %r" % s)
 
 
-def _bipartite_setup(p1, p2):
-    Q = Quiver.complete_bipartite(len(p1), len(p2))
-    d = {}
-    theta = {}
-    for k, p in enumerate(p1):
-        d["i%d" % (k + 1)] = p
-        theta["i%d" % (k + 1)] = 1
-    for k, p in enumerate(p2):
-        d["j%d" % (k + 1)] = p
-        theta["j%d" % (k + 1)] = 0
-    return Q, d, Stability.of(theta)
-
-
 def _load_quiver_setup(args):
     with open(args.quiver) as fh:
         Q = Quiver.from_json(json.load(fh))
@@ -142,7 +130,7 @@ _METHODS = ("hn", "mps", "tropical", "vertex")
 
 def _chi_by_method(method, p1, p2):
     if method == "hn":
-        Q, d, stab = _bipartite_setup(p1, p2)
+        Q, d, stab = bipartite_setup(p1, p2)
         return motive.euler_char(Q, stab, d)
     if method == "mps":
         return tropical.mps_euler(p1, p2)
@@ -198,7 +186,7 @@ def cmd_verify(args):
         _check("dual-mps %s at %s dim %s" % (args.quiver, args.vertex, args.dim),
                ok, failures)
     elif args.suite == "eulgw":
-        for p1, p2, r in _refinement_scan(args.max_size):
+        for p1, p2, r in tropical.refinement_scan(args.max_size):
             w1 = tropical.weight_vector_of(r.k1)
             w2 = tropical.weight_vector_of(r.k2)
             ok = tropical.n_trop(w1, w2) == localization.chi_trees(r)
@@ -210,7 +198,7 @@ def cmd_verify(args):
         norm = tropical.n_trop((1, 1), (1, 1, 1))
         _check("troprec-convention (1,1)|(1,1,1): %d raw vs %d" % (raw, norm),
                raw == 8 and norm == 6, failures)
-        for p1, p2, r in _refinement_scan(args.max_size):
+        for p1, p2, r in tropical.refinement_scan(args.max_size):
             w1 = tropical.weight_vector_of(r.k1)
             w2 = tropical.weight_vector_of(r.k2)
             ok = tropical.n_trop(w1, w2) == localization.chi_trees(r)
@@ -222,34 +210,9 @@ def cmd_verify(args):
     return 0
 
 
-def _refinement_scan(max_size):
-    """All refinements of coprime ordered-partition pairs up to a size bound.
-
-    Counts only depend on parts through their multiset, so weakly decreasing
-    representatives are scanned; each (p1, p2, refinement) yields once.
-    """
-    from .symfunc import partitions
-
-    seen = set()
-    for total in range(2, max_size + 1):
-        for d in range(1, total):
-            e = total - d
-            if gcd(d, e) != 1:
-                continue
-            for p1 in sorted(partitions(d)):
-                for p2 in sorted(partitions(e)):
-                    for r in tropical.refinements(p1, p2):
-                        key = (tuple(sorted(r.weight_multiplicities(1).items())),
-                               tuple(sorted(r.weight_multiplicities(2).items())))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        yield p1, p2, r
-
-
 def cmd_motive(args):
     Q, d, stab = _load_quiver_setup(args)
-    cls = motive.hn_sst_class(Q, stab, d).rational()
+    cls = motive.hn_sst_class(Q, stab, d)
     payload = {
         "class_num": [fraction_to_str(Fraction(c)) for c in cls.num.c],
         "class_den": [fraction_to_str(Fraction(c)) for c in cls.den.c],

@@ -2,12 +2,14 @@
 
 Classes of stacks [R_d^sst]/[G_d] are computed by the Harder-Narasimhan
 recursion and realized inside the rational function field Q(L): every class
-reached by the recursion is a polynomial in L divided by a product of powers
-of L and factors (L^n - 1), so :class:`MotiveClass` stores exactly that
-shape and never needs a polynomial gcd.  On top of the recursion sit the
-Poincare polynomial / Euler characteristic extraction for coprime dimension
-vectors, and the degeneration identities that trade a vertex for its
-weighted blow-up (the MPS formula, its partition form, and the dual form).
+reached by the recursion is a polynomial in L divided by powers of L and of
+factors (L^n - 1).  ``MotiveClass`` is another name for
+:class:`ratfunc.RationalFunction`, which keeps exactly that shape in a
+canonical reduced form, so classes compare and hash by value.  On top of
+the recursion sit the Poincare polynomial / Euler characteristic
+extraction for coprime dimension vectors, and the degeneration identities
+that trade a vertex for its weighted blow-up (the MPS formula, its
+partition form, and the dual form).
 """
 
 from __future__ import annotations
@@ -20,154 +22,7 @@ from .quiver import check_quiver, hat_quiver
 from .ratfunc import Poly, RationalFunction
 from .symfunc import Partition, multiplicity_vectors, partitions, weighted_splits
 
-
-class MotiveClass:
-    """num * L^(-lpow) * prod_n (L^n - 1)^(-exp_n), num a polynomial over Q.
-
-    The factored denominator mirrors membership in the localized
-    Grothendieck ring; addition and multiplication stay inside this shape,
-    and equality is decided by cross-multiplying cofactors.
-    """
-
-    __slots__ = ("num", "lpow", "cyc")
-
-    def __init__(self, num, lpow=0, cyc=()):
-        if isinstance(num, (int, Fraction)):
-            num = Poly.const(num)
-        cyc = {n: e for n, e in (cyc.items() if isinstance(cyc, dict) else cyc) if e}
-        if any(e < 0 or n < 1 for n, e in cyc.items()):
-            raise ValueError("denominator exponents must be nonnegative")
-        num, lpow, cyc = _reduce(num, lpow, cyc)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "lpow", lpow)
-        object.__setattr__(self, "cyc", tuple(sorted(cyc.items())))
-
-    def __setattr__(self, *a):
-        raise AttributeError("MotiveClass is immutable")
-
-    @classmethod
-    def zero(cls):
-        return cls(Poly())
-
-    @classmethod
-    def one(cls):
-        return cls(Poly((1,)))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def _cyc_dict(self):
-        return dict(self.cyc)
-
-    def __add__(self, other):
-        if not isinstance(other, MotiveClass):
-            other = MotiveClass(other)
-        lp = max(self.lpow, other.lpow)
-        ca, cb = self._cyc_dict(), other._cyc_dict()
-        cc = {n: max(ca.get(n, 0), cb.get(n, 0)) for n in set(ca) | set(cb)}
-        na = _times_cofactor(self.num, lp - self.lpow, ca, cc)
-        nb = _times_cofactor(other.num, lp - other.lpow, cb, cc)
-        return MotiveClass(na + nb, lp, cc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        r = object.__new__(MotiveClass)
-        object.__setattr__(r, "num", -self.num)
-        object.__setattr__(r, "lpow", self.lpow)
-        object.__setattr__(r, "cyc", self.cyc)
-        return r
-
-    def __sub__(self, other):
-        if not isinstance(other, MotiveClass):
-            other = MotiveClass(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MotiveClass(self.num * other, self.lpow, self.cyc)
-        cc = self._cyc_dict()
-        for n, e in other.cyc:
-            cc[n] = cc.get(n, 0) + e
-        return MotiveClass(self.num * other.num, self.lpow + other.lpow, cc)
-
-    __rmul__ = __mul__
-
-    def times_l_power(self, k):
-        """Multiply by L^k (k of either sign)."""
-        if k >= 0:
-            return MotiveClass(self.num.shifted(k), self.lpow, self.cyc)
-        return MotiveClass(self.num, self.lpow - k, self.cyc)
-
-    def times_proj_inverse(self, n, power=1):
-        """Multiply by [P^(n-1)]^(-power) = ((L-1)/(L^n-1))^power."""
-        cc = self._cyc_dict()
-        cc[n] = cc.get(n, 0) + power
-        num = self.num * (Poly((-1, 1)) ** power)
-        return MotiveClass(num, self.lpow, cc)
-
-    def __eq__(self, other):
-        if not isinstance(other, MotiveClass):
-            other = MotiveClass(other)
-        lp = max(self.lpow, other.lpow)
-        ca, cb = self._cyc_dict(), other._cyc_dict()
-        cc = {n: max(ca.get(n, 0), cb.get(n, 0)) for n in set(ca) | set(cb)}
-        return _times_cofactor(self.num, lp - self.lpow, ca, cc) == _times_cofactor(
-            other.num, lp - other.lpow, cb, cc
-        )
-
-    __hash__ = None
-
-    def rational(self):
-        """The class as a reduced RationalFunction in L."""
-        den = Poly.x_pow(self.lpow)
-        for n, e in self.cyc:
-            den = den * ((Poly.x_pow(n) - Poly((1,))) ** e)
-        return RationalFunction(self.num, den)
-
-    def denominator_factors(self):
-        """(L-power, {n: exponent}) of the stored denominator."""
-        return self.lpow, dict(self.cyc)
-
-    def __repr__(self):
-        return "MotiveClass(%r, lpow=%d, cyc=%r)" % (list(self.num.c), self.lpow, dict(self.cyc))
-
-
-def _divisible_by_cyclo(num, n):
-    """Exact test for (L^n - 1) | num by folding exponents mod n."""
-    folds = [0] * n
-    for i, c in enumerate(num.c):
-        folds[i % n] += c
-    return all(v == 0 for v in folds)
-
-
-def _reduce(num, lpow, cyc):
-    if num.is_zero():
-        return num, 0, {}
-    low = num.low_order()
-    k = min(low, lpow)
-    if k > 0:
-        num = Poly(num.c[k:])
-        lpow -= k
-    factor_cache = {}
-    for n in sorted(cyc):
-        while cyc[n] > 0 and _divisible_by_cyclo(num, n):
-            if n not in factor_cache:
-                factor_cache[n] = Poly.x_pow(n) - Poly((1,))
-            num = num.exact_div(factor_cache[n])
-            cyc[n] -= 1
-    cyc = {n: e for n, e in cyc.items() if e}
-    return num, lpow, cyc
-
-
-def _times_cofactor(num, dl, own, common):
-    out = num.shifted(dl)
-    for n, e in common.items():
-        extra = e - own.get(n, 0)
-        if extra:
-            out = out * ((Poly.x_pow(n) - Poly((1,))) ** extra)
-    return out
-
+MotiveClass = RationalFunction
 
 # -- identity classes ---------------------------------------------------------
 
@@ -287,7 +142,7 @@ class _HNSolver:
         for x in d:
             for k in range(1, x + 1):
                 cyc[k] = cyc.get(k, 0) + 1
-        return MotiveClass.one().times_l_power(shift) * MotiveClass(Poly((1,)), 0, cyc)
+        return MotiveClass(1, -shift, cyc)
 
     # -- the recursion -----------------------------------------------------
 
@@ -336,9 +191,9 @@ class _HNSolver:
             yield tuple(e), size
 
     def _stratum_sum(self, d, bound, skip_full):
-        # MotiveClass reduction is partial, so the summation order fixes the
-        # stored shape of the total and the cost of its cofactor products;
-        # representatives are added in lexicographic order
+        # representatives are added in lexicographic order: the value does
+        # not depend on it, but the sequence of partial sums, and with it the
+        # amount of arithmetic per layer, does
         total = MotiveClass.zero()
         for e, mult in sorted(self._orbits(d)):
             if not any(e):
@@ -459,11 +314,10 @@ def poincare(Q, s, d):
     """
     if not is_theta_coprime(Q, s, d):
         raise ValueError("dimension vector is not theta-coprime")
-    cls = hn_sst_class(Q, s, d)
-    rat = (cls * MotiveClass(Poly((-1, 1)))).rational()
-    if not rat.is_polynomial():
+    cls = hn_sst_class(Q, s, d) * gm_class()
+    if not cls.is_polynomial():
         raise ArithmeticError("(L-1) * class is not polynomial; recursion is inconsistent")
-    in_l = rat.as_poly()
+    in_l = cls.num
     if any(not isinstance(c, int) or c < 0 for c in in_l.c):
         raise ArithmeticError("Poincare polynomial has a bad coefficient: %r" % (in_l,))
     return in_l.subst_pow(2)
@@ -491,8 +345,7 @@ def _mps_rhs(Q, s, i, d):
         Qh, dh, sh = hat_quiver(Q, i, m, d, s)
         term = hn_sst_class(Qh, sh, dh) * _mps_weight(m)
         for l, ml in m.items():
-            if l > 1:
-                term = term.times_proj_inverse(l, ml)
+            term = term.times_proj_inverse(l, ml)
         rhs = rhs + term
     return rhs
 
@@ -521,8 +374,7 @@ def partition_form_check(Q, s, i, d):
         Qh, dh, sh = hat_quiver(Q, i, m, d, s)
         term = hn_sst_class(Qh, sh, dh) * Fraction(lam.sign(), lam.z())
         for p in parts:
-            if p > 1:
-                term = term.times_proj_inverse(p)
+            term = term.times_proj_inverse(p)
         rhs = rhs + term
     return rhs == _mps_rhs(Q, s, i, d)
 

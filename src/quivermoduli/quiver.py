@@ -141,8 +141,18 @@ class Stability:
         return sum(d.values())
 
 
-def dim_total(d):
-    return sum(d.values())
+def bipartite_setup(p1, p2):
+    """The complete bipartite quiver K(len p1, len p2) with the dimension
+    vector whose sources i_k carry p1 and sinks j_k carry p2, and the
+    stability theta = 1 on sources, 0 on sinks: the setting in which the
+    four methods compute chi for the ordered-partition pair (p1, p2)."""
+    Q = Quiver.complete_bipartite(len(p1), len(p2))
+    d, theta = {}, {}
+    for k, p in enumerate(p1):
+        d["i%d" % (k + 1)], theta["i%d" % (k + 1)] = p, 1
+    for k, p in enumerate(p2):
+        d["j%d" % (k + 1)], theta["j%d" % (k + 1)] = p, 0
+    return Q, d, Stability.of(theta)
 
 
 def _check_support(Q, d, name="dimension vector"):

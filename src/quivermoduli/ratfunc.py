@@ -1,17 +1,25 @@
-"""Dense univariate polynomials and rational functions with exact rational
-coefficients.
+"""Dense univariate polynomials over Q, and the one exact class for the
+rational functions the moduli computations compare.
 
-Values are immutable, equality is decidable: rational functions are kept as
-reduced fractions with monic denominator.  Coefficients are stored as plain
-``int`` whenever possible and as ``fractions.Fraction`` otherwise.
+Every such function (a motivic class, a principal specialization, a side
+of the q-identity) is a polynomial over Q divided by powers of L and of
+factors L^n - 1, that is, of the cyclotomic polynomials Phi_k, k | n, which
+are integral and irreducible with leading coefficient 1.
+:class:`RationalFunction` stores num / (L^lpow prod Phi_k^e_k) with no
+factor of the denominator dividing num, so equal values have equal fields.
+Coefficients are ``int`` whenever possible and ``fractions.Fraction``
+otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 def _canon(c):
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
@@ -54,9 +62,6 @@ class Poly:
         """Degree, with -1 for the zero polynomial."""
         return len(self.c) - 1
 
-    def leading(self):
-        return self.c[-1] if self.c else 0
-
     def __bool__(self):
         return bool(self.c)
 
@@ -68,7 +73,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.c)
+        # a constant equals its coefficient, so it hashes like it
+        return hash(self.c) if len(self.c) > 1 else hash(self.c[0] if self.c else 0)
 
     def __repr__(self):
         return "Poly(%r)" % (list(self.c),)
@@ -135,24 +141,25 @@ class Poly:
         return Poly._raw((0,) * k + self.c)
 
     def divmod(self, other):
+        """Quotient and remainder by a divisor with leading coefficient 1;
+        the coefficients stay in the ring of the dividend's."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if other.c[-1] != 1:
+            raise ValueError("divisor must have leading coefficient 1")
         rem = list(self.c)
         dq = other.degree()
-        lead = other.c[-1]
         if len(rem) <= dq:
             return Poly(), self
+        low = [(j, v) for j, v in enumerate(other.c[:-1]) if v]
         quo = [0] * (len(rem) - dq)
-        inv = Fraction(1, 1) / lead
         for i in range(len(rem) - 1, dq - 1, -1):
-            coef = rem[i]
-            if coef == 0:
-                continue
-            q = _canon(coef * inv)
-            quo[i - dq] = q
-            for j, v in enumerate(other.c):
-                rem[i - dq + j] -= q * v
-        return Poly(quo), Poly(rem)
+            q = rem[i]
+            if q:
+                quo[i - dq] = q
+                for j, v in low:
+                    rem[i - dq + j] -= q * v
+        return Poly(quo), Poly(rem[:dq])
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -175,12 +182,6 @@ class Poly:
             out[i * k] = v
         return Poly(out)
 
-    def monic(self):
-        if self.is_zero() or self.c[-1] == 1:
-            return self
-        inv = Fraction(1, 1) / self.c[-1]
-        return Poly(v * inv for v in self.c)
-
     def low_order(self):
         """Multiplicity of the root 0."""
         for i, v in enumerate(self.c):
@@ -189,42 +190,92 @@ class Poly:
         return -1
 
 
-def poly_gcd(a, b):
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
-
-
 ONE = Poly((1,))
 
 
+@lru_cache(maxsize=None)
+def cyclotomic(k):
+    """Phi_k: L^k - 1 divided by Phi_d for every proper divisor d of k."""
+    out = Poly.x_pow(k) - ONE
+    for d in range(1, k):
+        if k % d == 0:
+            out = out.exact_div(cyclotomic(d))
+    return out
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _phi_divides(num, k):
+    """Phi_k | num.  Phi_k divides L^k - 1, so num is first folded mod
+    L^k - 1 (exponents mod k) and only the residue is divided by Phi_k."""
+    folded = Poly([sum(num.c[r::k]) for r in range(k)])
+    return folded.divmod(cyclotomic(k))[1].is_zero()
+
+
+def _new(num, lpow, cyc):
+    """Wrap fields that are already in reduced form."""
+    r = object.__new__(RationalFunction)
+    object.__setattr__(r, "num", num)
+    object.__setattr__(r, "lpow", lpow)
+    object.__setattr__(r, "cyc", cyc)
+    return r
+
+
+def _reduced(num, lpow, phi, candidates):
+    """num / (L^lpow prod Phi_k^phi[k]) in reduced form, given that only
+    the Phi_k with k in ``candidates`` can divide num (``phi`` is used up)."""
+    if num.is_zero():
+        return _new(num, 0, ())
+    k = min(num.low_order(), lpow)
+    if k > 0:
+        num, lpow = Poly._raw(num.c[k:]), lpow - k
+    for k in candidates:
+        while phi[k] and _phi_divides(num, k):
+            num = num.exact_div(cyclotomic(k))
+            phi[k] -= 1
+    return _new(num, lpow, tuple(sorted((k, e) for k, e in phi.items() if e)))
+
+
+def _lift(num, dl, own, common):
+    """num times L^dl and the Phi-factors of ``common`` missing from ``own``."""
+    out = num.shifted(dl)
+    for k, e in common.items():
+        for _ in range(e - own.get(k, 0)):
+            out = out * cyclotomic(k)
+    return out
+
+
 class RationalFunction:
-    """Quotient of two polynomials in normal form: reduced, monic denominator."""
+    """num / (L^lpow * prod_k Phi_k^e_k), reduced: L does not divide num
+    when lpow > 0, and no Phi_k with k in ``cyc`` divides num.
 
-    __slots__ = ("num", "den")
+    ``cyc`` is the sorted tuple of pairs (k, e_k), e_k > 0.  Equal values
+    have equal fields, and ``num``/``den`` is the reduced fraction whose
+    denominator has leading coefficient 1.  The constructor takes the
+    denominator as classes in the localized Grothendieck ring arise,
+    num * L^(-lpow) * prod_n (L^n - 1)^(-cyc[n]): its ``cyc`` maps n to the
+    exponent of L^n - 1, not of Phi_n.  A negative ``lpow`` multiplies by
+    L^(-lpow).
+    """
 
-    def __init__(self, num, den=ONE):
-        if isinstance(num, (int, Fraction)):
+    __slots__ = ("num", "lpow", "cyc")
+
+    def __init__(self, num, lpow=0, cyc=()):
+        if not isinstance(num, Poly):
             num = Poly.const(num)
-        if isinstance(den, (int, Fraction)):
-            den = Poly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = ONE
-        else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.c[-1]
-            if lead != 1:
-                inv = Fraction(1, 1) / lead
-                num = num * inv
-                den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        phi = {}
+        for n, e in (cyc.items() if isinstance(cyc, dict) else cyc):
+            if n < 1 or e < 0:
+                raise ValueError("denominator exponents must be nonnegative")
+            for d in _divisors(n):
+                phi[d] = phi.get(d, 0) + e
+        if lpow < 0:
+            num, lpow = num.shifted(-lpow), 0
+        r = _reduced(num, lpow, phi, list(phi))
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(r, name))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -233,44 +284,67 @@ class RationalFunction:
     def of(cls, value):
         if isinstance(value, RationalFunction):
             return value
-        if isinstance(value, Poly):
-            return cls(value)
-        return cls(Poly.const(value))
+        return _new(value if isinstance(value, Poly) else Poly.const(value), 0, ())
+
+    @classmethod
+    def zero(cls):
+        return _new(Poly(), 0, ())
+
+    @classmethod
+    def one(cls):
+        return _new(ONE, 0, ())
 
     def is_zero(self):
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return self.den == ONE
+        return not self.lpow and not self.cyc
 
-    def as_poly(self):
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial: %r" % (self,))
-        return self.num
+    @property
+    def den(self):
+        """The denominator L^lpow * prod Phi_k^e_k as a Poly."""
+        out = Poly.x_pow(self.lpow)
+        for k, e in self.cyc:
+            out = out * cyclotomic(k) ** e
+        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
             other = RationalFunction.of(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.lpow == other.lpow and self.cyc == other.cyc
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        if self.is_polynomial():
+            return hash(self.num)
+        return hash((self.num.c, self.lpow, self.cyc))
+
+    def __repr__(self):
+        den = ["L^%d" % self.lpow] * bool(self.lpow) + ["Phi_%d^%d" % ke for ke in self.cyc]
+        return "RationalFunction(%s)" % " / ".join([repr(list(self.num.c))] + den)
+
+    # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         other = RationalFunction.of(other)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        a, b = dict(self.cyc), dict(other.cyc)
+        lpow = max(self.lpow, other.lpow)
+        phi = {k: max(a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()}
+        num = (_lift(self.num, lpow - self.lpow, a, phi)
+               + _lift(other.num, lpow - other.lpow, b, phi))
+        # a factor of the common denominator can divide the sum only if
+        # both summands carry it to the same power
+        return _reduced(num, lpow, phi, [k for k in phi if a.get(k) == b.get(k)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = object.__new__(RationalFunction)
-        object.__setattr__(r, "num", -self.num)
-        object.__setattr__(r, "den", self.den)
-        return r
+        return _new(-self.num, self.lpow, self.cyc)
 
     def __sub__(self, other):
         return self + (-RationalFunction.of(other))
@@ -279,35 +353,35 @@ class RationalFunction:
         return RationalFunction.of(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _reduced(self.num * other, self.lpow, dict(self.cyc), ())
         other = RationalFunction.of(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        # both factors are reduced, so only a Phi_k in exactly one of the
+        # two denominators can divide the product of the numerators
+        a, b = dict(self.cyc), dict(other.cyc)
+        phi = {k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()}
+        return _reduced(self.num * other.num, self.lpow + other.lpow, phi, a.keys() ^ b.keys())
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = RationalFunction.of(other)
-        if other.is_zero():
-            raise ZeroDivisionError
-        return RationalFunction(self.num * other.den, self.den * other.num)
+    def times_l_power(self, k):
+        """Multiply by L^k (k of either sign)."""
+        return _reduced(self.num.shifted(max(k, 0)), self.lpow + max(-k, 0),
+                        dict(self.cyc), ())
 
-    def __rtruediv__(self, other):
-        return RationalFunction.of(other) / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return (RationalFunction.of(1) / self) ** (-n)
-        r = RationalFunction.of(1)
-        for _ in range(n):
-            r = r * self
-        return r
+    def times_proj_inverse(self, n, power=1):
+        """Multiply by [P^(n-1)]^(-power) = ((L-1)/(L^n-1))^power, that is,
+        by Phi_d^(-power) for every divisor d > 1 of n."""
+        if power < 0:
+            raise ValueError("power must be nonnegative")
+        phi = dict(self.cyc)
+        new = _divisors(n)[1:]
+        for d in new:
+            phi[d] = phi.get(d, 0) + power
+        return _reduced(self.num, self.lpow, phi, new)
 
     def __call__(self, value):
         den = self.den(value)
         if den == 0:
             raise ZeroDivisionError("pole at %r" % (value,))
         return _canon(Fraction(1, 1) * self.num(value) / den)
-
-    def __repr__(self):
-        if self.is_polynomial():
-            return "RationalFunction(%r)" % (list(self.num.c),)
-        return "RationalFunction(%r, %r)" % (list(self.num.c), list(self.den.c))

@@ -4,7 +4,9 @@ specialization, and the finite q-identity they specialize to.
 Only the slice of symmetric function theory the moduli computations consume
 is implemented: e_n <-> p_n base change in closed form, products of e's in
 the p basis, and the specialization e_n -> q^(n(n-1)/2) / prod (1-q^i),
-p_n -> 1/(1-q^n).
+p_n -> 1/(1-q^n).  Specializations and both sides of the q-identity are
+:class:`ratfunc.RationalFunction` values in q, whose denominators are
+products of powers of q and of factors q^k - 1.
 """
 
 from __future__ import annotations
@@ -280,26 +282,21 @@ def e_lambda_to_p(lam):
     return SymPoly("p", coeffs)
 
 
-@lru_cache(maxsize=None)
 def _e_image(n):
     """Principal specialization of e_n: q^(n(n-1)/2) / prod_{i<=n} (1-q^i)."""
-    num = Poly.x_pow(n * (n - 1) // 2)
-    den = Poly((1,))
-    for i in range(1, n + 1):
-        den = den * (Poly((1,)) - Poly.x_pow(i))
-    return RationalFunction(num, den)
+    return RationalFunction(Poly.x_pow(comb(n, 2), (-1) ** n), 0,
+                            {i: 1 for i in range(1, n + 1)})
 
 
-@lru_cache(maxsize=None)
 def _p_image(n):
     """Principal specialization of p_n: 1 / (1-q^n)."""
-    return RationalFunction(Poly((1,)), Poly((1,)) - Poly.x_pow(n))
+    return RationalFunction(-1, 0, {n: 1})
 
 
 def principal_specialize(s):
     """Apply x_i -> q^(i-1) to a SymPoly, exactly, as a rational function."""
     image = _e_image if s.basis == "e" else _p_image
-    total = RationalFunction.of(0)
+    total = RationalFunction.zero()
     for lam, c in sorted(s.coeffs.items()):
         term = RationalFunction.of(c)
         for part in lam:
@@ -319,21 +316,16 @@ def lemma3_identity(n):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = Poly.x_pow(1)
-    lhs_den = Poly((1,))
-    qn = Poly.x_pow(n)
-    for i in range(n):
-        lhs_den = lhs_den * (qn - Poly.x_pow(i))
-    lhs = RationalFunction(Poly.x_pow(n * (n - 1) // 2), lhs_den)
-
-    qm1 = RationalFunction(q - Poly((1,)))
-    rhs = RationalFunction.of(0)
+    # (q^n - q^i) = q^i (q^(n-i) - 1), so the left denominator is
+    # q^(n(n-1)/2) prod_{j<=n} (q^j - 1)
+    lhs = RationalFunction(Poly.x_pow(comb(n, 2)), comb(n, 2),
+                           {j: 1 for j in range(1, n + 1)})
+    rhs = RationalFunction.zero()
     for m in multiplicity_vectors(n):
-        term = RationalFunction.of(1)
+        term = RationalFunction(1, 0, {1: sum(m.values())})
+        scalar = Fraction(1)
         for l, ml in m.items():
-            bracket = RationalFunction(Poly.x_pow(l) - Poly((1,)), q - Poly((1,)))
-            term = term * RationalFunction.of(Fraction(1, factorial(ml)))
-            term = term * (RationalFunction.of((-1) ** (l - 1)) / (l * bracket)) ** ml
-        term = term / qm1 ** sum(m.values())
-        rhs = rhs + term
+            scalar *= Fraction(1, factorial(ml)) * Fraction((-1) ** (l - 1), l) ** ml
+            term = term.times_proj_inverse(l, ml)
+        rhs = rhs + term * scalar
     return lhs, rhs

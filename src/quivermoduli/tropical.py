@@ -206,6 +206,27 @@ def refinements(P1, P2):
             for k2 in side_options(tuple(P2))]
 
 
+def refinement_scan(max_size):
+    """All refinements of coprime ordered-partition pairs up to a size bound.
+
+    Counts only depend on parts through their multiset, so weakly decreasing
+    representatives are scanned; each pair of weight vectors is yielded once,
+    as (p1, p2, refinement).
+    """
+    seen = set()
+    for total in range(2, max_size + 1):
+        for d in range(1, total):
+            if gcd(d, total - d) != 1:
+                continue
+            for p1 in sorted(partitions(d)):
+                for p2 in sorted(partitions(total - d)):
+                    for r in refinements(p1, p2):
+                        key = (weight_vector_of(r.k1), weight_vector_of(r.k2))
+                        if key not in seen:
+                            seen.add(key)
+                            yield p1, p2, r
+
+
 def _refinement_factor(r, weight_exponent):
     """prod_{i,j,w} (-1)^(k_{w,j}(w-1)) / (k_{w,j}! * w^(weight_exponent * k_{w,j}))."""
     out = Fraction(1)

@@ -15,17 +15,10 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .quiver import Refinement
+from .ratfunc import _canon
 from .tropical import weight_vector_of
 
 _EMPTY = frozenset()
-
-
-def _canon(c):
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
 
 
 class TruncatedElement:
@@ -71,8 +64,6 @@ class TruncatedElement:
 
     def __eq__(self, other):
         return isinstance(other, TruncatedElement) and self.terms == other.terms
-
-    __hash__ = None
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -207,11 +198,6 @@ def compose_apply(ops, element):
     for op in reversed(list(ops)):
         element = op.apply(element)
     return element
-
-
-def apply(theta, element):
-    """Module-level alias for a single wall application."""
-    return theta.apply(element)
 
 
 def ks_operators(r):

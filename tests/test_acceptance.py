@@ -25,13 +25,13 @@ from quivermoduli.motive import (
     motivic_mps_check,
     poincare,
 )
-from quivermoduli.quiver import Quiver, Refinement, Stability, euler_form
+from quivermoduli.quiver import Quiver, Refinement, Stability, bipartite_setup, euler_form
 from quivermoduli.symfunc import SymPoly, e_to_p, lemma3_identity, p_to_e, partitions
 from quivermoduli.tropical import (
     degeneration_total,
     mps_euler,
     n_trop,
-    refinements,
+    refinement_scan,
     weight_vector_of,
 )
 from quivermoduli.vertex import (
@@ -53,19 +53,6 @@ def _report(name, t0, limit):
     assert elapsed < limit, "%s exceeded its time budget: %.1fs" % (name, elapsed)
 
 
-def _bipartite(p1, p2):
-    Q = Quiver.complete_bipartite(len(p1), len(p2))
-    d = {}
-    theta = {}
-    for k, p in enumerate(p1):
-        d["i%d" % (k + 1)] = p
-        theta["i%d" % (k + 1)] = 1
-    for k, p in enumerate(p2):
-        d["j%d" % (k + 1)] = p
-        theta["j%d" % (k + 1)] = 0
-    return Q, d, Stability.of(theta)
-
-
 def _coprime_pairs(max_total):
     for total in range(2, max_total + 1):
         for d in range(1, total):
@@ -78,7 +65,7 @@ def test_criterion_1_closed_form_family():
     t0 = time.monotonic()
     for n, expected in FAMILY_VALUES.items():
         p1, p2 = (2,), (1,) * (2 * n + 1)
-        Q, d, stab = _bipartite(p1, p2)
+        Q, d, stab = bipartite_setup(p1, p2)
         assert euler_char(Q, stab, d) == expected
         assert mps_euler(p1, p2) == expected
         assert degeneration_total(p1, p2) == expected
@@ -89,19 +76,12 @@ def test_criterion_1_closed_form_family():
 
 def test_criterion_2_tropical_equals_trees():
     t0 = time.monotonic()
-    seen = set()
     checked = 0
-    for d, e in _coprime_pairs(9):
-        for p1 in sorted(partitions(d)):
-            for p2 in sorted(partitions(e)):
-                for r in refinements(p1, p2):
-                    w1 = weight_vector_of(r.k1)
-                    w2 = weight_vector_of(r.k2)
-                    if (w1, w2) in seen:
-                        continue
-                    seen.add((w1, w2))
-                    assert n_trop(w1, w2) == chi_trees(r), (p1, p2, w1, w2)
-                    checked += 1
+    for p1, p2, r in refinement_scan(9):
+        w1 = weight_vector_of(r.k1)
+        w2 = weight_vector_of(r.k2)
+        assert n_trop(w1, w2) == chi_trees(r), (p1, p2, w1, w2)
+        checked += 1
     assert checked >= 300
     _report("criterion 2: n_trop = chi_trees, sizes <= 9", t0, 120)
 
@@ -174,21 +154,13 @@ def test_criterion_6_vertex_group_oracle():
                                    + TruncatedElement.monomial(1, 1, (u, v), 1))
 
     # recomposition and extraction agreement over all coprime refinements
-    seen = set()
-    for d, e in _coprime_pairs(8):
-        for p1 in sorted(partitions(d)):
-            for p2 in sorted(partitions(e)):
-                for r in refinements(p1, p2):
-                    w1 = weight_vector_of(r.k1)
-                    w2 = weight_vector_of(r.k2)
-                    if (w1, w2) in seen:
-                        continue
-                    seen.add((w1, w2))
-                    ops = ks_operators(r)
-                    f = factorize(ops)
-                    assert compose_apply(f.walls, x) == compose_apply(ops, x)
-                    assert compose_apply(f.walls, y) == compose_apply(ops, y)
-                    assert vertex.extract_n_trop(f, r) == n_trop(w1, w2)
+    for _, _, r in refinement_scan(8):
+        ops = ks_operators(r)
+        f = factorize(ops)
+        assert compose_apply(f.walls, x) == compose_apply(ops, x)
+        assert compose_apply(f.walls, y) == compose_apply(ops, y)
+        assert vertex.extract_n_trop(f, r) == n_trop(weight_vector_of(r.k1),
+                                                     weight_vector_of(r.k2))
     _report("criterion 6: factorization oracle, sizes <= 8", t0, 120)
 
 
@@ -223,7 +195,7 @@ def test_criterion_8_poincare_checks():
             for p2 in sorted(partitions(e)):
                 cases.append((p1, p2))
     for p1, p2 in cases:
-        Q, dim, stab = _bipartite(p1, p2)
+        Q, dim, stab = bipartite_setup(p1, p2)
         p = poincare(Q, stab, dim)
         if p.is_zero():
             continue  # empty moduli: duality is vacuous
@@ -250,7 +222,7 @@ def test_larger_n_closed_form_family():
 
     t0 = time.monotonic()
     for n in range(5, 9):
-        Q, d, stab = _bipartite((2,), (1,) * (2 * n + 1))
+        Q, d, stab = bipartite_setup((2,), (1,) * (2 * n + 1))
         assert euler_char(Q, stab, d) == closed_form(n), n
     for n in range(5, 13):
         assert degeneration_total((2,), (1,) * (2 * n + 1)) == closed_form(n), n

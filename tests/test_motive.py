@@ -19,7 +19,7 @@ from quivermoduli.motive import (
     proj_class,
 )
 from quivermoduli.quiver import Quiver, Stability, euler_form, hat_quiver
-from quivermoduli.ratfunc import Poly, RationalFunction
+from quivermoduli.ratfunc import Poly, cyclotomic
 from quivermoduli.symfunc import multiplicity_vectors
 
 K1 = Quiver.kronecker(1)
@@ -56,25 +56,28 @@ def test_motive_class_arithmetic():
     a = MotiveClass(Poly((1, 1)), cyc={1: 1})          # (L+1)/(L-1)
     b = MotiveClass(Poly((1, 2, 1)), cyc={2: 1})       # (L+1)^2/(L^2-1)
     assert a == b
-    assert a.times_l_power(2).rational() == RationalFunction(
-        Poly((0, 0, 1, 1)), Poly((-1, 1)))
-    assert a.times_l_power(-1).rational() == RationalFunction(
-        Poly((1, 1)), Poly((0, -1, 1)))
+    assert (a.num, a.lpow, a.cyc) == (b.num, b.lpow, b.cyc) and hash(a) == hash(b)
+    assert a.times_l_power(2) == MotiveClass(Poly((0, 0, 1, 1)), cyc={1: 1})
+    assert a.times_l_power(-1) == MotiveClass(Poly((1, 1)), 1, {1: 1})
+    assert a.times_l_power(-1).den == Poly((0, -1, 1))
 
 
 def test_denominators_stay_in_the_localized_ring():
-    # stored denominators are products of L-powers and (L^n - 1) factors,
-    # and the reduced rational form divides them exactly
+    # classes are stored in canonical form: the denominator is a product of
+    # L-powers and cyclotomic factors Phi_k of (L^n - 1), none of which
+    # divides the numerator
     for Q, s, d in ((K3, S10, {"i1": 2, "j1": 3}),
+                    (K3, S10, {"i1": 3, "j1": 4}),
                     (K23, S23, ONES23),
-                    (K1, S10, {"i1": 2, "j1": 1})):
+                    (K1, S10, {"i1": 1, "j1": 1})):
         cls = hn_sst_class(Q, s, d)
-        lpow, cyc = cls.denominator_factors()
-        den = Poly.x_pow(lpow)
-        for n, e in cyc.items():
-            den = den * ((Poly.x_pow(n) - Poly((1,))) ** e)
-        rat = cls.rational()
-        den.exact_div(rat.den)  # raises if the reduced denominator is new
+        assert not cls.is_zero()
+        if cls.lpow > 0:
+            assert cls.num.c[0] != 0
+        for k, e in cls.cyc:
+            assert e > 0
+            assert not cls.num.divmod(cyclotomic(k))[1].is_zero(), (d, k)
+        assert cls.den.c[-1] == 1
 
 
 def test_hn_types_kronecker():
@@ -100,10 +103,9 @@ def test_hn_types_kronecker():
 
 def test_hn_sst_class_examples():
     one = Poly((1,))
-    assert hn_sst_class(K1, S10, {"i1": 1, "j1": 1}).rational() == \
-        RationalFunction(one, Poly((-1, 1)))
-    assert hn_sst_class(K3, S10, {"i1": 1, "j1": 1}).rational() == \
-        RationalFunction(Poly((1, 1, 1)), Poly((-1, 1)))
+    assert hn_sst_class(K1, S10, {"i1": 1, "j1": 1}) == MotiveClass(one, cyc={1: 1})
+    assert hn_sst_class(K3, S10, {"i1": 1, "j1": 1}) == \
+        MotiveClass(Poly((1, 1, 1)), cyc={1: 1})
     with pytest.raises(ValueError):
         hn_sst_class(K1, S10, {"i1": 0, "j1": 0})
 
@@ -274,7 +276,7 @@ def test_concurrent_memo_observes_identical_values():
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda _: hn_sst_class(K3, S10, d), range(8)))
     assert all(r == results[0] for r in results)
-    assert results[0].rational() == hn_sst_class(K3, S10, d).rational()
+    assert len(set(results)) == 1
 
 
 def test_symmetry_collapse_is_sound():

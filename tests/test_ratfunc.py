@@ -1,9 +1,17 @@
-import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quivermoduli.ratfunc import Poly, RationalFunction, poly_gcd
+from quivermoduli.motive import MotiveClass
+from quivermoduli.ratfunc import Poly, RationalFunction, cyclotomic
+
+ORACLE = settings(max_examples=200, deadline=None, derandomize=True)
+
+# Phi_k has no integer root >= 2, so no denominator vanishes at these points
+POINTS = (2, 3, 5)
+L = Poly((0, 1))
 
 
 def test_poly_basics():
@@ -28,6 +36,11 @@ def test_poly_divmod_exact():
         Poly((1, 1)).exact_div(Poly((0, 1)))
     with pytest.raises(ZeroDivisionError):
         a.divmod(Poly())
+    with pytest.raises(ValueError):
+        a.divmod(Poly((1, 2)))    # only monic divisors
+    # the quotient stays over the dividend's coefficients
+    half = Poly((Fraction(-1, 2), 0, Fraction(1, 2)))
+    assert half.exact_div(b).c == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_poly_subst_and_shift():
@@ -37,44 +50,156 @@ def test_poly_subst_and_shift():
     assert Poly((0, 0, 4, 0)).low_order() == 2
 
 
-def test_poly_gcd_monic():
-    a = Poly((-1, 0, 1)) * Poly((2, 1))
-    b = Poly((-1, 1)) * Poly((2, 1))
-    g = poly_gcd(a, b)
-    assert g == (Poly((-1, 1)) * Poly((2, 1))).monic()
+def test_cyclotomic_polynomials():
+    # monic integer factors with prod_{d | n} Phi_d = L^n - 1 determine the
+    # Phi_d uniquely, by induction on n
+    assert cyclotomic(1).c == (-1, 1)
+    assert cyclotomic(6).c == (1, -1, 1)
+    assert cyclotomic(12).c == (1, 0, -1, 0, 1)
+    for n in range(1, 31):
+        prod = Poly((1,))
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic(d)
+                assert phi.c[-1] == 1 and all(type(c) is int for c in phi.c)
+                prod = prod * phi
+        assert prod == Poly.x_pow(n) - 1
+
+
+def test_one_class_under_two_names():
+    assert MotiveClass is RationalFunction
+
+
+def test_hash_agrees_with_equality_across_types():
+    for value in (0, 3, Fraction(-1, 2)):
+        forms = (value, Poly.const(value), RationalFunction.of(value), RationalFunction(value))
+        assert all(f == value for f in forms)
+        assert len({hash(f) for f in forms}) == 1
+        assert {value: 1}[forms[-1]] == 1
+    p = Poly((1, 2))
+    assert hash(RationalFunction(p)) == hash(p) and {p: 1}[RationalFunction(p)] == 1
 
 
 def test_rational_normal_form():
-    # reduced fraction with monic denominator, so presentation is unique
-    r1 = RationalFunction(Poly((1, 1)), Poly((2, 0, 2)))
-    r2 = RationalFunction(Poly((Fraction(1, 2), Fraction(1, 2))), Poly((1, 0, 1)))
-    assert r1 == r2
-    assert r1.den.c[-1] == 1
-    assert RationalFunction(Poly((-1, 0, 1)), Poly((-1, 1))) == Poly((1, 1))
+    # (L+1)/(L^2-1) is stored as 1/(L-1)
+    r = RationalFunction(Poly((1, 1)), 0, {2: 1})
+    assert (r.num, r.lpow, r.cyc) == (Poly((1,)), 0, ((1, 1),))
+    assert r == RationalFunction(1, 0, {1: 1}) and hash(r) == hash(RationalFunction(1, 0, {1: 1}))
+    assert r.den == Poly((-1, 1))
+    # Fraction numerators reduce the same way
+    half = RationalFunction(Poly((Fraction(1, 2), Fraction(1, 2))), 0, {2: 1})
+    assert (half.num, half.cyc) == (Poly((Fraction(1, 2),)), ((1, 1),))
+    assert half * 2 == r
+    # (L^3-1)/(L^6-1) = 1/(L^3+1) = 1/(Phi_2 Phi_6)
+    s = RationalFunction(Poly.x_pow(3) - 1, 0, {6: 1})
+    assert (s.num, s.cyc) == (Poly((1,)), ((2, 1), (6, 1)))
+    assert s.den == Poly.x_pow(3) + 1
+    # L^2/L^3 = 1/L, and L^3 * L^-2 = L
+    assert (RationalFunction(Poly.x_pow(2), 3).num, RationalFunction(Poly.x_pow(2), 3).lpow) == \
+        (Poly((1,)), 1)
+    assert RationalFunction(L, -2) == RationalFunction(Poly.x_pow(3))
+    # polynomial exactly when the denominator is 1
+    p = RationalFunction(Poly((-1, 0, 1)), 0, {1: 1})
+    assert p == Poly((1, 1)) and p.is_polynomial() and p.num == Poly((1, 1))
+    assert not r.is_polynomial()
+    # zero has one form
+    z = RationalFunction(Poly(), 4, {3: 2})
+    assert (z.num, z.lpow, z.cyc) == (Poly(), 0, ()) and z.is_zero()
+    with pytest.raises(ValueError):
+        RationalFunction(1, 0, {2: -1})
 
 
 def test_rational_arithmetic():
-    x = RationalFunction(Poly((0, 1)))
-    one = RationalFunction.of(1)
-    inv = one / (x - 1)
-    assert inv + inv == 2 / (x - 1)
-    assert (x ** 2 - 1) * inv == x + 1
-    assert inv ** 0 == one
-    assert (inv ** -2) == (x - 1) ** 2
-    with pytest.raises(ZeroDivisionError):
-        one / (x - x)
+    x = RationalFunction(L)
+    one = RationalFunction.one()
+    inv = RationalFunction(1, 0, {1: 1})      # 1/(L-1)
+    assert inv + inv == 2 * inv == RationalFunction(2, 0, {1: 1})
+    assert (x * x - 1) * inv == x + 1
+    assert (x - 1) * inv == one
+    assert (x - x).is_zero() and (x - x) == RationalFunction.zero()
+    assert 1 - inv == RationalFunction(Poly((-2, 1)), 0, {1: 1})
     assert inv(2) == 1
+    assert inv(3) == Fraction(1, 2)
     with pytest.raises(ZeroDivisionError):
         inv(1)
+    # [P^2] * [P^2]^(-1) = 1
+    p2 = RationalFunction(Poly((1, 1, 1)))
+    assert p2.times_proj_inverse(3) == one
+    assert one.times_proj_inverse(4, 2) == RationalFunction(Poly((-1, 1)) ** 2, 0, {4: 2})
+    assert x.times_l_power(-3) == RationalFunction(1, 2)
+    with pytest.raises(ValueError):
+        one.times_proj_inverse(2, -1)
 
 
-def test_rational_random_field_identities():
-    rng = random.Random(20240817)
-    for _ in range(25):
-        a = Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
-        b = Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1])
-        c = Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))] + [1])
-        x = RationalFunction(a, b)
-        y = RationalFunction(b, c)
-        assert (x + y) * c * b == a * c + b * b
-        assert x * y == RationalFunction(a, c)
+# -- the oracle: exact evaluation of the constructor's own presentation ----------
+
+
+COEFFS = st.one_of(st.integers(-4, 4),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+SPECS = st.tuples(st.lists(COEFFS, max_size=5),
+                  st.integers(0, 3),
+                  st.dictionaries(st.integers(1, 6), st.integers(0, 2), max_size=3))
+
+
+def _build(spec):
+    num, lpow, cyc = spec
+    return RationalFunction(Poly(num), lpow, cyc)
+
+
+def _value(spec, x):
+    """num(x) / (x^lpow prod (x^n - 1)^e), straight from the presentation."""
+    num, lpow, cyc = spec
+    den = Fraction(x) ** lpow
+    for n, e in cyc.items():
+        den *= (Fraction(x) ** n - 1) ** e
+    return sum(Fraction(c) * x ** i for i, c in enumerate(num)) / den
+
+
+def _assert_canonical(r):
+    assert r.lpow >= 0
+    assert list(r.cyc) == sorted(r.cyc) and all(e > 0 for _, e in r.cyc)
+    if r.is_zero():
+        assert (r.lpow, r.cyc) == (0, ())
+        return
+    if r.lpow:
+        assert r.num.c[0] != 0
+    for k, _ in r.cyc:
+        assert not r.num.divmod(cyclotomic(k))[1].is_zero()
+
+
+@ORACLE
+@given(SPECS, SPECS, st.integers(-3, 3), st.integers(1, 6), st.integers(0, 2))
+def test_arithmetic_matches_exact_evaluation(a, b, k, n, power):
+    A, B = _build(a), _build(b)
+    results = {
+        "a": (A, lambda x: _value(a, x)),
+        "sum": (A + B, lambda x: _value(a, x) + _value(b, x)),
+        "difference": (A - B, lambda x: _value(a, x) - _value(b, x)),
+        "product": (A * B, lambda x: _value(a, x) * _value(b, x)),
+        "scaled": (A * Fraction(-3, 2), lambda x: _value(a, x) * Fraction(-3, 2)),
+        "L-power": (A.times_l_power(k), lambda x: _value(a, x) * Fraction(x) ** k),
+        "proj-inverse": (A.times_proj_inverse(n, power),
+                         lambda x: _value(a, x) * (Fraction(x - 1, x ** n - 1)) ** power),
+    }
+    for name, (r, expected) in results.items():
+        _assert_canonical(r)
+        for x in POINTS:
+            assert r(x) == expected(x), (name, x)
+
+
+@ORACLE
+@given(SPECS, SPECS, st.integers(0, 2), st.integers(1, 6), st.integers(0, 2))
+def test_equal_values_have_equal_fields_and_hashes(a, b, i, n, j):
+    A, B = _build(a), _build(b)
+    # the same value presented with an extra common factor L^i (L^n - 1)^j
+    num, lpow, cyc = a
+    cyc = dict(cyc)
+    cyc[n] = cyc.get(n, 0) + j
+    padded = RationalFunction(Poly(num) * (Poly.x_pow(n) - 1) ** j * Poly.x_pow(i),
+                              lpow + i, cyc)
+    pairs = [(padded, A), ((A + B) - B, A), (A * RationalFunction.one(), A),
+             (A * B, B * A), (A + B, B + A), ((A - B) * (A + B), A * A - B * B)]
+    for r, t in pairs:
+        assert (r.num, r.lpow, r.cyc) == (t.num, t.lpow, t.cyc)
+        assert r == t and hash(r) == hash(t)
+    assert (A == B) == (A - B).is_zero()

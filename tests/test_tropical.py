@@ -5,7 +5,7 @@ import pytest
 
 from quivermoduli.localization import chi_trees
 from quivermoduli.motive import euler_char
-from quivermoduli.quiver import Quiver, Refinement, Stability
+from quivermoduli.quiver import Refinement, bipartite_setup
 from quivermoduli.symfunc import partitions
 from quivermoduli.tropical import (
     aut_size,
@@ -156,24 +156,11 @@ def test_coprime_required():
         degeneration_total((2,), (1, 1))
 
 
-def _bipartite(p1, p2):
-    Q = Quiver.complete_bipartite(len(p1), len(p2))
-    d = {}
-    theta = {}
-    for k, p in enumerate(p1):
-        d["i%d" % (k + 1)] = p
-        theta["i%d" % (k + 1)] = 1
-    for k, p in enumerate(p2):
-        d["j%d" % (k + 1)] = p
-        theta["j%d" % (k + 1)] = 0
-    return Q, d, Stability.of(theta)
-
-
 def test_three_way_agreement_small():
     # tree sum, degeneration sum and the HN pipeline give the same integer
     for p1, p2 in [((1,), (1, 1)), ((2,), (1, 1, 1)), ((1, 1), (1, 1, 1)),
                    ((2, 1), (1, 1)), ((1, 1, 1), (2, 2))]:
-        Q, d, stab = _bipartite(p1, p2)
+        Q, d, stab = bipartite_setup(p1, p2)
         chi = euler_char(Q, stab, d)
         assert mps_euler(p1, p2) == chi
         assert degeneration_total(p1, p2) == chi
@@ -223,7 +210,7 @@ def test_four_way_agreement_with_cancellation():
     from quivermoduli.vertex import n_trop_via_factorization
 
     p1, p2 = (2, 2, 1), (4,)
-    Q, d, stab = _bipartite(p1, p2)
+    Q, d, stab = bipartite_setup(p1, p2)
     assert euler_char(Q, stab, d) == 0
     assert mps_euler(p1, p2) == 0
     assert degeneration_total(p1, p2) == 0

@@ -10,7 +10,6 @@ from quivermoduli.vertex import (
     OrderedFactorization,
     TruncatedElement,
     WallAutomorphism,
-    apply,
     compose_apply,
     extract_n_trop,
     factorize,
@@ -62,10 +61,10 @@ def test_wall_automorphism_validation():
 
 
 def test_apply_examples():
-    assert apply(THETA_X, Y) == Y + TruncatedElement.monomial(1, 1, (U,), 1)
-    assert apply(THETA_X, X) == X
+    assert THETA_X.apply(Y) == Y + TruncatedElement.monomial(1, 1, (U,), 1)
+    assert THETA_X.apply(X) == X
     # truncated geometric series: x (1 + v y)^-1 = x (1 - v y)
-    assert apply(THETA_Y, X) == X + TruncatedElement.monomial(1, 1, (V,), -1)
+    assert THETA_Y.apply(X) == X + TruncatedElement.monomial(1, 1, (V,), -1)
 
 
 def test_ks_operators():
