@@ -1,10 +1,11 @@
 """Ordered factorization in the tropical vertex group.
 
-Wall automorphisms x -> x f^-b, y -> y f^a over a ring with square-zero
-variables compose to products that factor uniquely with slopes decreasing
-left to right.  The wall on the slope of a refinement's dimension vector
-carries the tropical count as the coefficient of the full-token monomial:
-an oracle for the recursion that is entirely algebra, no geometry.
+Wall automorphisms x -> x f^-b, y -> y f^a over a divided-power ring (one
+class per side and weight, a single square-zero token being a class of cap
+1) compose to products that factor uniquely with slopes decreasing left to
+right.  The wall on the slope of a refinement's dimension vector carries
+the tropical count as the coefficient of the top monomial, every class at
+its cap: an oracle for the recursion that is entirely algebra, no geometry.
 """
 
 from quivermoduli import (
@@ -16,7 +17,7 @@ from quivermoduli import (
     ks_operators,
     n_trop,
 )
-from quivermoduli.vertex import compose_apply
+from quivermoduli.vertex import compose_apply, token_classes
 
 # -- the pentagon ------------------------------------------------------------
 
@@ -42,12 +43,14 @@ print("\nrecomposing the ordered product reproduces the input exactly")
 
 r = Refinement.of([((1, 2),)], [((1, 1),), ((1, 1),), ((1, 1),)])
 fact = factorize(ks_operators(r))
-print("\nwalls for the all-ones refinement of ((1,1),(1,1,1)):")
+top = {cls: cls[2] for cls in token_classes(r)}
+print("\nwalls for the all-ones refinement of ((1,1),(1,1,1)), classes %r:"
+      % sorted(top))
 for wall in fact.walls:
-    full = [t for t in wall.f.terms if len(t[2]) == 5]
+    full = [c for (_, _, s), c in wall.f.terms.items() if dict(s) == top]
     print("  direction %r, %d terms%s"
           % (wall.direction, len(wall.f.terms) - 1,
-             ", full-token coefficient %r" % wall.f.terms[full[0]] if full else ""))
+             ", top-class coefficient %r" % full[0] if full else ""))
 print("extracted count:", extract_n_trop(fact, r),
       " recursion says:", n_trop((1, 1), (1, 1, 1)))
 

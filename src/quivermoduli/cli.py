@@ -279,11 +279,10 @@ def cmd_vertex(args):
     for wall in fact.walls:
         terms = []
         for (a, b, s), c in sorted(wall.f.terms.items(),
-                                   key=lambda kv: (len(kv[0][2]), kv[0][0], kv[0][1],
-                                                   sorted(map(_tok, kv[0][2])))):
+                                   key=lambda kv: (sum(k for _, k in kv[0][2]),) + kv[0]):
             terms.append({"x_exp": a, "y_exp": b,
-                          "tokens": sorted(_tok(t) for t in s),
-                          "coefficient": fraction_to_str(Fraction(c))})
+                          "counts": {_tok(cls): k for cls, k in s},
+                          "coefficient": c})
         walls.append({"direction": list(wall.direction), "function": terms})
     payload = {
         "refinement": _refinement_payload(r),

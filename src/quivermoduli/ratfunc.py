@@ -25,6 +25,10 @@ def _canon(c):
     return c
 
 
+def _all_int(coeffs):
+    return all(type(x) is int for x in coeffs)
+
+
 class Poly:
     """Polynomial in one formal variable, coefficients in ascending order."""
 
@@ -90,6 +94,11 @@ class Poly:
         out = list(a)
         for i, v in enumerate(b):
             out[i] = out[i] + v
+        if _all_int(a) and _all_int(b):
+            # int sums are canonical already; only trailing zeros can appear
+            while out and not out[-1]:
+                out.pop()
+            return Poly._raw(out)
         return Poly(out)
 
     __radd__ = __add__
@@ -118,6 +127,9 @@ class Poly:
             if av:
                 for j, bv in enumerate(b):
                     out[i + j] += av * bv
+        if _all_int(a) and _all_int(b):
+            # canonical already: int entries, and a nonzero leading product
+            return Poly._raw(out)
         return Poly(out)
 
     __rmul__ = __mul__

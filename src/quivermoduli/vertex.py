@@ -1,52 +1,84 @@
-"""The tropical vertex group over a truncated coefficient ring.
+"""The tropical vertex group over a divided-power coefficient ring.
 
-Elements live in the Laurent ring Q[x^-1, x, y^-1, y] tensored with
-square-zero variables (one token per support vertex, u for sinks and v for
-sources); any monomial repeating a token is zero.  Wall automorphisms
-x -> x f^-b, y -> y f^a act by substitution, products admit a unique
-slope-ordered factorization at this truncation, and the wall function on
-the slope of a refinement's dimension vector carries its tropical count as
-the coefficient of the full-token monomial.
+Elements live in Q[x^-1, x, y^-1, y] tensored with a divided-power algebra:
+per class with cap m, generators E_1 .. E_m with E_a E_b = C(a+b, a) E_(a+b),
+zero above the cap; a class id is a tuple whose third entry is its cap.  The
+m_w sinks of weight w form class (u, w, m_w), sources (v, w, m_w): E_k is the
+k-th elementary symmetric polynomial in their square-zero tokens (a cap-1
+class is one token), which enter through equal walls, so an (x, y)-exponent
+carries prod (m_w + 1) monomials, not 2^(#tokens).  Wall automorphisms
+x -> x f^-b, y -> y f^a act by substitution, products factor uniquely in
+slope order, and the wall on the slope of a refinement's dimension vector
+carries its tropical count as the coefficient of the top monomial.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
 from .quiver import Refinement
 from .ratfunc import _canon
-from .tropical import weight_vector_of
+from .tropical import as_weight_vector, weight_vector_of
 
-_EMPTY = frozenset()
+
+def _counts(tokens):
+    """Key of a monomial: sorted (class, count) pairs with count >= 1, from a
+    multiset of class ids or a mapping class -> count; None above a cap."""
+    key = tuple(sorted((cls, k) for cls, k in Counter(tokens).items() if k))
+    if any(k < 0 for _, k in key):
+        raise ValueError("class counts must be nonnegative")
+    return None if any(k > cls[2] for cls, k in key) else key
+
+
+def _merge(s1, s2):
+    """E_s1 E_s2 = factor * E_s as (s, factor); factor 0 above a cap."""
+    if not s1 or not s2:
+        return s1 or s2, 1
+    out, factor = dict(s1), 1
+    for cls, k in s2:
+        j = out.get(cls, 0) + k
+        if j > cls[2]:
+            return None, 0
+        factor *= comb(j, k)
+        out[cls] = j
+    return tuple(sorted(out.items())), factor
+
+
+def _binom(k, j):
+    """C(k, j) for any integer k, the coefficient of eps^j in (1 + eps)^k."""
+    return comb(k, j) if k >= 0 else (-1) ** j * comb(j - k - 1, j)
+
+
+def _degree(s):
+    return sum(k for _, k in s)
 
 
 class TruncatedElement:
-    """Finite map (x-exponent, y-exponent, token set) -> rational coefficient."""
+    """Finite map (x-exponent, y-exponent, class counts) -> rational coefficient."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if c:
-                    clean[key] = _canon(c)
+        clean = {key: _canon(c) for key, c in (terms or {}).items() if c}
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):
         raise AttributeError("TruncatedElement is immutable")
 
     @classmethod
-    def _raw(cls, terms):
-        # internal fast path: zero coefficients already dropped
+    def _raw(cls, terms):  # internal fast path: zero coefficients already dropped
         el = object.__new__(cls)
         object.__setattr__(el, "terms", terms)
         return el
 
     @classmethod
     def monomial(cls, xexp, yexp, tokens=(), coeff=1):
-        return cls({(xexp, yexp, frozenset(tokens)): coeff})
+        """coeff x^xexp y^yexp E, with E given as a multiset of class ids
+        (a repeated class raises its count) or a mapping class -> count."""
+        key = _counts(tokens)
+        return cls() if key is None else cls({(xexp, yexp, key): coeff})
 
     @classmethod
     def one(cls):
@@ -60,7 +92,7 @@ class TruncatedElement:
         return not self.terms
 
     def coefficient(self, xexp, yexp, tokens):
-        return self.terms.get((xexp, yexp, frozenset(tokens)), 0)
+        return self.terms.get((xexp, yexp, _counts(tokens)), 0)
 
     def __eq__(self, other):
         return isinstance(other, TruncatedElement) and self.terms == other.terms
@@ -82,111 +114,103 @@ class TruncatedElement:
         return self + (-other)
 
     def scaled(self, c):
-        if not c:
-            return TruncatedElement.zero()
-        return TruncatedElement._raw({k: v * c for k, v in self.terms.items()})
+        return TruncatedElement._raw({k: v * c for k, v in self.terms.items()} if c else {})
+
+    def _by_counts(self):
+        groups = {}
+        for (a, b, s), c in self.terms.items():
+            groups.setdefault(s, []).append((a, b, c))
+        return groups
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
+        right = other._by_counts()
         out = {}
-        for (a1, b1, s1), c1 in self.terms.items():
-            for (a2, b2, s2), c2 in other.terms.items():
-                if s1 & s2:
-                    continue  # square-zero truncation
-                key = (a1 + a2, b1 + b2, s1 | s2)
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
+        for s1, left in self._by_counts().items():
+            for s2, terms in right.items():
+                s, factor = _merge(s1, s2)
+                if not factor:
+                    continue  # above a cap
+                for a1, b1, c1 in left:
+                    c1 *= factor
+                    for a2, b2, c2 in terms:
+                        key = (a1 + a2, b1 + b2, s)
+                        v = out.get(key, 0) + c1 * c2
+                        if v:
+                            out[key] = v
+                        elif key in out:
+                            del out[key]
         return TruncatedElement._raw(out)
 
     __rmul__ = __mul__
 
     def unit_pow(self, k):
-        """(1 + eps)^k for any integer k; terminates because eps is nilpotent."""
-        if self.terms.get((0, 0, _EMPTY), 0) != 1:
-            raise ValueError("unit_pow needs constant term 1")
-        eps = self - TruncatedElement.one()
+        """(1 + eps)^k for any integer k; finite because eps is nilpotent."""
         result = TruncatedElement.one()
-        power = TruncatedElement.one()
-        j = 0
-        while True:
-            j += 1
-            power = power * eps
-            if power.is_zero():
-                return result
-            # binomial(k, j), valid for negative k as well
-            coeff = comb(k, j) if k >= 0 else (-1) ** j * comb(-k + j - 1, j)
-            if coeff:
-                result = result + power.scaled(coeff)
+        for j, power in enumerate(self._eps_powers(), 1):
+            result = result + power.scaled(_binom(k, j))
+        return result
 
-    def min_token_degree(self):
-        degs = [len(s) for (_, _, s) in self.terms]
-        return min(degs) if degs else None
-
-    def degree_part(self, deg):
-        return {key: c for key, c in self.terms.items() if len(key[2]) == deg}
+    def _eps_powers(self):
+        """[eps, eps^2, ...] up to the last nonzero power, for self = 1 + eps."""
+        if self.terms.get((0, 0, ()), 0) != 1:
+            raise ValueError("unit_pow needs constant term 1")
+        powers = [self - TruncatedElement.one()]
+        while not powers[-1].is_zero():
+            powers.append(powers[-1] * powers[0])
+        return powers[:-1]
 
     def __repr__(self):
         bits = []
         for (a, b, s), c in sorted(self.terms.items(),
-                                   key=lambda kv: (len(kv[0][2]), kv[0][0], kv[0][1],
-                                                   sorted(map(str, kv[0][2])))):
-            toks = "".join("*%s" % (t,) for t in sorted(s, key=str))
+                                   key=lambda kv: (_degree(kv[0][2]),) + kv[0]):
+            # E_k of a class is the divided power t^(k) of its token sum t
+            toks = "".join("*%s^(%d)" % (":".join(map(str, cls)), k) for cls, k in s)
             bits.append("%s*x^%d*y^%d%s" % (c, a, b, toks))
         return "TruncatedElement(%s)" % " + ".join(bits or ["0"])
 
 
 class WallAutomorphism:
-    """x -> x f^-b, y -> y f^a for a primitive direction (a, b).
+    """x -> x f^-b, y -> y f^a for a primitive direction (a, b); ``f`` must
+    be 1 plus nilpotent terms supported on x^a y^b monomials."""
 
-    ``f`` must be 1 plus nilpotent terms supported on x^a y^b monomials.
-    """
-
-    __slots__ = ("direction", "f", "_pows")
+    __slots__ = ("direction", "f", "_eps")
 
     def __init__(self, direction, f):
         a, b = direction
         if a < 0 or b < 0 or (a, b) == (0, 0) or gcd(a, b) != 1:
             raise ValueError("direction must be primitive in N^2")
-        for (A, B, s), _ in f.terms.items():
-            if (A, B, s) == (0, 0, _EMPTY):
-                continue
-            if not s:
-                raise ValueError("wall function must be 1 modulo the nilpotent ideal")
+        for A, B, s in f.terms:
             k = (A // a) if a else (B // b)
-            if k < 1 or A != k * a or B != k * b:
+            if not s and (A, B) != (0, 0):
+                raise ValueError("wall function must be 1 modulo the nilpotent ideal")
+            if s and (k < 1 or A != k * a or B != k * b):
                 raise ValueError("wall function term x^%dy^%d off the (%d,%d) ray"
                                  % (A, B, a, b))
-        if f.terms.get((0, 0, _EMPTY), 0) != 1:
+        if f.terms.get((0, 0, ()), 0) != 1:
             raise ValueError("wall function must have constant term 1")
         object.__setattr__(self, "direction", (a, b))
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "_pows", {})
+        object.__setattr__(self, "_eps", f._eps_powers())
 
     def __setattr__(self, *a):
         raise AttributeError("WallAutomorphism is immutable")
 
-    def _f_power(self, k):
-        if k not in self._pows:
-            self._pows[k] = self.f.unit_pow(k)
-        return self._pows[k]
-
     def apply(self, element):
         """Substitute x -> x f^-b, y -> y f^a: each monomial x^A y^B picks up
-        the single factor f^(aB - bA)."""
+        f^k = sum_j C(k, j) eps^j for k = aB - bA and f = 1 + eps, so the
+        image takes one product per power of eps, however many k occur."""
         a, b = self.direction
-        out = TruncatedElement.zero()
         grouped = {}
         for (A, B, s), c in element.terms.items():
-            grouped.setdefault(a * B - b * A, {})[(A, B, s)] = c
-        for k, terms in grouped.items():
-            piece = TruncatedElement(terms)
-            if k:
-                piece = piece * self._f_power(k)
-            out = out + piece
+            grouped.setdefault(a * B - b * A, []).append(((A, B, s), c))
+        out = element
+        for j, power in enumerate(self._eps, 1):
+            terms = {key: c * coeff for k, part in grouped.items()
+                     if (coeff := _binom(k, j)) for key, c in part}
+            if terms:
+                out = out + TruncatedElement._raw(terms) * power
         return out
 
     def __repr__(self):
@@ -200,25 +224,28 @@ def compose_apply(ops, element):
     return element
 
 
+def token_classes(r):
+    """(u, w, m_w) per sink weight w, then (v, w, m_w) per source weight, m_w
+    the number of support vertices of that side and weight."""
+    return ([("u", w, m) for w, m in sorted(r.weight_multiplicities(2).items())]
+            + [("v", w, m) for w, m in sorted(r.weight_multiplicities(1).items())])
+
+
 def ks_operators(r):
     """The commuting-per-side automorphisms attached to a refinement.
 
-    One square-zero token per support vertex: a level-w sink j gives
-    x-preserving theta_(1,0) with function 1 + w u_j x^w, a level-w source i
-    gives theta_(0,1) with 1 + w v_i y^w.  Returned in product order, sinks
-    then sources.
+    A level-w sink gives theta_(1,0) with function 1 + w u x^w, a source
+    theta_(0,1) with 1 + w v y^w; the walls of a class commute and are emitted
+    as their product sum_(k <= m_w) w^k x^(wk) E_k (y^(wk) for sources), in
+    product order, sinks then sources.
     """
     ops = []
-    for w, count in sorted(r.weight_multiplicities(2).items()):
-        for m in range(1, count + 1):
-            f = TruncatedElement.one() + TruncatedElement.monomial(
-                w, 0, (("u", w, m),), w)
-            ops.append(WallAutomorphism((1, 0), f))
-    for w, count in sorted(r.weight_multiplicities(1).items()):
-        for m in range(1, count + 1):
-            f = TruncatedElement.one() + TruncatedElement.monomial(
-                0, w, (("v", w, m),), w)
-            ops.append(WallAutomorphism((0, 1), f))
+    for cls in token_classes(r):
+        side, w, m = cls
+        a, b = (1, 0) if side == "u" else (0, 1)
+        f = {(a * w * k, b * w * k, ((cls, k),) if k else ()): w ** k
+             for k in range(m + 1)}
+        ops.append(WallAutomorphism((a, b), TruncatedElement(f)))
     return ops
 
 
@@ -243,13 +270,7 @@ class OrderedFactorization:
         raise AttributeError("OrderedFactorization is immutable")
 
     def wall(self, direction):
-        for w in self.walls:
-            if w.direction == tuple(direction):
-                return w
-        return None
-
-    def __iter__(self):
-        return iter(self.walls)
+        return next((w for w in self.walls if w.direction == tuple(direction)), None)
 
     def __repr__(self):
         return "OrderedFactorization(%r)" % (list(self.walls),)
@@ -258,67 +279,52 @@ class OrderedFactorization:
 def factorize(ops):
     """Unique slope-ordered factorization of a product of wall automorphisms.
 
-    Iterative normalization by nilpotent degree: compare the candidate
-    slope-ordered product with the input on x and y, read the lowest-degree
-    discrepancy, attribute each monomial to its primitive direction (solving
-    the linearized coefficient, with the x/y cross-check where both apply),
-    and repeat.  The nilpotent filtration is finite, so non-convergence
-    raises.
+    Iterative normalization by nilpotent degree (total class count): compare
+    the slope-ordered candidate with the input on x and y, attribute each
+    lowest-degree discrepancy monomial to its primitive direction (solving the
+    linearized coefficient, x/y cross-checked where both apply), and repeat.
+    Each round settles a degree and degrees stop at the sum of the caps.
     """
     ops = list(ops)
-    x = TruncatedElement.monomial(1, 0)
-    y = TruncatedElement.monomial(0, 1)
-    target_x = compose_apply(ops, x)
-    target_y = compose_apply(ops, y)
-    tokens = set()
-    for op in ops:
-        for (_, _, s) in op.f.terms:
-            tokens |= s
+    x, y = TruncatedElement.monomial(1, 0), TruncatedElement.monomial(0, 1)
+    target_x, target_y = compose_apply(ops, x), compose_apply(ops, y)
+    classes = {cls for op in ops for (_, _, s) in op.f.terms for cls, _ in s}
 
-    walls = {}  # direction -> WallAutomorphism, kept across iterations so
-    # that the cached powers of unchanged wall functions survive
-    for _ in range(len(tokens) + 2):
+    walls = {}  # direction -> wall, kept across rounds with its eps powers
+    for _ in range(sum(cls[2] for cls in classes) + 2):
         ordered = [walls[d] for d in sorted(walls, key=_slope_key)]
         diff_x = target_x - compose_apply(ordered, x)
         diff_y = target_y - compose_apply(ordered, y)
         if diff_x.is_zero() and diff_y.is_zero():
             return OrderedFactorization(ordered)
 
-        degs = [d for d in (diff_x.min_token_degree(), diff_y.min_token_degree())
-                if d is not None]
-        level = min(degs)
+        level = min(_degree(s) for diff in (diff_x, diff_y) for (_, _, s) in diff.terms)
         updates = {}
-        for (A, B, s), c in diff_x.degree_part(level).items():
-            exps = (A - 1, B)
-            if exps[0] < 0 or exps == (0, 0):
-                raise ArithmeticError("x-discrepancy off the wall grid: %r" % ((A, B, s),))
-            g = gcd(*exps)
-            a, b = exps[0] // g, exps[1] // g
-            if b == 0:
-                raise ArithmeticError("x moved along a (1,0) wall")
-            gamma = _canon(-Fraction(c) / b)
-            updates[((a, b), exps, s)] = gamma
-        for (A, B, s), c in diff_y.degree_part(level).items():
-            exps = (A, B - 1)
-            if exps[1] < 0 or exps == (0, 0):
-                raise ArithmeticError("y-discrepancy off the wall grid: %r" % ((A, B, s),))
-            g = gcd(*exps)
-            a, b = exps[0] // g, exps[1] // g
-            if a == 0:
-                raise ArithmeticError("y moved along a (0,1) wall")
-            gamma = _canon(Fraction(c) / a)
-            key = ((a, b), exps, s)
-            if key in updates and updates[key] != gamma:
-                raise ArithmeticError(
-                    "inconsistent x/y coefficients on wall %r: %r vs %r"
-                    % ((a, b), updates[key], gamma))
-            updates[key] = gamma
+        for diff, (dx, dy) in ((diff_x, (1, 0)), (diff_y, (0, 1))):
+            for (A, B, s), c in diff.terms.items():
+                if _degree(s) != level:
+                    continue
+                exps = (A - dx, B - dy)
+                if min(exps) < 0 or exps == (0, 0):
+                    raise ArithmeticError("discrepancy off the wall grid: %r" % ((A, B, s),))
+                g = gcd(*exps)
+                a, b = exps[0] // g, exps[1] // g
+                slope = -b if dx else a  # x picks up f^-b, y picks up f^a
+                if not slope:
+                    raise ArithmeticError("%s moved along its own wall" % "xy"[dy])
+                gamma = _canon(Fraction(c) / slope)
+                key = ((a, b), exps, s)
+                if updates.get(key, gamma) != gamma:
+                    raise ArithmeticError(
+                        "inconsistent x/y coefficients on wall %r: %r vs %r"
+                        % ((a, b), updates[key], gamma))
+                updates[key] = gamma
 
         grown = {}
         for (direction, exps, s), gamma in updates.items():
             old = walls.get(direction)
             f = grown.get(direction) or (old.f if old else TruncatedElement.one())
-            grown[direction] = f + TruncatedElement.monomial(exps[0], exps[1], s, gamma)
+            grown[direction] = f + TruncatedElement({(exps[0], exps[1], s): gamma})
         for direction, f in grown.items():
             walls[direction] = WallAutomorphism(direction, f)
 
@@ -329,33 +335,28 @@ def extract_n_trop(fact, r):
     """Read the tropical count of a refinement off its wall function.
 
     The wall has primitive direction (e, d)/gcd for (d, e) the dimension
-    type; the count is the coefficient of the monomial carrying every
-    nilpotent token once with x-exponent e and y-exponent d.  A missing wall
-    means the count is 0.  The framed-action coefficient (the wall acting on
-    y^w) is asserted as a consistency check.
+    type; the count is the coefficient of x^e y^d with every class at its cap
+    (every token once), 0 without that wall.  The framed-action coefficient
+    (the wall acting on y^w) is asserted as a consistency check.
 
     The coefficient equals the connected tropical count when gcd(d, e) = 1;
     on a non-primitive slope the wall function also absorbs disconnected ray
     products and transport corrections, so the read-out only matches the
     recursion on coprime dimension types (the scope of every pipeline here).
     """
-    w1 = weight_vector_of(r.k1)
-    w2 = weight_vector_of(r.k2)
+    w1, w2 = weight_vector_of(r.k1), weight_vector_of(r.k2)
     d, e = sum(w1), sum(w2)
     g = gcd(d, e)
     wall = fact.wall((e // g, d // g))
     if wall is None:
         return 0
-    tokens = {("v", w, m) for w, c in r.weight_multiplicities(1).items()
-              for m in range(1, c + 1)}
-    tokens |= {("u", w, m) for w, c in r.weight_multiplicities(2).items()
-               for m in range(1, c + 1)}
-    count = _canon(wall.f.coefficient(e, d, tokens))
+    top = {cls: cls[2] for cls in token_classes(r)}
+    count = _canon(wall.f.coefficient(e, d, top))
 
     w_min = w1[0]
     acted = wall.apply(TruncatedElement.monomial(0, w_min))
     expected = (e // g) * w_min * count
-    got = acted.coefficient(e, w_min + d, tokens)
+    got = acted.coefficient(e, w_min + d, top)
     if got != expected:
         raise ArithmeticError("framed coefficient %r does not match %r" % (got, expected))
     if not isinstance(count, int) or count < 0:
@@ -367,19 +368,18 @@ _vertex_cache = {}
 
 
 def n_trop_via_factorization(w1, w2):
-    """Tropical count through the vertex group: build the operators of a
-    single-part refinement with the given weight content, factorize, and
-    extract.  An independent oracle for the recursion."""
-    w1, w2 = tuple(w1), tuple(w2)
-    key = (w1, w2)
-    if key not in _vertex_cache:
-        def side(w):
-            mult = {}
-            for x in w:
-                mult[x] = mult.get(x, 0) + 1
-            return (tuple(sorted(mult.items())),)
-
-        r = Refinement.of(side(w1), side(w2))
-        fact = factorize(ks_operators(r))
-        _vertex_cache[key] = extract_n_trop(fact, r)
-    return _vertex_cache[key]
+    """Tropical count through the vertex group (an independent oracle for the
+    recursion): factorize the operators of a single-part refinement with the
+    given weights and extract.  Both weight vectors must be nonempty, positive
+    and weakly increasing, else ValueError: a one-sided pair has no scattering
+    to read a count off, so it gets no ``n_trop`` base-case value.
+    """
+    w1, w2 = as_weight_vector(w1), as_weight_vector(w2)
+    if not w1 or not w2:
+        raise ValueError("n_trop_via_factorization needs two nonempty weight "
+                         "vectors; one-sided counts are base cases of n_trop")
+    if (w1, w2) not in _vertex_cache:
+        r = Refinement.of((tuple(sorted(Counter(w1).items())),),
+                          (tuple(sorted(Counter(w2).items())),))
+        _vertex_cache[w1, w2] = extract_n_trop(factorize(ks_operators(r)), r)
+    return _vertex_cache[w1, w2]

@@ -215,8 +215,9 @@ def test_criterion_9_normalization_negative_control():
 
 
 def test_larger_n_closed_form_family():
-    # beyond criterion 1: hn to n=8 and tropical to n=12 (vertex joins once
-    # its ring stops growing with 2^(#tokens))
+    # beyond criterion 1: hn and vertex to n=8, tropical to n=12 (vertex
+    # reaches this far since its ring grows with prod (m_w + 1), not
+    # 2^(#tokens))
     def closed_form(n):
         return Fraction(comb(2 * n + 1, n) * comb(n + 1, n), 2) - Fraction(2 ** (2 * n + 1), 4)
 
@@ -226,4 +227,7 @@ def test_larger_n_closed_form_family():
         assert euler_char(Q, stab, d) == closed_form(n), n
     for n in range(5, 13):
         assert degeneration_total((2,), (1,) * (2 * n + 1)) == closed_form(n), n
-    _report("larger n: chi(2, 1^(2n+1)) by hn (n<=8), tropical (n<=12)", t0, 20)
+    for n in range(5, 9):
+        assert degeneration_total((2,), (1,) * (2 * n + 1),
+                                  trop_count=n_trop_via_factorization) == closed_form(n), n
+    _report("larger n: chi(2, 1^(2n+1)) by hn, vertex (n<=8), tropical (n<=12)", t0, 20)

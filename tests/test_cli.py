@@ -106,6 +106,20 @@ def test_vertex_factorize_emit(tmp_path, capsys):
     directions = [tuple(w["direction"]) for w in payload["walls"]]
     assert directions == [(0, 1), (1, 1), (1, 0)]
 
+    # the count is the top-class coefficient: every class at its cap
+    code, out = run(capsys, "vertex", "factorize", "--refinement", "1+1|1,1,1",
+                    "--emit", str(out_file))
+    assert code == 0
+    payload = json.loads(out_file.read_text())
+    assert payload["n_trop"] == 6
+    (wall,) = [w for w in payload["walls"] if w["direction"] == [3, 2]]
+    top = [t for t in wall["function"]
+           if t["counts"] == {"u:1:3": 3, "v:1:2": 2}]
+    assert [(t["x_exp"], t["y_exp"]) for t in top] == [(3, 2)]
+    assert top[0]["coefficient"] == payload["n_trop"]
+    degrees = [sum(t["counts"].values()) for t in wall["function"]]
+    assert degrees == sorted(degrees)
+
 
 def test_table_json(capsys):
     code, out = run(capsys, "table", "--max-n", "2")

@@ -48,6 +48,24 @@ def test_truncated_element_ring():
         a.unit_pow(2)
 
 
+def test_divided_power_product():
+    c = ("u", 1, 3)  # a class of three tokens
+    e1 = TruncatedElement.monomial(1, 0, {c: 1})
+    e2 = TruncatedElement.monomial(2, 0, {c: 2})
+    assert (e1 * e1).coefficient(2, 0, {c: 2}) == 2      # E_1 E_1 = 2 E_2
+    assert (e1 * e2).coefficient(3, 0, {c: 3}) == 3      # E_1 E_2 = 3 E_3
+    assert (e1 * e1 * e1).coefficient(3, 0, {c: 3}) == 6
+    assert (e2 * e2).is_zero()                           # above the cap
+    assert TruncatedElement.monomial(4, 0, {c: 4}).is_zero()
+    assert TruncatedElement.monomial(2, 0, (c, c)) == e2
+    # classes multiply independently
+    other = ("v", 2, 1)
+    mixed = e1 * TruncatedElement.monomial(0, 2, (other,), 5)
+    assert mixed.coefficient(1, 2, {c: 1, other: 1}) == 5
+    with pytest.raises(ValueError):
+        TruncatedElement.monomial(0, 0, {c: -1})
+
+
 def test_wall_automorphism_validation():
     with pytest.raises(ValueError):
         WallAutomorphism((2, 2), TruncatedElement.one())
@@ -78,6 +96,18 @@ def test_ks_operators():
     ops2 = ks_operators(r2)
     assert ops2[0].f.coefficient(2, 0, {("u", 2, 1)}) == 2  # 1 + 2 u x^2
     assert ops2[1].f.coefficient(0, 2, {("v", 2, 1)}) == 2  # 1 + 2 v y^2
+
+    # one wall per (side, weight) class: (1 + 2 u_1 x^2)(1 + 2 u_2 x^2)
+    # = 1 + 2 x^2 E_1 + 4 x^4 E_2 for the class ("u", 2, 2)
+    r3 = Refinement.of([((1, 1),)], [((2, 2), (1, 1))])
+    ops3 = ks_operators(r3)
+    assert [op.direction for op in ops3] == [(1, 0), (1, 0), (0, 1)]
+    assert ops3[1].f == TruncatedElement({(0, 0, ()): 1,
+                                          (2, 0, ((("u", 2, 2), 1),)): 2,
+                                          (4, 0, ((("u", 2, 2), 2),)): 4})
+    assert ops3[1].f.coefficient(4, 0, {("u", 2, 2): 2}) == 4
+    assert ops3[1].f.coefficient(4, 0, [("u", 2, 2)] * 2) == 4
+    assert ops3[0].f.coefficient(1, 0, {("u", 1, 1): 1}) == 1
 
 
 def test_factorize_pentagon():
@@ -161,8 +191,8 @@ def test_non_coprime_wall_carries_disconnected_terms():
     # the recursion, so read-outs are meaningful on coprime types alone
     r = Refinement.of([((1, 2),)], [((1, 2),)])
     fact = factorize(ks_operators(r))
-    tokens = {("u", 1, 1), ("u", 1, 2), ("v", 1, 1), ("v", 1, 2)}
-    assert fact.wall((1, 1)).f.coefficient(2, 2, tokens) == 6
+    top = {("u", 1, 2): 2, ("v", 1, 2): 2}
+    assert fact.wall((1, 1)).f.coefficient(2, 2, top) == 6
     assert n_trop((1, 1), (1, 1)) == 2
 
 
@@ -183,3 +213,15 @@ def test_oracle_agreement_small():
                             continue
                         seen.add((w1, w2))
                         assert n_trop_via_factorization(w1, w2) == n_trop(w1, w2)
+
+
+def test_n_trop_via_factorization_input_contract():
+    assert n_trop_via_factorization([1, 1], (1,)) == n_trop((1, 1), (1,))
+    with pytest.raises(ValueError, match="nonempty"):
+        n_trop_via_factorization((), (1,))
+    with pytest.raises(ValueError, match="nonempty"):
+        n_trop_via_factorization((2,), ())
+    with pytest.raises(ValueError, match="weakly increasing"):
+        n_trop_via_factorization((2, 1), (1,))
+    with pytest.raises(ValueError, match="positive"):
+        n_trop_via_factorization((0, 1), (1,))
