@@ -35,6 +35,11 @@ print("K(2,3): %d spanning trees, %d stable"
 r2 = Refinement.of([((2, 1),)], [((1, 1),)] * 5)
 print("weight-2 source over 1^5: chi_trees =", chi_trees(r2), "(= 2^5 parallel choices)")
 
+# chi_trees counts by core shape and leaf counts: K(2,13) has 53,248 labelled
+# trees, but only one core tree (a sink joining both sources) and 13 leaf splits
+r3 = Refinement.of([((1, 2),)], [((1, 1),)] * 13)
+print("K(2,13): chi_trees =", chi_trees(r3))
+
 # -- admissible decompositions ---------------------------------------------------
 
 print("\n1-admissible decompositions of (2,3):", admissible_decompositions(2, 3, 1))

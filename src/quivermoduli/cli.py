@@ -241,7 +241,7 @@ def cmd_localize(args):
         payload = {
             "refinement": _refinement_payload(r),
             "chi": localization.chi_trees(r),
-            "spanning_trees": len(localization.spanning_trees(r)),
+            "spanning_trees": localization.spanning_tree_count(n_support(r)[0]),
         }
     else:
         Q, _, _ = n_support(r)

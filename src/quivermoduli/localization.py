@@ -3,19 +3,27 @@
 With a type-one (all dimensions 1) vector, the stable torus fixed points are
 spanning trees that pass an exact slope test on source subsets, so Euler
 characteristics reduce to weighted tree counts.  This module enumerates the
-trees (contraction/deletion over the stably ordered arrow list), evaluates
-the stability weight, and implements the two recursive constructions on the
-quiver side: glueing semistable pieces at a fresh sink, and the square rule
-that extends a datum of dimension type (d-1, d) to d*d data of type (d, d+1).
+trees (contraction/deletion over the stably ordered arrow list), counts them
+by the matrix-tree theorem, evaluates the stability weight, and implements
+the two recursive constructions on the quiver side: glueing semistable
+pieces at a fresh sink, and the square rule that extends a datum of
+dimension type (d-1, d) to d*d data of type (d, d+1).
+
+The stable count ``chi_trees`` lists no tree one by one: it counts by core
+shape and leaf counts (see its docstring).  The per-tree sum it replaces is
+kept as a test oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, prod
 
-from .quiver import Quiver, n_support
+from .quiver import Quiver, Refinement, n_support
+from .symfunc import weighted_splits
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,41 @@ def spanning_trees(r):
     return spanning_trees_of(Q)
 
 
+def spanning_tree_count(Q):
+    """Number of spanning trees of a quiver's underlying multigraph, parallel
+    arrows counted as distinct, without listing them: by the matrix-tree
+    theorem, the determinant of the Laplacian with one vertex deleted,
+    computed exactly by fraction-free (Bareiss) elimination.
+    """
+    if not Q.ids:
+        return 0
+    index = {v: k for k, v in enumerate(Q.ids)}
+    n = len(index) - 1
+    lap = [[0] * n for _ in range(n)]
+    for s, t in Q.arrows:
+        a, b = index[s] - 1, index[t] - 1
+        if a == b:
+            continue
+        for u, v in ((a, b), (b, a)):
+            if u >= 0:
+                lap[u][u] += 1
+                if v >= 0:
+                    lap[u][v] -= 1
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if lap[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            lap[k], lap[pivot] = lap[pivot], lap[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                lap[i][j] = (lap[i][j] * lap[k][k] - lap[i][k] * lap[k][j]) // prev
+        prev = lap[k][k]
+    return sign * prev
+
+
 def _bipartite_classes(Q):
     """Sources are vertices receiving no arrow (so a lone vertex is a
     source, matching its role as a (1, 0) piece), sinks are the rest."""
@@ -182,14 +225,66 @@ def chi_trees(r):
     Equals the Euler characteristic of the stable type-one moduli space;
     depends on the refinement only through its weight multiplicities, which
     is what the cache is keyed on.
+
+    The trees are counted one orbit at a time, never listed.  A spanning
+    tree with m sources splits into its core (the sources and the sinks of
+    degree >= 2, at most m - 1 of them) and its leaf sinks, each hanging on
+    one source.  Sinks of one level are interchangeable and the slope test
+    reads only the simple edge set, so for each vector c of core sizes per
+    sink level (C(m_w, c_w) choices of core sinks) the core trees are
+    grouped by simple edge set, and each such shape is extended by one
+    leaf split per level, weighted by its multinomial and by the parallel
+    arrows (w_s w)^a the leaves can use.  A shape-and-split term counts when
+    one representative tree is stable.  With one source there is no subset
+    to test: every tree is stable and the count is prod_t (w_s w_t).
     """
     key = (
         tuple(sorted(r.weight_multiplicities(1).items())),
         tuple(sorted(r.weight_multiplicities(2).items())),
     )
     if key not in _chi_cache:
-        _chi_cache[key] = sum(stability_weight(T) for T in spanning_trees(r))
+        _chi_cache[key] = _count_stable_trees(r)
     return _chi_cache[key]
+
+
+def _count_stable_trees(r):
+    """The core/leaf count of :func:`chi_trees`, uncached."""
+    Q, _, _ = n_support(r)
+    sources, _ = _bipartite_classes(Q)
+    classes = sorted(r.weight_multiplicities(2).items())
+    m = len(sources)
+    if m == 1:
+        return prod((sources[0][1] * w) ** c for w, c in classes)
+    first_arrow = {}
+    for i, pair in enumerate(Q.arrows):
+        first_arrow.setdefault(pair, i)
+    total = 0
+    for core in product(*(range(min(c, m - 1) + 1) for _, c in classes)):
+        if not 1 <= sum(core) <= m - 1:
+            continue
+        choices = prod(comb(c, k) for (_, c), k in zip(classes, core))
+        core_sinks = tuple((w, k) for (w, _), k in zip(classes, core) if k)
+        core_trees = spanning_trees(Refinement(r.k1, (core_sinks,)))
+        shapes = Counter(frozenset(T.arrow_pairs()) for T in core_trees)
+        leaf_splits = [list(weighted_splits(c - k, m)) for (_, c), k in zip(classes, core)]
+        for shape, parallel in shapes.items():
+            degree = Counter(t for _, t in shape)
+            if min(degree.values()) < 2:
+                continue
+            for split in product(*leaf_splits):
+                weight = choices * parallel
+                leaves = []
+                for (w, _), k, (counts, multinomial) in zip(classes, core, split):
+                    weight *= multinomial
+                    sink = k
+                    for s, a in zip(sources, counts):
+                        weight *= (s[1] * w) ** a
+                        leaves.extend((s, ("snk", w, sink + j)) for j in range(1, a + 1))
+                        sink += a
+                tree = SpanningTree(Q, tuple(first_arrow[p] for p in shape.union(leaves)))
+                if stability_weight(tree):
+                    total += weight
+    return total
 
 
 def admissible_decompositions(d, e, w):

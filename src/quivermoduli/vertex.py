@@ -372,12 +372,17 @@ def n_trop_via_factorization(w1, w2):
     recursion): factorize the operators of a single-part refinement with the
     given weights and extract.  Both weight vectors must be nonempty, positive
     and weakly increasing, else ValueError: a one-sided pair has no scattering
-    to read a count off, so it gets no ``n_trop`` base-case value.
+    to read a count off, so it gets no ``n_trop`` base-case value.  The
+    read-out is the connected count only on coprime dimension types, so
+    gcd(sum w1, sum w2) != 1 is a ValueError too, raised before factorizing.
     """
     w1, w2 = as_weight_vector(w1), as_weight_vector(w2)
     if not w1 or not w2:
         raise ValueError("n_trop_via_factorization needs two nonempty weight "
                          "vectors; one-sided counts are base cases of n_trop")
+    if gcd(sum(w1), sum(w2)) != 1:
+        raise ValueError("n_trop_via_factorization needs coprime sizes, got %d, %d"
+                         % (sum(w1), sum(w2)))
     if (w1, w2) not in _vertex_cache:
         r = Refinement.of((tuple(sorted(Counter(w1).items())),),
                           (tuple(sorted(Counter(w2).items())),))

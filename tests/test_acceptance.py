@@ -215,9 +215,10 @@ def test_criterion_9_normalization_negative_control():
 
 
 def test_larger_n_closed_form_family():
-    # beyond criterion 1: hn and vertex to n=8, tropical to n=12 (vertex
-    # reaches this far since its ring grows with prod (m_w + 1), not
-    # 2^(#tokens))
+    # beyond criterion 1: hn and vertex to n=8, tropical to n=12, mps to
+    # n=20 (vertex reaches this far since its ring grows with prod (m_w + 1),
+    # not 2^(#tokens); mps since it counts stable trees by core shape and
+    # leaf counts, not one labelled tree at a time)
     def closed_form(n):
         return Fraction(comb(2 * n + 1, n) * comb(n + 1, n), 2) - Fraction(2 ** (2 * n + 1), 4)
 
@@ -230,4 +231,6 @@ def test_larger_n_closed_form_family():
     for n in range(5, 9):
         assert degeneration_total((2,), (1,) * (2 * n + 1),
                                   trop_count=n_trop_via_factorization) == closed_form(n), n
-    _report("larger n: chi(2, 1^(2n+1)) by hn, vertex (n<=8), tropical (n<=12)", t0, 20)
+    for n in range(5, 21):
+        assert mps_euler((2,), (1,) * (2 * n + 1)) == closed_form(n), n
+    _report("larger n: hn/vertex n<=8, tropical n<=12, mps n<=20", t0, 20)

@@ -89,6 +89,11 @@ def test_localize_chi_and_trees(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["chi"] == 6 and report["spanning_trees"] == 12
+    # K(3,10) has 3^9 * 10^2 spanning trees: counted, not listed
+    code, out = run(capsys, "localize", "chi", "--refinement", "1+1+1|" + ",".join(["1"] * 10))
+    assert code == 0
+    report = json.loads(out)
+    assert report["chi"] == 168000 and report["spanning_trees"] == 3 ** 9 * 10 ** 2
 
     code, out = run(capsys, "localize", "trees", "--refinement", "2|1,1,1")
     assert code == 0

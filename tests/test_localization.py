@@ -1,7 +1,11 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import quivermoduli.localization as localization_mod
 from quivermoduli.localization import (
     SpanningTree,
     admissible_decompositions,
@@ -12,12 +16,14 @@ from quivermoduli.localization import (
     is_semistable_type_one,
     is_stable_type_one,
     spanning_trees,
+    spanning_tree_count,
     spanning_trees_of,
     stability_weight,
     stable_trees,
     type_one_support,
 )
 from quivermoduli.quiver import Quiver, Refinement, n_support
+from quivermoduli.symfunc import partitions
 
 R_2_111 = Refinement.of([((2, 1),)], [((1, 1),), ((1, 1),), ((1, 1),)])
 R_11_111 = Refinement.of([((1, 2),)], [((1, 1),), ((1, 1),), ((1, 1),)])
@@ -116,6 +122,65 @@ def test_stability_weight_k23():
 ])
 def test_chi_trees(refinement, chi):
     assert chi_trees(refinement) == chi
+
+
+# -- the orbit count against the per-tree sum it replaces -------------------------
+
+
+def _single_part(weights):
+    return (tuple(sorted(Counter(weights).items())),)
+
+
+def _refinement(w1, w2):
+    return Refinement.of(_single_part(w1), _single_part(w2))
+
+
+def _every_key(max_total):
+    """One refinement per weight-multiplicity key of every pair (coprime or
+    not) of total <= max_total: the keys ``chi_trees`` is cached on."""
+    return [_refinement(w1, w2)
+            for total in range(2, max_total + 1)
+            for d in range(1, total)
+            for w1 in partitions(d)
+            for w2 in partitions(total - d)]
+
+
+def _per_tree_sum(r):
+    """Oracle: list every labelled spanning tree and slope-test each one."""
+    return sum(stability_weight(T) for T in spanning_trees(r))
+
+
+def _fresh_chi_trees(r):
+    localization_mod._chi_cache.clear()
+    return chi_trees(r)
+
+
+def test_chi_trees_matches_per_tree_sum_on_every_key_to_size_8():
+    keys = _every_key(8)
+    assert len(keys) == 301
+    for r in keys:
+        assert _fresh_chi_trees(r) == _per_tree_sum(r), (r.k1, r.k2)
+
+
+weights = st.lists(st.integers(1, 3), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(weights, weights)
+def test_chi_trees_matches_per_tree_sum_on_random_refinements(w1, w2):
+    r = _refinement(w1, w2)
+    # the oracle lists every labelled tree, so keep the listing small
+    assume(spanning_tree_count(n_support(r)[0]) <= 3000)
+    assert _fresh_chi_trees(r) == _per_tree_sum(r)
+
+
+def test_spanning_tree_count_matches_listing_on_every_key_to_size_8():
+    for r in _every_key(8):
+        Q, _, _ = n_support(r)
+        assert spanning_tree_count(Q) == len(spanning_trees(r)), (r.k1, r.k2)
+    assert spanning_tree_count(Quiver((("a", 1), ("b", 1)))) == 0  # disconnected
+    assert spanning_tree_count(Quiver((("a", 1),))) == 1
+    assert spanning_tree_count(type_one_support(7, 9)) == 7 ** 8 * 9 ** 6
 
 
 def test_admissible_decompositions_examples():

@@ -225,3 +225,8 @@ def test_n_trop_via_factorization_input_contract():
         n_trop_via_factorization((2, 1), (1,))
     with pytest.raises(ValueError, match="positive"):
         n_trop_via_factorization((0, 1), (1,))
+    # a non-coprime type is refused before factorizing; the recursion has
+    # no such restriction
+    with pytest.raises(ValueError, match="coprime"):
+        n_trop_via_factorization((1, 1), (1, 1, 2))
+    assert n_trop((1, 1), (1, 1, 2)) == 16
