@@ -3,7 +3,10 @@
 Classes of stacks [R_d^sst]/[G_d] are computed by the Harder-Narasimhan
 recursion and realized inside the rational function field Q(L): every class
 reached by the recursion is a polynomial in L divided by powers of L and of
-factors (L^n - 1).  ``MotiveClass`` is another name for
+factors (L^n - 1).  The recursion runs on class-count coordinates (per
+class of interchangeable vertices, how many vertices carry each value),
+and keeps one table per dimension vector of its strata sorted by slope;
+every bounded stratum sum is a prefix of that table.  ``MotiveClass`` is another name for
 :class:`ratfunc.RationalFunction`, which keeps exactly that shape in a
 canonical reduced form, so classes compare and hash by value.  On top of
 the recursion sit the Poincare polynomial / Euler characteristic
@@ -14,9 +17,10 @@ partition form, and the dual form).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .quiver import check_quiver, hat_quiver
 from .ratfunc import Poly, RationalFunction
@@ -52,170 +56,213 @@ def proj_class(n):
 # -- the Harder-Narasimhan solver ---------------------------------------------
 
 
+def _symmetry_classes(levels, theta, counts):
+    """Vertex indices grouped into classes of pairwise interchangeable
+    vertices: equal level and theta, and the transposition is a quiver
+    automorphism (so every permutation within a class is one)."""
+    n = len(levels)
+
+    def interchangeable(u, v):
+        if (levels[u], theta[u]) != (levels[v], theta[v]):
+            return False
+        if counts.get((u, v), 0) != counts.get((v, u), 0):
+            return False
+        if counts.get((u, u), 0) != counts.get((v, v), 0):
+            return False
+        for w in range(n):
+            if w in (u, v):
+                continue
+            if counts.get((u, w), 0) != counts.get((v, w), 0):
+                return False
+            if counts.get((w, u), 0) != counts.get((w, v), 0):
+                return False
+        return True
+
+    rep = list(range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rep[v] == v and rep[u] != rep[v] and interchangeable(u, v):
+                rep[v] = rep[u]
+    classes = {}
+    for v in range(n):
+        classes.setdefault(rep[v], []).append(v)
+    return tuple(tuple(vs) for _, vs in sorted(classes.items()))
+
+
+class _Table:
+    """The nontrivial strata of one dimension vector D, by increasing slope:
+    ``rows`` holds ``(mu(e), e, D - e, chi(D - e, e), orbit size)`` for one
+    0 < e < D per orbit of the relabelings fixing D.  ``cum[k]`` is the sum
+    of the first k terms, extended on demand; ``sst`` caches sst(D).
+    """
+
+    __slots__ = ("mu", "slopes", "rows", "cum", "sst")
+
+    def __init__(self, mu, rows):
+        self.mu = mu
+        self.slopes = [row[0] for row in rows]
+        self.rows = rows
+        self.cum = {0: MotiveClass.zero()}
+        self.sst = None
+
+
 class _HNSolver:
     """Memoized semistable-class computation for one (quiver, stability).
 
-    Dimension vectors are tuples in vertex order.  Vertices that are
-    provably interchangeable (equal level and theta, and the transposition
-    is a quiver automorphism) form symmetry classes; every quantity in the
-    recursion is invariant under relabelings within a class.  So the
-    stratum sums enumerate one subvector per orbit of those relabelings,
-    weighted by the orbit size, and the memo keys are orbit invariants.
+    A dimension vector is stored in class-count coordinates (see
+    :meth:`coords`), which are also the memo keys.  Arrow counts are
+    constant between two symmetry classes and within one, so [R_D]/[G_D],
+    slopes and the Euler pairing follow from per-class sums, class-level
+    arrow counts and the per-class pairing sum_v r_v e_v.  A stratum term
+    sst(e) L^(-chi(D-e, e)) below(D-e, mu(e)) does not depend on the bound
+    it is summed under, so each D has one :class:`_Table` and
+
+        below(D, b) = (its rows with slope < b) + [mu(D) < b] sst(D),
+        sst(D)      = [R_D]/[G_D] - (all its rows),
+
+    where below(D, b) sums over the HN types of D with every slope < b.
     """
 
     def __init__(self, Q, stab):
-        self.Q = Q
-        self.stab = stab
-        self.ids = Q.ids
-        self.index = {v: k for k, v in enumerate(self.ids)}
-        self.levels = tuple(l for _, l in Q.vertices)
+        index = {v: k for k, v in enumerate(Q.ids)}
+        levels = tuple(l for _, l in Q.vertices)
         th = stab.theta_map()
-        self.theta = tuple(th.get(v, 0) for v in self.ids)
-        self.kappa = self.levels if stab.kappa_from_levels else (1,) * len(self.ids)
+        theta = tuple(th.get(v, 0) for v in Q.ids)
+        kappa = levels if stab.kappa_from_levels else (1,) * len(levels)
         counts = {}
         for s, t in Q.arrows:
-            key = (self.index[s], self.index[t])
+            key = (index[s], index[t])
             counts[key] = counts.get(key, 0) + 1
-        self.arrowlist = tuple((u, v, m) for (u, v), m in sorted(counts.items()))
-        self.classes = self._symmetry_classes(counts)
-        self._sst = {}
-        self._below = {}
-        self._terms = {}
+        self.classes = _symmetry_classes(levels, theta, counts)
+        self.theta = tuple(theta[cls[0]] for cls in self.classes)
+        self.kappa = tuple(kappa[cls[0]] for cls in self.classes)
+        # arrows[a][b]: arrows from one vertex of class a to one other vertex
+        # of class b; loops[a]: loops at one vertex of class a
+        def between(ca, cb):
+            if ca is not cb:
+                return counts.get((ca[0], cb[0]), 0)
+            return counts.get((ca[0], ca[1]), 0) if len(ca) > 1 else 0
 
-    def _symmetry_classes(self, counts):
-        n = len(self.ids)
-        def interchangeable(u, v):
-            if (self.levels[u], self.theta[u]) != (self.levels[v], self.theta[v]):
-                return False
-            if counts.get((u, v), 0) != counts.get((v, u), 0):
-                return False
-            if counts.get((u, u), 0) != counts.get((v, v), 0):
-                return False
-            for w in range(n):
-                if w in (u, v):
-                    continue
-                if counts.get((u, w), 0) != counts.get((v, w), 0):
-                    return False
-                if counts.get((w, u), 0) != counts.get((w, v), 0):
-                    return False
-            return True
+        self.arrows = tuple(tuple(between(ca, cb) for cb in self.classes) for ca in self.classes)
+        self.loops = tuple(counts.get((ca[0], ca[0]), 0) for ca in self.classes)
+        self._tables = {}
 
-        rep = list(range(n))
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rep[v] == v and rep[u] != rep[v] and interchangeable(u, v):
-                    rep[v] = rep[u]
-        classes = {}
-        for v in range(n):
-            classes.setdefault(rep[v], []).append(v)
-        return tuple(tuple(vs) for _, vs in sorted(classes.items()))
+    # -- coordinates ---------------------------------------------------------
 
-    # -- keys ------------------------------------------------------------
+    def coords(self, dv):
+        """Class-count coordinates of a dimension vector in vertex order:
+        per class, (value, count) pairs over the nonzero values, largest
+        value first."""
+        out = []
+        for cls in self.classes:
+            values = [dv[v] for v in cls]
+            out.append(tuple((x, values.count(x)) for x in sorted(set(values), reverse=True) if x))
+        return tuple(out)
 
-    def _canon(self, d):
-        return tuple(tuple(sorted((d[v] for v in cls), reverse=True)) for cls in self.classes)
+    def slope(self, sums):
+        """mu of a dimension vector with the given per-class sums."""
+        return Fraction(sum(t * x for t, x in zip(self.theta, sums)),
+                        sum(k * x for k, x in zip(self.kappa, sums)))
 
-    def _pairkey(self, e, rest):
-        return tuple(
-            tuple(sorted(((e[v], rest[v]) for v in cls), reverse=True))
-            for cls in self.classes
-        )
-
-    # -- elementary quantities --------------------------------------------
-
-    def mu(self, d):
-        th = sum(t * x for t, x in zip(self.theta, d))
-        ka = sum(k * x for k, x in zip(self.kappa, d))
-        return Fraction(th, ka)
-
-    def euler(self, d, e):
-        total = sum(a * b for a, b in zip(d, e))
-        for u, v, m in self.arrowlist:
-            total -= m * d[u] * e[v]
-        return total
-
-    def top_class(self, d):
-        """[R_d]/[G_d] = L^(dim R_d) / prod [GL_{d_v}]."""
-        dim_r = sum(m * d[u] * d[v] for u, v, m in self.arrowlist)
-        shift = dim_r - sum(comb(x, 2) for x in d)
+    def top_class(self, key):
+        """[R_D]/[G_D] = L^(dim R_D) / prod_v [GL_(d_v)]."""
+        sums = [sum(x * g for x, g in groups) for groups in key]
+        dim_r = sum(m * sa * sb for row, sa in zip(self.arrows, sums)
+                    for m, sb in zip(row, sums))
+        shift = dim_r
         cyc = {}
-        for x in d:
-            for k in range(1, x + 1):
-                cyc[k] = cyc.get(k, 0) + 1
+        for a, groups in enumerate(key):
+            # the d_v^2 terms of a class come from its loops, not from the
+            # arrows to another vertex of the class
+            own = self.loops[a] - self.arrows[a][a]
+            for x, g in groups:
+                shift += g * (own * x * x - comb(x, 2))
+                for k in range(1, x + 1):
+                    cyc[k] = cyc.get(k, 0) + g
         return MotiveClass(1, -shift, cyc)
 
-    # -- the recursion -----------------------------------------------------
+    # -- the recursion -------------------------------------------------------
 
-    def sst_class(self, d):
-        key = self._canon(d)
-        hit = self._sst.get(key)
-        if hit is not None:
-            return hit
-        value = self.top_class(d) - self._stratum_sum(d, None, skip_full=True)
-        self._sst[key] = value
+    def sst_class(self, key):
+        table = self._table(key)
+        if table.sst is None:
+            table.sst = self.top_class(key) - self._prefix(table, len(table.rows))
+        return table.sst
+
+    def _below(self, key, bound):
+        """Sum over the HN types of D with all slopes < bound."""
+        table = self._table(key)
+        value = self._prefix(table, bisect_left(table.slopes, bound))
+        if table.mu < bound:
+            value = value + self.sst_class(key)
         return value
 
-    def _below_bound(self, d, bound):
-        """Sum over filtration types of d with all slopes < bound."""
-        key = (self._canon(d), bound)
-        hit = self._below.get(key)
-        if hit is not None:
-            return hit
-        value = self._stratum_sum(d, bound, skip_full=False)
-        self._below[key] = value
-        return value
+    def _prefix(self, table, k):
+        # the terms are added in slope order: the value does not depend on
+        # it, but the sequence of partial sums, and with it the amount of
+        # arithmetic per layer, does.  Racing threads may compute the same
+        # entry; setdefault stores only the first, and the two are equal.
+        cum = table.cum
+        while len(cum) <= k:
+            i = len(cum) - 1
+            mu_e, e, rest, chi, mult = table.rows[i]
+            sst_e = self.sst_class(e)
+            value = cum[i]
+            if not sst_e.is_zero():  # an empty stratum needs no below-sum
+                term = sst_e.times_l_power(-chi) * self._below(rest, mu_e)
+                value = value + (term * mult if mult > 1 else term)
+            cum.setdefault(i + 1, value)
+        return cum[k]
 
-    def _orbits(self, d):
-        """(e, size) for one subvector 0 <= e <= d per orbit of the
-        relabelings that permute vertices of one class carrying equal d_v.
-        Within such a group only the multiset of values e_v matters, so each
-        orbit is a split of the group over the values 0..d_v."""
-        groups = []
-        for cls in self.classes:
-            by_dim = {}
-            for v in cls:
-                by_dim.setdefault(d[v], []).append(v)
-            for x, vs in by_dim.items():
-                options = []
-                for counts, weight in weighted_splits(len(vs), x + 1):
-                    values = [val for val, c in enumerate(counts) for _ in range(c)]
-                    options.append((tuple(zip(vs, values)), weight))
-                groups.append(options)
-        e = [0] * len(d)
-        for choice in product(*groups):
-            size = 1
-            for assigned, weight in choice:
-                for v, val in assigned:
-                    e[v] = val
-                size *= weight
-            yield tuple(e), size
+    def _table(self, key):
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables.setdefault(key, self._build(key))
+        return table
 
-    def _stratum_sum(self, d, bound, skip_full):
-        # representatives are added in lexicographic order: the value does
-        # not depend on it, but the sequence of partial sums, and with it the
-        # amount of arithmetic per layer, does
-        total = MotiveClass.zero()
-        for e, mult in sorted(self._orbits(d)):
-            if not any(e):
+    def _build(self, key):
+        sums = [sum(x * g for x, g in groups) for groups in key]
+        # per class, chi(rest, e) gains (1 - loops + arrows within) times
+        # the pairing sum_v r_v e_v, and loses the arrows between the class
+        # sums of rest and e
+        pair_coef = [1 - lp + row[a] for a, (lp, row) in enumerate(zip(self.loops, self.arrows))]
+        rows = []
+        for choice in product(*[_class_splits(groups) for groups in key]):
+            e = tuple(c[0] for c in choice)
+            rest = tuple(c[1] for c in choice)
+            if not any(e) or not any(rest):
                 continue
-            if skip_full and e == d:
-                continue
-            if bound is not None:
-                th = sum(t * x for t, x in zip(self.theta, e))
-                ka = sum(k * x for k, x in zip(self.kappa, e))
-                if th * bound.denominator >= bound.numerator * ka:
-                    continue
-            rest = tuple(a - b for a, b in zip(d, e))
-            key = self._pairkey(e, rest)
-            term = self._terms.get(key)
-            if term is None:
-                term = self.sst_class(e)
-                if any(rest):
-                    term = term.times_l_power(-self.euler(rest, e))
-                    term = term * self._below_bound(rest, self.mu(e))
-                self._terms[key] = term
-            total = total + (term * mult if mult > 1 else term)
-        return total
+            es = [c[2] for c in choice]
+            chi = sum(p * c[3] for p, c in zip(pair_coef, choice))
+            for row, s, x in zip(self.arrows, sums, es):
+                chi -= (s - x) * sum(m * y for m, y in zip(row, es))
+            rows.append((self.slope(es), e, rest, chi, prod(c[4] for c in choice)))
+        rows.sort(key=lambda row: row[0])
+        return _Table(self.slope(sums), rows)
+
+
+def _class_splits(groups):
+    """The ways to put 0 <= e_v <= d_v on one class, up to relabelings that
+    fix d: ``(e, rest, sum_v e_v, sum_v r_v e_v, number of labelled ways)``.
+    A group of g vertices carrying x splits over the values 0..x."""
+    out = []
+    for choice in product(*[weighted_splits(g, x + 1) for x, g in groups]):
+        e, rest = {}, {}
+        total = pairing = 0
+        weight = 1
+        for (x, _), (counts, w) in zip(groups, choice):
+            weight *= w
+            for j, c in enumerate(counts):
+                if c:
+                    if j:
+                        e[j] = e.get(j, 0) + c
+                    if j < x:
+                        rest[x - j] = rest.get(x - j, 0) + c
+                    total += c * j
+                    pairing += c * j * (x - j)
+        out.append((tuple(sorted(e.items(), reverse=True)),
+                    tuple(sorted(rest.items(), reverse=True)), total, pairing, weight))
+    return out
 
 
 _solvers = {}
@@ -262,7 +309,7 @@ def hn_types(Q, s, d):
         for e in product(*[range(x + 1) for x in rest]):
             if not any(e):
                 continue
-            mu_e = sol.mu(e)
+            mu_e = sol.slope([sum(e[v] for v in cls) for cls in sol.classes])
             if bound is not None and mu_e >= bound:
                 continue
             tail = tuple(a - b for a, b in zip(rest, e))
@@ -278,8 +325,10 @@ def hn_types(Q, s, d):
 
 def hn_sst_class(Q, s, d):
     """[R_d^sst]/[G_d]: the class of all representations minus the strata of
-    nontrivial filtration types (grouped by first block and memoized)."""
-    return _solver(Q, s).sst_class(_nonzero_tuple(Q, d))
+    nontrivial filtration types, summed from the slope-sorted stratum table
+    of d (grouped by first block and memoized)."""
+    sol = _solver(Q, s)
+    return sol.sst_class(sol.coords(_nonzero_tuple(Q, d)))
 
 
 def is_theta_coprime(Q, s, d):
@@ -291,8 +340,7 @@ def is_theta_coprime(Q, s, d):
     """
     dv = _nonzero_tuple(Q, d)
     sol = _solver(Q, s)
-    theta = [sol.theta[cls[0]] for cls in sol.classes]
-    kappa = [sol.kappa[cls[0]] for cls in sol.classes]
+    theta, kappa = sol.theta, sol.kappa
     full = tuple(sum(dv[v] for v in cls) for cls in sol.classes)
     th_d = sum(t * x for t, x in zip(theta, full))
     ka_d = sum(k * x for k, x in zip(kappa, full))

@@ -352,24 +352,9 @@ def n_support(r):
     return Quiver(tuple(verts), tuple(arrows)), dim, Stability.of(theta)
 
 
-# -- JSON helpers for the wire format ----------------------------------------
-
-
-def dim_to_json(d):
-    return {_id_str(v): n for v, n in d.items()}
-
-
-def dim_from_json(data, Q=None):
-    return {v: int(n) for v, n in data.items()}
+# -- wire format ----------------------------------------------------------------
 
 
 def fraction_to_str(x):
     x = Fraction(x)
     return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else "%d" % x.numerator
-
-
-def fraction_from_str(s):
-    if "/" in s:
-        p, q = s.split("/")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))

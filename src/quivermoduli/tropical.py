@@ -29,14 +29,6 @@ def as_weight_vector(entries):
     return w
 
 
-def aut_size(w):
-    """Order of the automorphism group: product of multiplicities factorial."""
-    out = 1
-    for x in set(w):
-        out *= factorial(w.count(x))
-    return out
-
-
 def weight_vector_of(k_side):
     """Weight vector induced by one side of a refinement: the weight-w
     segment carries m_w entries, segments in increasing weight order."""

@@ -18,9 +18,10 @@ from quivermoduli.motive import (
     poincare,
     proj_class,
 )
-from quivermoduli.quiver import Quiver, Stability, euler_form, hat_quiver
+from quivermoduli.quiver import Quiver, Stability, bipartite_setup, euler_form, hat_quiver
 from quivermoduli.ratfunc import Poly, cyclotomic
 from quivermoduli.symfunc import multiplicity_vectors
+from test_orbits import LabelledHNSolver
 
 K1 = Quiver.kronecker(1)
 K3 = Quiver.kronecker(3)
@@ -280,33 +281,70 @@ def test_concurrent_memo_observes_identical_values():
 
 
 def test_symmetry_collapse_is_sound():
-    # memo keys collapse provably interchangeable vertices; forcing singleton
-    # classes must not change any value, including on quivers where vertices
-    # share level/theta but are NOT interchangeable
+    # memo keys collapse provably interchangeable vertices; the labelled
+    # recursion must give the same values, including on quivers where
+    # vertices share level/theta but are NOT interchangeable
     import quivermoduli.motive as motive_mod
 
     cases = [
         # equal theta/level sinks with different arrow multiplicities
         (Quiver((("a", 1), ("b", 1), ("c", 1)),
                 (("a", "b"), ("a", "c"), ("a", "c"))),
-         {"a": 1, "b": 0, "c": 0}, {"a": 2, "b": 1, "c": 1}),
+         {"a": 1, "b": 0, "c": 0}, {"a": 2, "b": 1, "c": 1}, 3),
         # genuinely symmetric sinks
         (Quiver.complete_bipartite(1, 3),
          {"i1": 1, "j1": 0, "j2": 0, "j3": 0},
-         {"i1": 2, "j1": 1, "j2": 1, "j3": 1}),
+         {"i1": 2, "j1": 1, "j2": 1, "j3": 1}, 2),
         # a three-vertex path
         (Quiver((("a", 1), ("b", 1), ("c", 1)), (("a", "b"), ("b", "c"))),
-         {"a": 2, "b": 1, "c": 0}, {"a": 1, "b": 2, "c": 1}),
+         {"a": 2, "b": 1, "c": 0}, {"a": 1, "b": 2, "c": 1}, 3),
+        # symmetric sinks with loops and arrows between them
+        (Quiver((("a", 1), ("b", 1), ("c", 1)),
+                (("a", "b"), ("a", "c"), ("b", "c"), ("c", "b"), ("b", "b"), ("c", "c"))),
+         {"a": 1, "b": 0, "c": 0}, {"a": 2, "b": 2, "c": 1}, 2),
     ]
-    for Q, theta, d in cases:
+    for Q, theta, d, n_classes in cases:
         stab = Stability.of(theta)
-        fast = hn_sst_class(Q, stab, d)
+        assert len(motive_mod._HNSolver(Q, stab).classes) == n_classes
+        slow = LabelledHNSolver(Q, stab).sst_class(tuple(d.get(v, 0) for v in Q.ids))
+        assert hn_sst_class(Q, stab, d) == slow, Q
 
-        solver = motive_mod._HNSolver(Q, stab)
-        assert solver.classes  # sanity: solver built
-        solver.classes = tuple((k,) for k in range(len(Q.ids)))
-        slow = solver.sst_class(tuple(d.get(v, 0) for v in Q.ids))
-        assert fast == slow, Q
+
+def test_threaded_tables_match_serial_values():
+    # racing threads extend the same lazy prefix sums; with the interpreter
+    # switching threads as often as it can, every value must equal the
+    # serial one
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    import quivermoduli.motive as motive_mod
+
+    ladder = [bipartite_setup((2,), (1,) * (2 * n + 1)) for n in range(1, 5)]
+    ladder += [(K3, {"i1": a, "j1": a + 1}, S10) for a in range(1, 4)]
+    motive_mod._solvers.clear()
+    serial = [hn_sst_class(Q, s, d) for Q, d, s in ladder]
+    motive_mod._solvers.clear()
+
+    def run(order):
+        out = []
+        for k in order:
+            Q, d, s = ladder[k]
+            out.append((k, hn_sst_class(Q, s, d)))
+        return out
+
+    n = len(ladder)
+    orders = [list(range(n)), list(range(n))[::-1],
+              list(range(0, n, 2)) + list(range(1, n, 2)), [k % n for k in range(3, n + 3)]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, orders, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        for k, value in got:
+            assert value == serial[k], k
 
 
 def test_hn_types_deterministic():

@@ -1,21 +1,22 @@
 """Orbit enumeration against the labelled enumerations it replaces.
 
-The HN stratum sums, the theta-coprime check and the tropical compatible
+The HN stratum tables, the theta-coprime check and the tropical compatible
 assignments enumerate one representative per orbit of interchangeable items,
-weighted by the orbit size.  The box scans and labelled maps kept here are
-the reference: on random small inputs, the orbit forms must reproduce their
-counts exactly.
+weighted by the orbit size.  The box scans, labelled maps and the labelled
+HN recursion kept here are the reference: on random small inputs, the orbit
+forms must reproduce their counts and values exactly.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
-from math import prod
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quivermoduli.motive as motive_mod
-from quivermoduli.motive import hn_sst_class, is_theta_coprime
+from quivermoduli.motive import MotiveClass, hn_sst_class, is_theta_coprime
 from quivermoduli.quiver import Quiver, Stability
 from quivermoduli.symfunc import weighted_splits
 from quivermoduli.tropical import _compatible_assignments, ramification_factor
@@ -57,59 +58,107 @@ def small_quivers(draw, max_vertices=4, max_dim=3):
             v = "v%d_%d" % (b, k)
             ids.append(v)
             levels[v], theta[v], block_of[v] = level, th, b
-    # arrow multiplicities depend on the blocks only, plus a few extra
-    # arrows between chosen vertices that may break the symmetry
+    # arrow and loop multiplicities depend on the blocks only, plus a few
+    # extra arrows or loops at chosen vertices that may break the symmetry
     mult = {(a, b): draw(st.integers(0, 2))
             for a in range(len(blocks)) for b in range(len(blocks))}
+    loops = [draw(st.integers(0, 1)) for _ in blocks]
     arrows = [(s, t) for s in ids for t in ids if s != t
               for _ in range(mult[(block_of[s], block_of[t])])]
-    arrows += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
-                            .filter(lambda a: a[0] != a[1]), max_size=2))
+    arrows += [(v, v) for v in ids for _ in range(loops[block_of[v]])]
+    arrows += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=2))
     Q = Quiver(tuple((v, levels[v]) for v in ids), tuple(arrows))
     dims = draw(st.lists(st.integers(0, max_dim), min_size=len(ids), max_size=len(ids))
                 .filter(any))
     return Q, Stability.of(theta), dict(zip(ids, dims))
 
 
-def _set_partitions(draw, n):
-    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    classes = {}
-    for v, label in enumerate(labels):
-        classes.setdefault(label, []).append(v)
-    return tuple(tuple(vs) for _, vs in sorted(classes.items()))
-
-
 def _box(d):
     return product(*[range(x + 1) for x in d])
 
 
-def _box_pairkey_counts(solver, d):
-    counts = Counter()
-    for e in _box(d):
-        counts[solver._pairkey(e, tuple(a - b for a, b in zip(d, e)))] += 1
-    return counts
+class LabelledHNSolver:
+    """The HN recursion on labelled dimension vectors, one stratum per point
+    of the box 0 <= e <= d (every vertex its own symmetry class).  It is the
+    reference for ``motive._HNSolver``, which sums over orbits in
+    class-count coordinates."""
+
+    def __init__(self, Q, stab):
+        index = {v: k for k, v in enumerate(Q.ids)}
+        th = stab.theta_map()
+        self.theta = tuple(th.get(v, 0) for v in Q.ids)
+        levels = tuple(l for _, l in Q.vertices)
+        self.kappa = levels if stab.kappa_from_levels else (1,) * len(levels)
+        self.arrows = tuple((index[s], index[t]) for s, t in Q.arrows)
+        self._sst = {}
+        self._below = {}
+
+    def mu(self, d):
+        return Fraction(sum(t * x for t, x in zip(self.theta, d)),
+                        sum(k * x for k, x in zip(self.kappa, d)))
+
+    def euler(self, d, e):
+        return sum(a * b for a, b in zip(d, e)) - sum(d[u] * e[v] for u, v in self.arrows)
+
+    def top_class(self, d):
+        dim_r = sum(d[u] * d[v] for u, v in self.arrows)
+        cyc = Counter(k for x in d for k in range(1, x + 1))
+        return MotiveClass(1, sum(comb(x, 2) for x in d) - dim_r, cyc)
+
+    def sst_class(self, d):
+        if d not in self._sst:
+            self._sst[d] = self.top_class(d) - self._stratum_sum(d, None)
+        return self._sst[d]
+
+    def below(self, d, bound):
+        """Sum over the HN types of d with all slopes < bound."""
+        if (d, bound) not in self._below:
+            self._below[(d, bound)] = self._stratum_sum(d, bound)
+        return self._below[(d, bound)]
+
+    def _stratum_sum(self, d, bound):
+        # bound None: the nontrivial types of d, grouped by first block
+        total = MotiveClass.zero()
+        for e in _box(d):
+            if not any(e) or (bound is None and e == d):
+                continue
+            if bound is not None and self.mu(e) >= bound:
+                continue
+            rest = tuple(a - b for a, b in zip(d, e))
+            term = self.sst_class(e)
+            if any(rest):
+                term = term.times_l_power(-self.euler(rest, e)) * self.below(rest, self.mu(e))
+            total = total + term
+        return total
 
 
 @ORACLE
 @given(st.data())
 def test_stratum_orbits_match_box_scan(data):
+    # the rows of one table, grouped by the coordinates of (e, rest), their
+    # pairing and slope, against the labelled box points
     Q, stab, d = data.draw(small_quivers())
     solver = motive_mod._HNSolver(Q, stab)
-    if data.draw(st.booleans()):
-        # any partition into classes is a valid grouping for the counting
-        solver.classes = _set_partitions(data.draw, len(Q.ids))
+    oracle = LabelledHNSolver(Q, stab)
     dv = tuple(d[v] for v in Q.ids)
-    orbits = Counter()
-    for e, size in solver._orbits(dv):
-        key = solver._pairkey(e, tuple(a - b for a, b in zip(dv, e)))
-        assert key not in orbits  # one representative per orbit
-        orbits[key] = size
-    assert sum(orbits.values()) == prod(x + 1 for x in dv)
-    assert orbits == _box_pairkey_counts(solver, dv)
+    key = solver.coords(dv)
+    table = solver._table(key)
+    rows = Counter()
+    for mu_e, e, rest, chi, mult in table.rows:
+        rows[(e, rest, chi, mu_e)] += mult
+    box = Counter()
+    for e in _box(dv):
+        rest = tuple(a - b for a, b in zip(dv, e))
+        if any(e) and any(rest):
+            box[(solver.coords(e), solver.coords(rest), oracle.euler(rest, e), oracle.mu(e))] += 1
+    assert rows == box
+    assert table.slopes == sorted(table.slopes)
+    assert table.mu == oracle.mu(dv)
+    assert solver.top_class(key) == oracle.top_class(dv)
 
 
 def _box_theta_coprime(Q, s, d):
-    sol = motive_mod._HNSolver(Q, s)
+    sol = LabelledHNSolver(Q, s)
     dv = tuple(d.get(v, 0) for v in Q.ids)
     mu_d = sol.mu(dv)
     return all(sol.mu(e) != mu_d for e in _box(dv) if any(e) and e != dv)
@@ -142,12 +191,11 @@ def test_theta_coprime_matches_box_scan_on_named_cases():
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(small_quivers(max_dim=2))
 def test_orbit_classes_match_singleton_classes(case):
-    # with one vertex per class the orbits are the labelled box points
+    # the class-count recursion against the labelled one
     Q, stab, d = case
     motive_mod._solvers.clear()
-    solver = motive_mod._HNSolver(Q, stab)
-    solver.classes = tuple((k,) for k in range(len(Q.ids)))
-    assert hn_sst_class(Q, stab, d) == solver.sst_class(tuple(d[v] for v in Q.ids))
+    dv = tuple(d[v] for v in Q.ids)
+    assert hn_sst_class(Q, stab, d) == LabelledHNSolver(Q, stab).sst_class(dv)
 
 
 # -- tropical compatible assignments ------------------------------------------

@@ -10,10 +10,7 @@ from quivermoduli.quiver import (
     Stability,
     antisymmetrized_form,
     check_quiver,
-    dim_from_json,
-    dim_to_json,
     euler_form,
-    fraction_from_str,
     fraction_to_str,
     hat_quiver,
     n_support,
@@ -207,9 +204,7 @@ def test_json_round_trip():
     Q = Quiver.complete_bipartite(2, 3)
     data = json.loads(json.dumps(Q.to_json()))
     assert Quiver.from_json(data) == Q
-    d = {"i1": 2, "j1": 1}
-    assert dim_from_json(dim_to_json(d)) == d
-    assert fraction_from_str(fraction_to_str(Fraction(-3, 7))) == Fraction(-3, 7)
+    assert fraction_to_str(Fraction(-3, 7)) == "-3/7"
     assert fraction_to_str(Fraction(4)) == "4"
 
 

@@ -8,7 +8,6 @@ from quivermoduli.motive import euler_char
 from quivermoduli.quiver import Refinement, bipartite_setup
 from quivermoduli.symfunc import partitions
 from quivermoduli.tropical import (
-    aut_size,
     degeneration_total,
     mps_euler,
     n_trop,
@@ -25,8 +24,6 @@ def test_weight_vector_of():
     assert weight_vector_of(r.k1) == (2,)
     r = Refinement.of([((1, 1), (2, 2))], [((1, 1),)])
     assert weight_vector_of(r.k1) == (1, 2, 2)
-    assert aut_size((1, 2, 2)) == 2
-    assert aut_size((1, 1, 1)) == 6
 
 
 def test_ramification_factor_examples():
