@@ -10,8 +10,8 @@ pieces at a fresh sink, and the square rule that extends a datum of
 dimension type (d-1, d) to d*d data of type (d, d+1).
 
 The stable count ``chi_trees`` lists no tree one by one: it counts by core
-shape and leaf counts (see its docstring).  The per-tree sum it replaces is
-kept as a test oracle.
+shape and leaf counts (see ``_count_stable_trees``).  The per-tree sum it
+replaces is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import comb, prod
 
@@ -216,15 +217,21 @@ def stability_weight(T):
     return 1 if _slope_test(Q.levels(), sources, sinks, T.neighbors(), True) else 0
 
 
-_chi_cache = {}
-
-
 def chi_trees(r):
     """Number of stable spanning trees of the support quiver of ``r``.
 
     Equals the Euler characteristic of the stable type-one moduli space;
-    depends on the refinement only through its weight multiplicities, which
-    is what the cache is keyed on.
+    depends on the refinement only through its weight multiplicities per
+    side, so those are the arguments of the memoized count.
+    """
+    return _count_stable_trees(tuple(sorted(r.weight_multiplicities(1).items())),
+                               tuple(sorted(r.weight_multiplicities(2).items())))
+
+
+@cache
+def _count_stable_trees(sources, sinks):
+    """Stable spanning trees of the support quiver with the given sorted
+    (weight, multiplicity) pairs of sources and sinks.
 
     The trees are counted one orbit at a time, never listed.  A spanning
     tree with m sources splits into its core (the sources and the sinks of
@@ -238,35 +245,23 @@ def chi_trees(r):
     one representative tree is stable.  With one source there is no subset
     to test: every tree is stable and the count is prod_t (w_s w_t).
     """
-    key = (
-        tuple(sorted(r.weight_multiplicities(1).items())),
-        tuple(sorted(r.weight_multiplicities(2).items())),
-    )
-    if key not in _chi_cache:
-        _chi_cache[key] = _count_stable_trees(r)
-    return _chi_cache[key]
-
-
-def _count_stable_trees(r):
-    """The core/leaf count of :func:`chi_trees`, uncached."""
-    Q, _, _ = n_support(r)
-    sources, _ = _bipartite_classes(Q)
-    classes = sorted(r.weight_multiplicities(2).items())
-    m = len(sources)
+    Q, _, _ = n_support(Refinement((sources,), (sinks,)))
+    srcs, _ = _bipartite_classes(Q)
+    m = len(srcs)
     if m == 1:
-        return prod((sources[0][1] * w) ** c for w, c in classes)
+        return prod((srcs[0][1] * w) ** c for w, c in sinks)
     first_arrow = {}
     for i, pair in enumerate(Q.arrows):
         first_arrow.setdefault(pair, i)
     total = 0
-    for core in product(*(range(min(c, m - 1) + 1) for _, c in classes)):
+    for core in product(*(range(min(c, m - 1) + 1) for _, c in sinks)):
         if not 1 <= sum(core) <= m - 1:
             continue
-        choices = prod(comb(c, k) for (_, c), k in zip(classes, core))
-        core_sinks = tuple((w, k) for (w, _), k in zip(classes, core) if k)
-        core_trees = spanning_trees(Refinement(r.k1, (core_sinks,)))
+        choices = prod(comb(c, k) for (_, c), k in zip(sinks, core))
+        core_sinks = tuple((w, k) for (w, _), k in zip(sinks, core) if k)
+        core_trees = spanning_trees(Refinement((sources,), (core_sinks,)))
         shapes = Counter(frozenset(T.arrow_pairs()) for T in core_trees)
-        leaf_splits = [list(weighted_splits(c - k, m)) for (_, c), k in zip(classes, core)]
+        leaf_splits = [list(weighted_splits(c - k, m)) for (_, c), k in zip(sinks, core)]
         for shape, parallel in shapes.items():
             degree = Counter(t for _, t in shape)
             if min(degree.values()) < 2:
@@ -274,10 +269,10 @@ def _count_stable_trees(r):
             for split in product(*leaf_splits):
                 weight = choices * parallel
                 leaves = []
-                for (w, _), k, (counts, multinomial) in zip(classes, core, split):
+                for (w, _), k, (counts, multinomial) in zip(sinks, core, split):
                     weight *= multinomial
                     sink = k
-                    for s, a in zip(sources, counts):
+                    for s, a in zip(srcs, counts):
                         weight *= (s[1] * w) ** a
                         leaves.extend((s, ("snk", w, sink + j)) for j in range(1, a + 1))
                         sink += a

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, factorial, prod
 
@@ -265,14 +266,7 @@ def _class_splits(groups):
     return out
 
 
-_solvers = {}
-
-
-def _solver(Q, stab):
-    key = (Q, stab)
-    if key not in _solvers:
-        _solvers[key] = _HNSolver(Q, stab)
-    return _solvers[key]
+_solver = cache(_HNSolver)
 
 
 def _as_tuple(Q, d):
@@ -332,26 +326,13 @@ def hn_sst_class(Q, s, d):
 
 
 def is_theta_coprime(Q, s, d):
-    """No proper nonzero subvector e <= d shares the slope of d.
-
-    Interchangeable vertices share theta and kappa, so the slope of e only
-    depends on its sums over the symmetry classes; those per-class sums are
-    scanned instead of the subvectors themselves.
-    """
+    """No proper nonzero subvector e <= d shares the slope of d: no row of
+    the slope-sorted stratum table of d has slope mu(d)."""
     dv = _nonzero_tuple(Q, d)
     sol = _solver(Q, s)
-    theta, kappa = sol.theta, sol.kappa
-    full = tuple(sum(dv[v] for v in cls) for cls in sol.classes)
-    th_d = sum(t * x for t, x in zip(theta, full))
-    ka_d = sum(k * x for k, x in zip(kappa, full))
-    for sums in product(*[range(x + 1) for x in full]):
-        if not any(sums) or sums == full:
-            continue
-        th = sum(t * x for t, x in zip(theta, sums))
-        ka = sum(k * x for k, x in zip(kappa, sums))
-        if th * ka_d == th_d * ka:
-            return False
-    return True
+    table = sol._table(sol.coords(dv))
+    k = bisect_left(table.slopes, table.mu)
+    return k == len(table.slopes) or table.slopes[k] != table.mu
 
 
 def poincare(Q, s, d):

@@ -66,11 +66,6 @@ class Quiver:
         targets = {t for _, t in self.arrows}
         return tuple(v for v, _ in self.vertices if v not in targets)
 
-    def sinks(self):
-        """Vertices no arrow starts at."""
-        starts = {s for s, _ in self.arrows}
-        return tuple(v for v, _ in self.vertices if v not in starts)
-
     @classmethod
     def complete_bipartite(cls, l1, l2, source_levels=None, sink_levels=None):
         """K(l1, l2): sources i1..i_l1, sinks j1..j_l2, one arrow per pair."""
@@ -96,11 +91,28 @@ class Quiver:
 
     @classmethod
     def from_json(cls, data):
+        """The quiver of a JSON object (or its text); a malformed one is a
+        ValueError that names what is wrong."""
         if isinstance(data, str):
             data = json.loads(data)
-        verts = tuple((v["id"], v.get("level", 1)) for v in data["vertices"])
-        arrows = tuple((s, t) for s, t in data["arrows"])
-        return cls(verts, arrows)
+        if not isinstance(data, dict):
+            raise ValueError("quiver JSON must be an object, not %s" % type(data).__name__)
+        for key in ("vertices", "arrows"):
+            if not isinstance(data.get(key), list):
+                raise ValueError("quiver JSON needs a %r list" % key)
+        verts = []
+        for k, v in enumerate(data["vertices"]):
+            if not isinstance(v, dict) or not isinstance(v.get("id"), (str, int)):
+                raise ValueError("quiver JSON vertex %d needs a string or integer 'id'" % k)
+            if not isinstance(v.get("level", 1), int):
+                raise ValueError("quiver JSON vertex %r has a non-integer level" % v["id"])
+            verts.append((v["id"], v.get("level", 1)))
+        for a in data["arrows"]:
+            if not (isinstance(a, list) and len(a) == 2
+                    and all(isinstance(x, (str, int)) for x in a)):
+                raise ValueError("quiver JSON arrow %s is not a [source, target] pair"
+                                 % json.dumps(a))
+        return cls(tuple(verts), tuple(data["arrows"]))
 
 
 def _id_str(v):
@@ -201,6 +213,41 @@ def _as_multiplicity(m):
     return out
 
 
+def _split_vertex(Q, i, copies, d, stab):
+    """Replace vertex ``i`` by ``copies``, given as ``(id, level, dim)``
+    triples: an arrow at ``i`` becomes ``level`` arrows at each copy, a loop
+    at ``i`` becomes level * level' arrows between two copies, and theta
+    lifts by level * theta_i.  Returns ``(Q', d', stab')``, with
+    ``stab'`` None when ``stab`` is."""
+    levels = {c: l for c, l, _ in copies}
+    verts = [(v, l) for v, l in Q.vertices if v != i] + list(levels.items())
+    arrows = []
+    for s, t in Q.arrows:
+        if s != i and t != i:
+            arrows.append((s, t))
+        elif t != i:
+            for c, l in levels.items():
+                arrows.extend([(c, t)] * l)
+        elif s != i:
+            for c, l in levels.items():
+                arrows.extend([(s, c)] * l)
+        else:  # loop at i
+            for c1, l1 in levels.items():
+                for c2, l2 in levels.items():
+                    arrows.extend([(c1, c2)] * (l1 * l2))
+
+    d_new = {v: n for v, n in d.items() if v != i and n}
+    d_new.update((c, n) for c, _, n in copies)
+
+    stab_new = None
+    if stab is not None:
+        th = stab.theta_map()
+        th_new = {v: th.get(v, 0) for v in Q.ids if v != i}
+        th_new.update((c, l * th.get(i, 0)) for c, l, _ in copies)
+        stab_new = Stability.of(th_new, kappa_from_levels=True)
+    return Quiver(tuple(verts), tuple(arrows)), d_new, stab_new
+
+
 def hat_quiver(Q, i, m, d, stab=None):
     """Blow up vertex ``i`` into level-``l`` vertices ``(i, l, k)``.
 
@@ -218,36 +265,8 @@ def hat_quiver(Q, i, m, d, stab=None):
     di = d.get(i, 0)
     if sum(l * c for l, c in m) != di:
         raise ValueError("multiplicity vector does not partition d_i = %d" % di)
-
-    copies = [(i, l, k) for l, c in m for k in range(1, c + 1)]
-    verts = [(v, l) for v, l in Q.vertices if v != i]
-    verts += [(c, c[1]) for c in copies]
-
-    arrows = []
-    for s, t in Q.arrows:
-        if s != i and t != i:
-            arrows.append((s, t))
-        elif s == i and t != i:
-            for c in copies:
-                arrows.extend((c, t) for _ in range(c[1]))
-        elif t == i and s != i:
-            for c in copies:
-                arrows.extend((s, c) for _ in range(c[1]))
-        else:  # loop at i
-            for c1 in copies:
-                for c2 in copies:
-                    arrows.extend((c1, c2) for _ in range(c1[1] * c2[1]))
-
-    d_hat = {v: n for v, n in d.items() if v != i and n}
-    d_hat.update({c: 1 for c in copies})
-
-    stab_hat = None
-    if stab is not None:
-        th = stab.theta_map()
-        th_hat = {v: th.get(v, 0) for v, _ in Q.vertices if v != i}
-        th_hat.update({c: c[1] * th.get(i, 0) for c in copies})
-        stab_hat = Stability.of(th_hat, kappa_from_levels=True)
-    return Quiver(tuple(verts), tuple(arrows)), d_hat, stab_hat
+    copies = [((i, l, k), l, 1) for l, c in m for k in range(1, c + 1)]
+    return _split_vertex(Q, i, copies, d, stab)
 
 
 def check_quiver(Q, i, lam, d, stab=None):
@@ -263,32 +282,8 @@ def check_quiver(Q, i, lam, d, stab=None):
         raise ValueError("parts must be positive and weakly decreasing")
     if sum(lam) != d.get(i, 0):
         raise ValueError("partition does not sum to d_i = %d" % d.get(i, 0))
-
-    copies = [(i, k) for k in range(1, len(lam) + 1)]
-    verts = [(v, l) for v, l in Q.vertices if v != i]
-    verts += [(c, 1) for c in copies]
-
-    arrows = []
-    for s, t in Q.arrows:
-        if s != i and t != i:
-            arrows.append((s, t))
-        elif s == i and t != i:
-            arrows.extend((c, t) for c in copies)
-        elif t == i and s != i:
-            arrows.extend((s, c) for c in copies)
-        else:
-            arrows.extend((c1, c2) for c1 in copies for c2 in copies)
-
-    d_check = {v: n for v, n in d.items() if v != i and n}
-    d_check.update({c: lam[k] for k, c in enumerate(copies)})
-
-    stab_check = None
-    if stab is not None:
-        th = stab.theta_map()
-        th_check = {v: th.get(v, 0) for v, _ in Q.vertices if v != i}
-        th_check.update({c: th.get(i, 0) for c in copies})
-        stab_check = Stability.of(th_check, kappa_from_levels=True)
-    return Quiver(tuple(verts), tuple(arrows)), d_check, stab_check
+    copies = [((i, k), 1, p) for k, p in enumerate(lam, 1)]
+    return _split_vertex(Q, i, copies, d, stab)
 
 
 @dataclass(frozen=True)

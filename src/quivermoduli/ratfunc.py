@@ -14,7 +14,7 @@ otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 
 def _canon(c):
@@ -205,7 +205,7 @@ class Poly:
 ONE = Poly((1,))
 
 
-@lru_cache(maxsize=None)
+@cache
 def cyclotomic(k):
     """Phi_k: L^k - 1 divided by Phi_d for every proper divisor d of k."""
     out = Poly.x_pow(k) - ONE

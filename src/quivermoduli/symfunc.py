@@ -12,13 +12,13 @@ products of powers of q and of factors q^k - 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb, factorial
 
 from .ratfunc import Poly, RationalFunction
 
 
-@lru_cache(maxsize=None)
+@cache
 def partitions(n, max_part=None):
     """All partitions of n as weakly decreasing tuples, largest part first."""
     if max_part is None:

@@ -14,6 +14,7 @@ tree form (stable spanning-tree counts with squared weight factors).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import groupby, product
 from math import factorial, gcd
 
@@ -90,9 +91,6 @@ def _compatible_assignments(weights, targets):
     return results
 
 
-_n_trop_cache = {}
-
-
 def n_trop(w1, w2, normalize_repeats=True):
     """Tropical count for a pair of weight vectors, by recursion on the last
     entry of w2.
@@ -115,24 +113,19 @@ def n_trop(w1, w2, normalize_repeats=True):
     w2 = as_weight_vector(w2) if w2 else ()
     if not w1 and not w2:
         raise ValueError("at least one side must be nonempty")
-    key = (w1, w2, normalize_repeats)
-    hit = _n_trop_cache.get(key)
-    if hit is not None:
-        return hit
+    return _n_trop(w1, w2, normalize_repeats)
 
+
+@cache
+def _n_trop(w1, w2, normalize_repeats):
+    """The body of :func:`n_trop` on validated weight vectors; sub-counts
+    go through ``n_trop`` again."""
     if not w2:
-        value = 1 if len(w1) == 1 else 0
-    elif not w1:
-        value = 1 if len(w2) == 1 else 0
-    elif len(w1) == 1 and len(w2) == 1:
-        value = w1[0] * w2[0]
-    else:
-        value = _n_trop_recurse(w1, w2, normalize_repeats)
-    _n_trop_cache[key] = value
-    return value
-
-
-def _n_trop_recurse(w1, w2, normalize_repeats):
+        return 1 if len(w1) == 1 else 0
+    if not w1:
+        return 1 if len(w2) == 1 else 0
+    if len(w1) == 1 and len(w2) == 1:
+        return w1[0] * w2[0]
     w = w2[-1]
     rest2 = w2[:-1]
     d, e = sum(w1), sum(w2)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd
 
 from .quiver import Refinement
@@ -334,20 +335,23 @@ def factorize(ops):
 def extract_n_trop(fact, r):
     """Read the tropical count of a refinement off its wall function.
 
-    The wall has primitive direction (e, d)/gcd for (d, e) the dimension
-    type; the count is the coefficient of x^e y^d with every class at its cap
-    (every token once), 0 without that wall.  The framed-action coefficient
-    (the wall acting on y^w) is asserted as a consistency check.
+    For a dimension type (d, e) with gcd(d, e) = 1 the wall has primitive
+    direction (e, d); the count is the coefficient of x^e y^d with every
+    class at its cap (every token once), 0 without that wall.  The
+    framed-action coefficient (the wall acting on y^w) is asserted as a
+    consistency check.
 
-    The coefficient equals the connected tropical count when gcd(d, e) = 1;
-    on a non-primitive slope the wall function also absorbs disconnected ray
-    products and transport corrections, so the read-out only matches the
-    recursion on coprime dimension types (the scope of every pipeline here).
+    The coefficient is the connected tropical count only on coprime types:
+    on a non-primitive slope the wall function also absorbs disconnected
+    ray products and transport corrections, so gcd(d, e) != 1 is a
+    ValueError, raised before the wall is read.
     """
     w1, w2 = weight_vector_of(r.k1), weight_vector_of(r.k2)
     d, e = sum(w1), sum(w2)
-    g = gcd(d, e)
-    wall = fact.wall((e // g, d // g))
+    if gcd(d, e) != 1:
+        raise ValueError("extract_n_trop needs a coprime dimension type, got %d, %d"
+                         % (d, e))
+    wall = fact.wall((e, d))
     if wall is None:
         return 0
     top = {cls: cls[2] for cls in token_classes(r)}
@@ -355,16 +359,13 @@ def extract_n_trop(fact, r):
 
     w_min = w1[0]
     acted = wall.apply(TruncatedElement.monomial(0, w_min))
-    expected = (e // g) * w_min * count
+    expected = e * w_min * count
     got = acted.coefficient(e, w_min + d, top)
     if got != expected:
         raise ArithmeticError("framed coefficient %r does not match %r" % (got, expected))
     if not isinstance(count, int) or count < 0:
         raise ArithmeticError("tropical count %r is not a nonnegative integer" % (count,))
     return count
-
-
-_vertex_cache = {}
 
 
 def n_trop_via_factorization(w1, w2):
@@ -383,8 +384,11 @@ def n_trop_via_factorization(w1, w2):
     if gcd(sum(w1), sum(w2)) != 1:
         raise ValueError("n_trop_via_factorization needs coprime sizes, got %d, %d"
                          % (sum(w1), sum(w2)))
-    if (w1, w2) not in _vertex_cache:
-        r = Refinement.of((tuple(sorted(Counter(w1).items())),),
-                          (tuple(sorted(Counter(w2).items())),))
-        _vertex_cache[w1, w2] = extract_n_trop(factorize(ks_operators(r)), r)
-    return _vertex_cache[w1, w2]
+    return _via_factorization(w1, w2)
+
+
+@cache
+def _via_factorization(w1, w2):
+    r = Refinement.of((tuple(sorted(Counter(w1).items())),),
+                      (tuple(sorted(Counter(w2).items())),))
+    return extract_n_trop(factorize(ks_operators(r)), r)

@@ -203,7 +203,7 @@ def _usage_exit(capsys, argv):
         main(argv)
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert err.startswith("quivermoduli chi: error: ") and err.count("\n") == 1
+    assert err.startswith("quivermoduli %s: error: " % argv[0]) and err.count("\n") == 1
     return err
 
 
@@ -233,3 +233,22 @@ def test_chi_missing_quiver_file_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     err = _usage_exit(capsys, ["chi", "--quiver", missing, "--dim", "2,3"])
     assert "absent.json" in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"arrows": []}, "'vertices'"),
+    ({"vertices": [{"level": 1}], "arrows": []}, "'id'"),
+    ([1, 2], "object"),
+])
+def test_malformed_quiver_file_is_usage_error(tmp_path, capsys, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for argv in (["chi"], ["motive", "chi"]):
+        err = _usage_exit(capsys, argv + ["--quiver", str(path), "--dim", "1,1"])
+        assert message in err
+
+
+@pytest.mark.parametrize("refinement", ["1+1|1+1+2", "1+1|1,1"])
+def test_vertex_factorize_non_coprime_is_usage_error(capsys, refinement):
+    err = _usage_exit(capsys, ["vertex", "factorize", "--refinement", refinement])
+    assert "coprime" in err

@@ -151,7 +151,7 @@ def _per_tree_sum(r):
 
 
 def _fresh_chi_trees(r):
-    localization_mod._chi_cache.clear()
+    localization_mod._count_stable_trees.cache_clear()
     return chi_trees(r)
 
 

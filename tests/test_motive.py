@@ -272,7 +272,7 @@ def test_concurrent_memo_observes_identical_values():
 
     import quivermoduli.motive as motive_mod
 
-    motive_mod._solvers.clear()
+    motive_mod._solver.cache_clear()
     d = {"i1": 2, "j1": 3}
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(lambda _: hn_sst_class(K3, S10, d), range(8)))
@@ -321,9 +321,9 @@ def test_threaded_tables_match_serial_values():
 
     ladder = [bipartite_setup((2,), (1,) * (2 * n + 1)) for n in range(1, 5)]
     ladder += [(K3, {"i1": a, "j1": a + 1}, S10) for a in range(1, 4)]
-    motive_mod._solvers.clear()
+    motive_mod._solver.cache_clear()
     serial = [hn_sst_class(Q, s, d) for Q, d, s in ladder]
-    motive_mod._solvers.clear()
+    motive_mod._solver.cache_clear()
 
     def run(order):
         out = []

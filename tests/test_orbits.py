@@ -193,7 +193,7 @@ def test_theta_coprime_matches_box_scan_on_named_cases():
 def test_orbit_classes_match_singleton_classes(case):
     # the class-count recursion against the labelled one
     Q, stab, d = case
-    motive_mod._solvers.clear()
+    motive_mod._solver.cache_clear()
     dv = tuple(d[v] for v in Q.ids)
     assert hn_sst_class(Q, stab, d) == LabelledHNSolver(Q, stab).sst_class(dv)
 

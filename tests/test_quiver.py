@@ -99,6 +99,10 @@ def test_hat_quiver_jordan_loops():
     assert len(Qh.ids) == 2 and len(Qh.arrows) == 4
     counts = Qh.arrow_counts()
     assert all(c == 1 for c in counts.values()) and len(counts) == 4
+    # a loop lifts to l * l' arrows between copies of levels l and l'
+    Qh, _, _ = hat_quiver(JORDAN, "a", {1: 1, 2: 1}, {"a": 3})
+    c1, c2 = ("a", 1, 1), ("a", 2, 1)
+    assert Qh.arrow_counts() == {(c1, c1): 1, (c1, c2): 2, (c2, c1): 2, (c2, c2): 4}
 
 
 def test_hat_quiver_errors():
@@ -204,8 +208,23 @@ def test_json_round_trip():
     Q = Quiver.complete_bipartite(2, 3)
     data = json.loads(json.dumps(Q.to_json()))
     assert Quiver.from_json(data) == Q
+    assert Quiver.from_json(json.dumps(data)) == Q
     assert fraction_to_str(Fraction(-3, 7)) == "-3/7"
     assert fraction_to_str(Fraction(4)) == "4"
+
+
+def test_from_json_names_what_is_malformed():
+    for bad, message in [
+        ([1, 2], "object"),
+        ({"arrows": []}, "'vertices'"),
+        ({"vertices": []}, "'arrows'"),
+        ({"vertices": [{"level": 1}], "arrows": []}, "vertex 0"),
+        ({"vertices": [{"id": "a", "level": "2"}], "arrows": []}, "level"),
+        ({"vertices": [{"id": "a"}], "arrows": [["a"]]}, "pair"),
+        ({"vertices": [{"id": "a"}], "arrows": [["a", "b"]]}, "not a declared vertex"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Quiver.from_json(bad)
 
 
 def test_kappa_flag():

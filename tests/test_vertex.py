@@ -184,6 +184,16 @@ def test_extract_missing_wall_is_zero():
     assert extract_n_trop(OrderedFactorization(()), r) == 0
 
 
+def test_extract_refuses_non_coprime_types():
+    # refused before the wall is read: an empty factorization would give 0
+    for r in (Refinement.of([((1, 2),)], [((1, 2), (2, 1))]),
+              Refinement.of([((1, 2),)], [((1, 1),), ((1, 1),)])):
+        with pytest.raises(ValueError, match="coprime"):
+            extract_n_trop(OrderedFactorization(()), r)
+        with pytest.raises(ValueError, match="coprime"):
+            extract_n_trop(factorize(ks_operators(r)), r)
+
+
 def test_non_coprime_wall_carries_disconnected_terms():
     # for dimension type (2,2) the (1,1) wall function is
     # prod (1 + u_i v_j x y) * (1 - u1 u2 v1 v2 x^2 y^2)^(-4): the full-token
