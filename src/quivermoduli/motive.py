@@ -5,14 +5,27 @@ recursion and realized inside the rational function field Q(L): every class
 reached by the recursion is a polynomial in L divided by powers of L and of
 factors (L^n - 1).  The recursion runs on class-count coordinates (per
 class of interchangeable vertices, how many vertices carry each value),
-and keeps one table per dimension vector of its strata sorted by slope;
-every bounded stratum sum is a prefix of that table.  ``MotiveClass`` is another name for
-:class:`ratfunc.RationalFunction`, which keeps exactly that shape in a
-canonical reduced form, so classes compare and hash by value.  On top of
-the recursion sit the Poincare polynomial / Euler characteristic
-extraction for coprime dimension vectors, and the degeneration identities
-that trade a vertex for its weighted blow-up (the MPS formula, its
-partition form, and the dual form).
+and keeps one table per dimension vector of its strata sorted by integer
+slope keys; every bounded stratum sum is a prefix of that table.  It runs
+on integers: a class of D is an integer Laurent polynomial N over the one
+denominator den(D) = prod_v prod_(k <= d_v) (L^k - 1), and with the
+Gaussian binomials G_e = prod_v [d_v choose e_v]_L the two recursion
+equations read
+
+    S(D)    = L^(dim R_D - sum_v binom(d_v, 2))
+              - sum_(0 < e < D) G_e L^(-chi(D-e, e)) S(e) B(D-e, mu(e)),
+    B(D, b) = sum_(0 < e < D, mu(e) < b) G_e L^(-chi(D-e, e)) S(e) B(D-e, mu(e))
+              + [mu(D) < b] S(D),
+
+for the numerators S(D) of [R_D^sst]/[G_D] and B(D, b) of the sum over the
+HN types of D with every slope below b.  ``MotiveClass`` is another name
+for :class:`ratfunc.RationalFunction`, which keeps exactly that shape in a
+canonical reduced form, so classes compare and hash by value; S(D)/den(D)
+is reduced once per D that a caller asks for.  On top of the recursion sit
+the Poincare polynomial / Euler characteristic extraction for coprime
+dimension vectors, and the degeneration identities that trade a vertex for
+its weighted blow-up (the MPS formula, its partition form, and the dual
+form).
 """
 
 from __future__ import annotations
@@ -21,10 +34,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from .quiver import check_quiver, hat_quiver
-from .ratfunc import Poly, RationalFunction
+from .ratfunc import ONE, Poly, RationalFunction
 from .symfunc import Partition, multiplicity_vectors, partitions, weighted_splits
 
 MotiveClass = RationalFunction
@@ -90,20 +103,52 @@ def _symmetry_classes(levels, theta, counts):
     return tuple(tuple(vs) for _, vs in sorted(classes.items()))
 
 
+# numerators L^low * poly are (poly, low) pairs with poly(0) != 0
+_ZERO = (Poly(), 0)
+
+
+def _add(a, b):
+    """The sum of two numerators."""
+    (p, i), (q, j) = a, b
+    if not q:
+        return a
+    if not p:
+        return b
+    if i > j:
+        (p, i), (q, j) = (q, j), (p, i)
+    out = p + q.shifted(j - i)
+    k = out.low_order()
+    return (Poly._raw(out.c[k:]), i + k) if k > 0 else (out, i)
+
+
+def _slope_key(theta, kappa):
+    """floor(2^64 theta / kappa), for kappa < 2^32: two slopes whose
+    denominators are below 2^32 and that differ, differ by more than
+    2^-64, so the keys order and compare the slopes exactly."""
+    if kappa >= 1 << 32:
+        raise ValueError("slope denominator %d is too large (it must be below 2^32)" % kappa)
+    return (theta << 64) // kappa
+
+
 class _Table:
     """The nontrivial strata of one dimension vector D, by increasing slope:
     ``rows`` holds ``(mu(e), e, D - e, chi(D - e, e), orbit size)`` for one
-    0 < e < D per orbit of the relabelings fixing D.  ``cum[k]`` is the sum
-    of the first k terms, extended on demand; ``sst`` caches sst(D).
+    0 < e < D per orbit of the relabelings fixing D, with the slopes as
+    integer keys, and ``gauss`` the matching Gaussian factors
+    prod_v [d_v choose e_v]_L.  ``cum[k]`` is the numerator of the sum of
+    the first k terms, extended on demand; ``num`` caches the numerator of
+    sst(D) and ``sst`` its reduced class.
     """
 
-    __slots__ = ("mu", "slopes", "rows", "cum", "sst")
+    __slots__ = ("mu", "slopes", "rows", "gauss", "cum", "num", "sst")
 
-    def __init__(self, mu, rows):
+    def __init__(self, mu, rows, gauss):
         self.mu = mu
         self.slopes = [row[0] for row in rows]
         self.rows = rows
-        self.cum = {0: MotiveClass.zero()}
+        self.gauss = gauss
+        self.cum = {0: _ZERO}
+        self.num = None
         self.sst = None
 
 
@@ -114,14 +159,25 @@ class _HNSolver:
     :meth:`coords`), which are also the memo keys.  Arrow counts are
     constant between two symmetry classes and within one, so [R_D]/[G_D],
     slopes and the Euler pairing follow from per-class sums, class-level
-    arrow counts and the per-class pairing sum_v r_v e_v.  A stratum term
-    sst(e) L^(-chi(D-e, e)) below(D-e, mu(e)) does not depend on the bound
-    it is summed under, so each D has one :class:`_Table` and
+    arrow counts and the per-class pairing sum_v r_v e_v.  Slopes are
+    integer keys (:func:`_slope_key`) of theta scaled to integers.
 
-        below(D, b) = (its rows with slope < b) + [mu(D) < b] sst(D),
-        sst(D)      = [R_D]/[G_D] - (all its rows),
+    Every class X of D is kept as its numerator N over the fixed
+    denominator den(D) = prod_v prod_(k <= d_v) (L^k - 1), an integer
+    Laurent polynomial, so the recursion does no gcd or cyclotomic
+    reduction.  den(e) den(D - e) G_e = den(D) for the Gaussian factor
+    G_e = prod_v [d_v choose e_v]_L, so a stratum term
+    sst(e) L^(-chi(D-e, e)) below(D-e, mu(e)) has numerator
+    G_e L^(-chi) S(e) B(D-e, mu(e)).  It does not depend on the bound it
+    is summed under, so each D has one
+    :class:`_Table` and
 
-    where below(D, b) sums over the HN types of D with every slope < b.
+        B(D, b) = (its rows with slope < b) + [mu(D) < b] S(D),
+        S(D)    = L^(dim R_D - sum_v binom(d_v, 2)) - (all its rows),
+
+    where below(D, b) = B(D, b) / den(D) sums over the HN types of D with
+    every slope < b, and sst(D) = S(D) / den(D).  :meth:`sst_class` reduces
+    S(D) / den(D) once per D.
     """
 
     def __init__(self, Q, stab):
@@ -135,7 +191,9 @@ class _HNSolver:
             key = (index[s], index[t])
             counts[key] = counts.get(key, 0) + 1
         self.classes = _symmetry_classes(levels, theta, counts)
-        self.theta = tuple(theta[cls[0]] for cls in self.classes)
+        # a positive scale keeps the order of the slopes
+        scale = lcm(*(Fraction(t).denominator for t in theta))
+        self.theta = tuple(int(theta[cls[0]] * scale) for cls in self.classes)
         self.kappa = tuple(kappa[cls[0]] for cls in self.classes)
         # arrows[a][b]: arrows from one vertex of class a to one other vertex
         # of class b; loops[a]: loops at one vertex of class a
@@ -161,16 +219,16 @@ class _HNSolver:
         return tuple(out)
 
     def slope(self, sums):
-        """mu of a dimension vector with the given per-class sums."""
-        return Fraction(sum(t * x for t, x in zip(self.theta, sums)),
-                        sum(k * x for k, x in zip(self.kappa, sums)))
+        """The slope key of a dimension vector with the given per-class sums."""
+        return _slope_key(sum(t * x for t, x in zip(self.theta, sums)),
+                          sum(k * x for k, x in zip(self.kappa, sums)))
 
-    def top_class(self, key):
-        """[R_D]/[G_D] = L^(dim R_D) / prod_v [GL_(d_v)]."""
+    def _top(self, key):
+        """(s, den): [R_D]/[G_D] = L^s / den(D), with den(D) as the
+        exponents of the factors L^k - 1."""
         sums = [sum(x * g for x, g in groups) for groups in key]
-        dim_r = sum(m * sa * sb for row, sa in zip(self.arrows, sums)
+        shift = sum(m * sa * sb for row, sa in zip(self.arrows, sums)
                     for m, sb in zip(row, sums))
-        shift = dim_r
         cyc = {}
         for a, groups in enumerate(key):
             # the d_v^2 terms of a class come from its loops, not from the
@@ -180,38 +238,58 @@ class _HNSolver:
                 shift += g * (own * x * x - comb(x, 2))
                 for k in range(1, x + 1):
                     cyc[k] = cyc.get(k, 0) + g
+        return shift, cyc
+
+    def top_class(self, key):
+        """[R_D]/[G_D] = L^(dim R_D) / prod_v [GL_(d_v)]."""
+        shift, cyc = self._top(key)
         return MotiveClass(1, -shift, cyc)
 
     # -- the recursion -------------------------------------------------------
 
     def sst_class(self, key):
+        """sst(D) as a reduced class."""
         table = self._table(key)
         if table.sst is None:
-            table.sst = self.top_class(key) - self._prefix(table, len(table.rows))
+            num, low = self._sst_num(key)
+            table.sst = MotiveClass(num, -low, self._top(key)[1])
         return table.sst
 
+    def _sst_num(self, key):
+        """S(D), the numerator of sst(D) over den(D)."""
+        table = self._table(key)
+        if table.num is None:
+            num, low = self._prefix(table, len(table.rows))
+            table.num = _add((ONE, self._top(key)[0]), (-num, low))
+        return table.num
+
     def _below(self, key, bound):
-        """Sum over the HN types of D with all slopes < bound."""
+        """The numerator of the sum over the HN types of D with all slopes
+        < bound."""
         table = self._table(key)
         value = self._prefix(table, bisect_left(table.slopes, bound))
         if table.mu < bound:
-            value = value + self.sst_class(key)
+            value = _add(value, self._sst_num(key))
         return value
 
     def _prefix(self, table, k):
-        # the terms are added in slope order: the value does not depend on
-        # it, but the sequence of partial sums, and with it the amount of
-        # arithmetic per layer, does.  Racing threads may compute the same
-        # entry; setdefault stores only the first, and the two are equal.
+        # the terms are added in slope order.  Racing threads may compute
+        # the same entry; setdefault stores only the first, and the two are
+        # equal.
         cum = table.cum
         while len(cum) <= k:
             i = len(cum) - 1
             mu_e, e, rest, chi, mult = table.rows[i]
-            sst_e = self.sst_class(e)
             value = cum[i]
-            if not sst_e.is_zero():  # an empty stratum needs no below-sum
-                term = sst_e.times_l_power(-chi) * self._below(rest, mu_e)
-                value = value + (term * mult if mult > 1 else term)
+            sst_e, low_e = self._sst_num(e)
+            if sst_e:  # an empty stratum needs no below-sum
+                below, low_b = self._below(rest, mu_e)
+                if below:
+                    term = sst_e * below
+                    factor = table.gauss[i] if mult == 1 else table.gauss[i] * mult
+                    if factor.c != (1,):
+                        term = term * factor
+                    value = _add(value, (term, low_e + low_b - chi))
             cum.setdefault(i + 1, value)
         return cum[k]
 
@@ -223,12 +301,14 @@ class _HNSolver:
 
     def _build(self, key):
         sums = [sum(x * g for x, g in groups) for groups in key]
+        mu = self.slope(sums)
         # per class, chi(rest, e) gains (1 - loops + arrows within) times
         # the pairing sum_v r_v e_v, and loses the arrows between the class
         # sums of rest and e
         pair_coef = [1 - lp + row[a] for a, (lp, row) in enumerate(zip(self.loops, self.arrows))]
+        binomials = {}
         rows = []
-        for choice in product(*[_class_splits(groups) for groups in key]):
+        for choice in product(*[_class_splits(groups, binomials) for groups in key]):
             e = tuple(c[0] for c in choice)
             rest = tuple(c[1] for c in choice)
             if not any(e) or not any(rest):
@@ -237,20 +317,35 @@ class _HNSolver:
             chi = sum(p * c[3] for p, c in zip(pair_coef, choice))
             for row, s, x in zip(self.arrows, sums, es):
                 chi -= (s - x) * sum(m * y for m, y in zip(row, es))
-            rows.append((self.slope(es), e, rest, chi, prod(c[4] for c in choice)))
+            gauss = ONE
+            for c in choice:
+                if c[5] is not ONE:
+                    gauss = c[5] if gauss is ONE else gauss * c[5]
+            rows.append((self.slope(es), e, rest, chi, prod(c[4] for c in choice), gauss))
         rows.sort(key=lambda row: row[0])
-        return _Table(self.slope(sums), rows)
+        return _Table(mu, [row[:5] for row in rows], [row[5] for row in rows])
 
 
-def _class_splits(groups):
+def _gaussian_binomials(x):
+    """[x choose j]_L for j = 0..x, by the q-Pascal rule
+    [x choose j] = [x-1 choose j-1] + L^j [x-1 choose j]."""
+    row = [ONE]
+    for n in range(1, x + 1):
+        row = [ONE] + [row[j - 1] + row[j].shifted(j) for j in range(1, n)] + [ONE]
+    return row
+
+
+def _class_splits(groups, binomials):
     """The ways to put 0 <= e_v <= d_v on one class, up to relabelings that
-    fix d: ``(e, rest, sum_v e_v, sum_v r_v e_v, number of labelled ways)``.
-    A group of g vertices carrying x splits over the values 0..x."""
+    fix d: ``(e, rest, sum_v e_v, sum_v r_v e_v, number of labelled ways,
+    prod_v [d_v choose e_v]_L)``.  A group of g vertices carrying x splits
+    over the values 0..x; ``binomials`` keeps the Gaussian binomials by x."""
     out = []
     for choice in product(*[weighted_splits(g, x + 1) for x, g in groups]):
         e, rest = {}, {}
         total = pairing = 0
         weight = 1
+        gauss = ONE
         for (x, _), (counts, w) in zip(groups, choice):
             weight *= w
             for j, c in enumerate(counts):
@@ -259,10 +354,15 @@ def _class_splits(groups):
                         e[j] = e.get(j, 0) + c
                     if j < x:
                         rest[x - j] = rest.get(x - j, 0) + c
+                    if 0 < j < x:
+                        if x not in binomials:
+                            binomials[x] = _gaussian_binomials(x)
+                        for _ in range(c):
+                            gauss = binomials[x][j] if gauss is ONE else gauss * binomials[x][j]
                     total += c * j
                     pairing += c * j * (x - j)
         out.append((tuple(sorted(e.items(), reverse=True)),
-                    tuple(sorted(rest.items(), reverse=True)), total, pairing, weight))
+                    tuple(sorted(rest.items(), reverse=True)), total, pairing, weight, gauss))
     return out
 
 
@@ -297,13 +397,15 @@ def hn_types(Q, s, d):
     dv = _as_tuple(Q, d)
     if not any(dv):
         return []
+    mu = lambda e: sol.slope([sum(e[v] for v in cls) for cls in sol.classes])
+    mu(dv)  # rejects a slope denominator too large for the keys
 
     def rec(rest, bound):
         out = []
         for e in product(*[range(x + 1) for x in rest]):
             if not any(e):
                 continue
-            mu_e = sol.slope([sum(e[v] for v in cls) for cls in sol.classes])
+            mu_e = mu(e)
             if bound is not None and mu_e >= bound:
                 continue
             tail = tuple(a - b for a, b in zip(rest, e))

@@ -215,9 +215,10 @@ def test_criterion_9_normalization_negative_control():
 
 
 def test_larger_n_closed_form_family():
-    # beyond criterion 1: hn to n=16, vertex to n=8, tropical to n=12, mps
+    # beyond criterion 1: hn to n=20, vertex to n=8, tropical to n=12, mps
     # to n=20 (hn reaches this far since it sums slope-sorted strata in
-    # class-count coordinates, not one labelled subvector at a time; vertex
+    # class-count coordinates, not one labelled subvector at a time, as
+    # integer numerators over one denominator per dimension vector; vertex
     # since its ring grows with prod (m_w + 1), not 2^(#tokens); mps since
     # it counts stable trees by core shape and leaf counts, not one
     # labelled tree at a time)
@@ -225,7 +226,7 @@ def test_larger_n_closed_form_family():
         return Fraction(comb(2 * n + 1, n) * comb(n + 1, n), 2) - Fraction(2 ** (2 * n + 1), 4)
 
     t0 = time.monotonic()
-    for n in range(5, 17):
+    for n in range(5, 21):
         Q, d, stab = bipartite_setup((2,), (1,) * (2 * n + 1))
         assert euler_char(Q, stab, d) == closed_form(n), n
     for n in range(5, 13):
@@ -235,14 +236,15 @@ def test_larger_n_closed_form_family():
                                   trop_count=n_trop_via_factorization) == closed_form(n), n
     for n in range(5, 21):
         assert mps_euler((2,), (1,) * (2 * n + 1)) == closed_form(n), n
-    _report("larger n: hn n<=16, vertex n<=8, tropical n<=12, mps n<=20", t0, 20)
+    _report("larger n: hn n<=20, vertex n<=8, tropical n<=12, mps n<=20", t0, 20)
 
 
 def test_hn_matches_tropical_on_heavy_pairs():
     # several sources and parts >= 2: the HN strata are no longer a short
     # ladder over one large symmetry class
     t0 = time.monotonic()
-    for p1, p2 in (((3, 2), (1, 1, 1, 1, 1, 1)), ((3, 3), (2, 2, 3))):
+    for p1, p2 in (((3, 2), (1, 1, 1, 1, 1, 1)), ((3, 3), (2, 2, 3)),
+                   ((4, 3), (3, 3, 2)), ((4, 4), (3, 3, 3))):
         Q, d, stab = bipartite_setup(p1, p2)
         assert euler_char(Q, stab, d) == degeneration_total(p1, p2), (p1, p2)
-    _report("heavy pairs: hn = tropical on 3,2|1^6 and 3,3|2,2,3", t0, 10)
+    _report("heavy pairs: hn = tropical on 3,2|1^6 .. 4,4|3,3,3", t0, 10)

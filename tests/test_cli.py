@@ -21,6 +21,28 @@ def test_chi_all_methods_agree(capsys):
     assert all(v == 1 for v in report["methods"].values())
 
 
+def test_chi_all_times_each_method_from_cold_memos(monkeypatch, capsys):
+    import quivermoduli.cli as cli_mod
+
+    from test_memo import MEMOS
+
+    p1, p2 = (2, 1), (1, 1, 1, 1)
+    warm = {m: cli_mod._chi_by_method(m, p1, p2) for m in cli_mod._METHODS}
+    assert any(memo.cache_info().currsize for memo, _ in MEMOS)
+    real = cli_mod._chi_by_method
+    sizes = {}
+
+    def recording(method, *parts):
+        sizes[method] = [memo.cache_info().currsize for memo, _ in MEMOS]
+        return real(method, *parts)
+
+    monkeypatch.setattr(cli_mod, "_chi_by_method", recording)
+    code, out = run(capsys, "chi", "--p1", "2,1", "--p2", "1,1,1,1", "--method", "all")
+    assert code == 0
+    assert sizes == {m: [0] * len(MEMOS) for m in cli_mod._METHODS}
+    assert json.loads(out)["methods"] == warm
+
+
 def test_chi_single_method(capsys):
     code, out = run(capsys, "chi", "--p1", "1", "--p2", "1", "--method", "hn")
     assert code == 0
@@ -217,6 +239,12 @@ def k3_file(tmp_path):
 def test_chi_quiver_not_coprime_is_usage_error(k3_file, capsys):
     err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim", "2,2", "--theta", "1,0"])
     assert "not theta-coprime" in err
+
+
+def test_slope_denominator_beyond_the_keys_is_usage_error(k3_file, capsys):
+    for argv in (["chi"], ["motive", "chi"], ["motive", "poincare"]):
+        err = _usage_exit(capsys, argv + ["--quiver", k3_file, "--dim", "%d,1" % 2 ** 32])
+        assert "below 2^32" in err
 
 
 def test_chi_quiver_zero_dim_is_usage_error(k3_file, capsys):

@@ -12,12 +12,21 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quivermoduli.motive as motive_mod
-from quivermoduli.motive import MotiveClass, hn_sst_class, is_theta_coprime
+from quivermoduli.motive import (
+    MotiveClass,
+    euler_char,
+    hn_sst_class,
+    hn_types,
+    is_theta_coprime,
+    poincare,
+)
 from quivermoduli.quiver import Quiver, Stability
+from quivermoduli.ratfunc import Poly
 from quivermoduli.symfunc import weighted_splits
 from quivermoduli.tropical import _compatible_assignments, ramification_factor
 
@@ -45,10 +54,11 @@ def test_weighted_splits_match_labelled_assignments(g, k, data):
 
 
 @st.composite
-def small_quivers(draw, max_vertices=4, max_dim=3):
+def small_quivers(draw, max_vertices=4, max_dim=3, acyclic=False):
     """A quiver on up to ``max_vertices`` vertices, a stability and a
     dimension vector with entries <= ``max_dim``.  Vertices come in blocks
-    that share level, theta and arrow pattern, so symmetry classes occur."""
+    that share level, theta and arrow pattern, so symmetry classes occur.
+    With ``acyclic``, arrows only go from a vertex to a later one."""
     blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
                   .filter(lambda b: sum(b) <= max_vertices))
     ids, levels, theta, block_of = [], {}, {}, {}
@@ -60,13 +70,14 @@ def small_quivers(draw, max_vertices=4, max_dim=3):
             levels[v], theta[v], block_of[v] = level, th, b
     # arrow and loop multiplicities depend on the blocks only, plus a few
     # extra arrows or loops at chosen vertices that may break the symmetry
-    mult = {(a, b): draw(st.integers(0, 2))
+    mult = {(a, b): draw(st.integers(0, 2)) if a < b or not acyclic else 0
             for a in range(len(blocks)) for b in range(len(blocks))}
-    loops = [draw(st.integers(0, 1)) for _ in blocks]
+    loops = [draw(st.integers(0, 1)) if not acyclic else 0 for _ in blocks]
     arrows = [(s, t) for s in ids for t in ids if s != t
               for _ in range(mult[(block_of[s], block_of[t])])]
     arrows += [(v, v) for v in ids for _ in range(loops[block_of[v]])]
-    arrows += draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=2))
+    extra = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=2))
+    arrows += [(s, t) for s, t in extra if ids.index(s) < ids.index(t) or not acyclic]
     Q = Quiver(tuple((v, levels[v]) for v in ids), tuple(arrows))
     dims = draw(st.lists(st.integers(0, max_dim), min_size=len(ids), max_size=len(ids))
                 .filter(any))
@@ -132,11 +143,16 @@ class LabelledHNSolver:
         return total
 
 
+def _key(mu):
+    """floor(2^64 mu): the solver's slope key of mu for integer theta."""
+    return (mu.numerator << 64) // mu.denominator
+
+
 @ORACLE
 @given(st.data())
 def test_stratum_orbits_match_box_scan(data):
     # the rows of one table, grouped by the coordinates of (e, rest), their
-    # pairing and slope, against the labelled box points
+    # pairing and slope key, against the labelled box points
     Q, stab, d = data.draw(small_quivers())
     solver = motive_mod._HNSolver(Q, stab)
     oracle = LabelledHNSolver(Q, stab)
@@ -150,11 +166,35 @@ def test_stratum_orbits_match_box_scan(data):
     for e in _box(dv):
         rest = tuple(a - b for a, b in zip(dv, e))
         if any(e) and any(rest):
-            box[(solver.coords(e), solver.coords(rest), oracle.euler(rest, e), oracle.mu(e))] += 1
+            box[(solver.coords(e), solver.coords(rest), oracle.euler(rest, e),
+                 _key(oracle.mu(e)))] += 1
     assert rows == box
     assert table.slopes == sorted(table.slopes)
-    assert table.mu == oracle.mu(dv)
+    assert table.mu == _key(oracle.mu(dv))
     assert solver.top_class(key) == oracle.top_class(dv)
+
+
+def _den(key):
+    """den(D) = prod_v prod_(k <= d_v) (L^k - 1) from class-count coordinates."""
+    out = Poly((1,))
+    for groups in key:
+        for x, g in groups:
+            for k in range(1, x + 1):
+                out = out * (Poly.x_pow(k) - Poly((1,))) ** g
+    return out
+
+
+@ORACLE
+@given(small_quivers())
+def test_gaussian_factors_carry_each_row_to_the_common_denominator(case):
+    # den(e) den(D - e) prod_v [d_v choose e_v]_L = den(D) on every row
+    Q, stab, d = case
+    solver = motive_mod._HNSolver(Q, stab)
+    key = solver.coords(tuple(d[v] for v in Q.ids))
+    table = solver._table(key)
+    assert len(table.gauss) == len(table.rows)
+    for (_, e, rest, _, _), gauss in zip(table.rows, table.gauss):
+        assert _den(e) * _den(rest) * gauss == _den(key)
 
 
 def _box_theta_coprime(Q, s, d):
@@ -191,11 +231,79 @@ def test_theta_coprime_matches_box_scan_on_named_cases():
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(small_quivers(max_dim=2))
 def test_orbit_classes_match_singleton_classes(case):
-    # the class-count recursion against the labelled one
+    # the class-count recursion against the labelled one: the class of d,
+    # then the reduced class of every nonzero e <= d from the same solver
     Q, stab, d = case
     motive_mod._solver.cache_clear()
     dv = tuple(d[v] for v in Q.ids)
-    assert hn_sst_class(Q, stab, d) == LabelledHNSolver(Q, stab).sst_class(dv)
+    oracle = LabelledHNSolver(Q, stab)
+    assert hn_sst_class(Q, stab, d) == oracle.sst_class(dv)
+    solver = motive_mod._solver(Q, stab)
+    for e in _box(dv):
+        if any(e):
+            assert solver.sst_class(solver.coords(e)) == oracle.sst_class(e), e
+
+
+# -- integer slope keys --------------------------------------------------------
+
+
+BIG = 2 ** 32 - 1
+
+
+def _assert_keys_order_like(x, y):
+    kx = motive_mod._slope_key(x.numerator, x.denominator)
+    ky = motive_mod._slope_key(y.numerator, y.denominator)
+    assert (kx < ky) == (x < y) and (kx == ky) == (x == y), (x, y)
+
+
+@ORACLE
+@given(st.integers(-2 ** 40, 2 ** 40), st.integers(1, BIG),
+       st.integers(-2 ** 40, 2 ** 40), st.integers(1, BIG))
+def test_slope_keys_order_like_fractions(a, b, c, d):
+    _assert_keys_order_like(Fraction(a, b), Fraction(c, d))
+    # the key of theta.e / kappa.e does not depend on a common factor
+    if 3 * b <= BIG:
+        assert motive_mod._slope_key(3 * a, 3 * b) == motive_mod._slope_key(a, b)
+
+
+@ORACLE
+@given(st.integers(2 ** 31, BIG), st.integers(-2 ** 20, 2 ** 20))
+def test_slope_keys_separate_farey_neighbours(d, k):
+    # (1 + k (d - 1)) / (d - 1) and (1 + k d) / d differ by 1 / (d (d - 1)),
+    # the closest two slopes with denominators d - 1 and d can be
+    x, y = Fraction(1 + k * (d - 1), d - 1), Fraction(1 + k * d, d)
+    assert abs(x - y) == Fraction(1, d * (d - 1))
+    _assert_keys_order_like(x, y)
+    _assert_keys_order_like(-x, -y)
+
+
+def test_slope_keys_at_the_bound():
+    _assert_keys_order_like(Fraction(1, BIG), Fraction(1, BIG - 1))
+    _assert_keys_order_like(Fraction(-1, BIG - 1), Fraction(-1, BIG))
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        motive_mod._slope_key(1, 2 ** 32)
+
+
+def test_slope_denominator_beyond_the_keys_is_rejected():
+    K3 = Quiver.kronecker(3)
+    s = Stability.of({"i1": 1, "j1": 0})
+    d = {"i1": 2 ** 32, "j1": 1}
+    for fn in (hn_sst_class, is_theta_coprime, euler_char, poincare, hn_types):
+        with pytest.raises(ValueError, match="below 2\\^32"):
+            fn(K3, s, d)
+    # levels count in kappa: 2^31 at a level-2 vertex is too large as well
+    Q = Quiver((("a", 2), ("b", 1)), (("a", "b"),))
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        hn_sst_class(Q, Stability.of({"a": 1, "b": 0}), {"a": 2 ** 31, "b": 1})
+
+
+def test_fraction_theta_is_scaled_to_integers():
+    K3 = Quiver.kronecker(3)
+    scaled = Stability.of({"i1": Fraction(1, 2), "j1": Fraction(1, 3)})
+    whole = Stability.of({"i1": 3, "j1": 2})
+    for d in ({"i1": 2, "j1": 3}, {"i1": 3, "j1": 4}, {"i1": 2, "j1": 2}):
+        assert hn_sst_class(K3, scaled, d) == hn_sst_class(K3, whole, d)
+        assert is_theta_coprime(K3, scaled, d) == is_theta_coprime(K3, whole, d)
 
 
 # -- tropical compatible assignments ------------------------------------------
