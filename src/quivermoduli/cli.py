@@ -64,6 +64,19 @@ def _parse_parts(s):
     return parts
 
 
+def _int_at_least(low):
+    """An argparse type: an integer >= low."""
+    def parse(s):
+        try:
+            n = int(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError("not an integer: %r" % s)
+        if n < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (low, n))
+        return n
+    return parse
+
+
 def _parse_refinement(s):
     """Syntax: parts separated by ',', weights inside a part by '+', the two
     sides separated by '|'; e.g. "1+1|1,1,1" refines ((2),(1,1,1))."""
@@ -154,6 +167,12 @@ def _clear_memos():
 
 def cmd_chi(args):
     if args.quiver:
+        if args.p1 or args.p2:
+            raise ValueError("--quiver does not take --p1/--p2")
+        if args.method not in ("hn", "all"):
+            raise ValueError("--quiver computes hn only, not --method %s" % args.method)
+        if not args.dim:
+            raise ValueError("--quiver needs --dim")
         Q, d, stab = _load_quiver_setup(args)
         report = AgreementReport({"quiver": args.quiver, "dim": d,
                                   "theta": stab.theta_map()})
@@ -161,6 +180,8 @@ def cmd_chi(args):
         report.values["hn"] = motive.euler_char(Q, stab, d)
         report.seconds["hn"] = time.monotonic() - t0
     else:
+        if args.dim or args.theta:
+            raise ValueError("--dim/--theta go with --quiver, not --p1/--p2")
         p1, p2 = args.p1, args.p2
         if gcd(sum(p1), sum(p2)) != 1:
             raise ValueError("sizes %d, %d must be coprime" % (sum(p1), sum(p2)))
@@ -381,7 +402,7 @@ def build_parser():
     p_chi.add_argument("--p1", type=_parse_parts, help="ordered partition, e.g. 2 or 1,1")
     p_chi.add_argument("--p2", type=_parse_parts)
     p_chi.add_argument("--method", choices=_METHODS + ("all",), default="all")
-    p_chi.add_argument("--quiver", help="quiver JSON file (hn only)")
+    p_chi.add_argument("--quiver", help="quiver JSON file (hn only, without --p1/--p2)")
     p_chi.add_argument("--dim", help="comma list in vertex order")
     p_chi.add_argument("--theta", help="comma list in vertex order")
     p_chi.add_argument("--emit", help="also write the JSON report to a file")
@@ -390,7 +411,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="identity verification batches")
     v_sub = p_verify.add_subparsers(dest="suite", required=True)
     v_lemma = v_sub.add_parser("lemma3")
-    v_lemma.add_argument("--max-n", type=int, default=8)
+    v_lemma.add_argument("--max-n", type=_int_at_least(1), default=8)
     for name in ("mps", "dual-mps"):
         v_m = v_sub.add_parser(name)
         v_m.add_argument("--quiver", required=True)
@@ -398,9 +419,9 @@ def build_parser():
         v_m.add_argument("--vertex", required=True)
         v_m.add_argument("--theta")
     v_e = v_sub.add_parser("eulgw")
-    v_e.add_argument("--max-size", type=int, default=9)
+    v_e.add_argument("--max-size", type=_int_at_least(2), default=9)
     v_t = v_sub.add_parser("troprec-convention")
-    v_t.add_argument("--max-size", type=int, default=7)
+    v_t.add_argument("--max-size", type=_int_at_least(2), default=7)
     p_verify.set_defaults(func=cmd_verify)
 
     p_motive = sub.add_parser("motive", help="chi / Poincare polynomial for a quiver file")
@@ -429,7 +450,7 @@ def build_parser():
     p_vtx.set_defaults(func=cmd_vertex)
 
     p_table = sub.add_parser("table", help="the (2, 1^(2n+1)) family table")
-    p_table.add_argument("--max-n", type=int, default=3)
+    p_table.add_argument("--max-n", type=_int_at_least(1), default=3)
     p_table.add_argument("--format", choices=("json", "csv"), default="json")
     p_table.add_argument("--trees", action="store_true", help="include stable tree listings")
     p_table.add_argument("--walls", action="store_true", help="include wall directions")

@@ -34,7 +34,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, lcm
 
 from .quiver import check_quiver, hat_quiver
 from .ratfunc import ONE, Poly, RationalFunction
@@ -300,28 +300,55 @@ class _HNSolver:
         return table
 
     def _build(self, key):
+        """The rows of D in one depth-first walk over the classes.  Descending
+        into class a with split (e_a, r_a) adds its terms to running sums:
+        theta.e and kappa.e for the slope key, chi(rest, e), the Gaussian
+        factor and the number of labelled ways.  With x_a = sum_v e_v and s_a
+        the class sum of D, chi(rest, e) gains
+
+            (1 - loops_a + m_aa) sum_v r_v e_v - (s_a - x_a) m_aa x_a
+            - sum_(b < a) ((s_a - x_a) m_ab x_b + (s_b - x_b) m_ba x_a),
+
+        where the sum over the earlier classes is s_a A + x_a (C - A) with
+        A = sum_b m_ab x_b and C = sum_b (s_b - x_b) m_ba, both fixed before
+        the splits of a are visited.  Every kappa is positive, so e and
+        D - e are nonzero iff 0 < kappa.e < kappa.D.  The walk visits the
+        splits in product order, which the stable sort by slope keeps among
+        equal slopes."""
         sums = [sum(x * g for x, g in groups) for groups in key]
         mu = self.slope(sums)
-        # per class, chi(rest, e) gains (1 - loops + arrows within) times
-        # the pairing sum_v r_v e_v, and loses the arrows between the class
-        # sums of rest and e
-        pair_coef = [1 - lp + row[a] for a, (lp, row) in enumerate(zip(self.loops, self.arrows))]
-        binomials = {}
+        kappa_d = sum(k * s for k, s in zip(self.kappa, sums))
+        arrows, last = self.arrows, len(key) - 1
+        splits = []
+        for a, groups in enumerate(key):
+            s, m, t, k = sums[a], arrows[a][a], self.theta[a], self.kappa[a]
+            coef = 1 - self.loops[a] + m
+            splits.append([(e, r, x, t * x, k * x, coef * pairing - (s - x) * m * x, w, g)
+                           for e, r, x, pairing, w, g in _class_splits(groups)])
         rows = []
-        for choice in product(*[_class_splits(groups, binomials) for groups in key]):
-            e = tuple(c[0] for c in choice)
-            rest = tuple(c[1] for c in choice)
-            if not any(e) or not any(rest):
-                continue
-            es = [c[2] for c in choice]
-            chi = sum(p * c[3] for p, c in zip(pair_coef, choice))
-            for row, s, x in zip(self.arrows, sums, es):
-                chi -= (s - x) * sum(m * y for m, y in zip(row, es))
-            gauss = ONE
-            for c in choice:
-                if c[5] is not ONE:
-                    gauss = c[5] if gauss is ONE else gauss * c[5]
-            rows.append((self.slope(es), e, rest, chi, prod(c[4] for c in choice), gauss))
+        xs = [0] * len(key)
+
+        def walk(a, e, rest, th, ka, chi, weight, gauss):
+            A = C = 0
+            for b in range(a):
+                A += arrows[a][b] * xs[b]
+                C += (sums[b] - xs[b]) * arrows[b][a]
+            cross_s, cross_x = sums[a] * A, C - A
+            for e_a, r_a, x, th_a, ka_a, chi_a, w, g in splits[a]:
+                chi_e = chi + chi_a - cross_s - x * cross_x
+                if g is ONE:
+                    g = gauss
+                elif gauss is not ONE:
+                    g = gauss * g
+                if a < last:
+                    xs[a] = x
+                    walk(a + 1, e + (e_a,), rest + (r_a,), th + th_a, ka + ka_a, chi_e,
+                         weight * w, g)
+                elif 0 < ka + ka_a < kappa_d:
+                    rows.append((_slope_key(th + th_a, ka + ka_a), e + (e_a,),
+                                 rest + (r_a,), chi_e, weight * w, g))
+
+        walk(0, (), (), 0, 0, 0, 1, ONE)
         rows.sort(key=lambda row: row[0])
         return _Table(mu, [row[:5] for row in rows], [row[5] for row in rows])
 
@@ -335,11 +362,14 @@ def _gaussian_binomials(x):
     return row
 
 
-def _class_splits(groups, binomials):
+@cache
+def _class_splits(groups):
     """The ways to put 0 <= e_v <= d_v on one class, up to relabelings that
     fix d: ``(e, rest, sum_v e_v, sum_v r_v e_v, number of labelled ways,
     prod_v [d_v choose e_v]_L)``.  A group of g vertices carrying x splits
-    over the values 0..x; ``binomials`` keeps the Gaussian binomials by x."""
+    over the values 0..x.  The splits depend on the groups alone, so every
+    table of every solver shares them."""
+    binomials = {x: _gaussian_binomials(x) for x, _ in groups}
     out = []
     for choice in product(*[weighted_splits(g, x + 1) for x, g in groups]):
         e, rest = {}, {}
@@ -355,15 +385,13 @@ def _class_splits(groups, binomials):
                     if j < x:
                         rest[x - j] = rest.get(x - j, 0) + c
                     if 0 < j < x:
-                        if x not in binomials:
-                            binomials[x] = _gaussian_binomials(x)
                         for _ in range(c):
                             gauss = binomials[x][j] if gauss is ONE else gauss * binomials[x][j]
                     total += c * j
                     pairing += c * j * (x - j)
         out.append((tuple(sorted(e.items(), reverse=True)),
                     tuple(sorted(rest.items(), reverse=True)), total, pairing, weight, gauss))
-    return out
+    return tuple(out)
 
 
 _solver = cache(_HNSolver)
@@ -469,6 +497,17 @@ def _mps_weight(m):
     return out
 
 
+def _blown_up_dim(Q, i, d):
+    """d_i at the vertex i that an identity blows up; an unknown vertex id
+    or d_i < 1 is rejected."""
+    if i not in Q.ids:
+        raise ValueError("unknown vertex id %r" % (i,))
+    di = d.get(i, 0)
+    if di < 1:
+        raise ValueError("d_i must be >= 1")
+    return di
+
+
 def _mps_rhs(Q, s, i, d):
     di = d.get(i, 0)
     rhs = MotiveClass.zero()
@@ -484,9 +523,7 @@ def _mps_rhs(Q, s, i, d):
 def motivic_mps_check(Q, s, i, d):
     """L^binom(d_i,2) [R_d^sst]/[G_d] against the weighted sum of blow-up
     classes over multiplicity vectors of d_i.  Returns the equality."""
-    di = d.get(i, 0)
-    if di < 1:
-        raise ValueError("d_i must be >= 1")
+    di = _blown_up_dim(Q, i, d)
     lhs = hn_sst_class(Q, s, d).times_l_power(comb(di, 2))
     return lhs == _mps_rhs(Q, s, i, d)
 
@@ -495,9 +532,7 @@ def partition_form_check(Q, s, i, d):
     """The same sum indexed by partitions, with coefficient
     epsilon_lambda / z_lambda and one projective-space factor per part;
     checked against the multiplicity-vector form."""
-    di = d.get(i, 0)
-    if di < 1:
-        raise ValueError("d_i must be >= 1")
+    di = _blown_up_dim(Q, i, d)
     rhs = MotiveClass.zero()
     for parts in sorted(partitions(di)):
         lam = Partition(parts)
@@ -513,9 +548,7 @@ def partition_form_check(Q, s, i, d):
 def dual_mps_check(Q, s, i, d):
     """[P^(d_i-1)]^(-1) times the class at the single level-d_i blow-up
     vertex against the alternating sum over level-one splittings."""
-    di = d.get(i, 0)
-    if di < 1:
-        raise ValueError("d_i must be >= 1")
+    di = _blown_up_dim(Q, i, d)
     Qh, dh0, sh = hat_quiver(Q, i, {di: 1}, d, s)
     lhs = hn_sst_class(Qh, sh, dh0).times_proj_inverse(di)
 

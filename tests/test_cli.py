@@ -280,3 +280,66 @@ def test_malformed_quiver_file_is_usage_error(tmp_path, capsys, data, message):
 def test_vertex_factorize_non_coprime_is_usage_error(capsys, refinement):
     err = _usage_exit(capsys, ["vertex", "factorize", "--refinement", refinement])
     assert "coprime" in err
+
+
+@pytest.mark.parametrize("method", ["mps", "tropical", "vertex"])
+def test_chi_quiver_with_another_method_is_usage_error(k3_file, capsys, method):
+    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim", "2,3",
+                               "--method", method])
+    assert "hn only" in err and method in err
+
+
+@pytest.mark.parametrize("method", ["hn", "all"])
+def test_chi_quiver_with_hn_or_all(k3_file, capsys, method):
+    code, out = run(capsys, "chi", "--quiver", k3_file, "--dim", "2,3", "--method", method)
+    assert code == 0
+    assert json.loads(out)["methods"] == {"hn": 13}
+
+
+@pytest.mark.parametrize("extra", [["--p1", "2"], ["--p2", "1,1,1"],
+                                   ["--p1", "2", "--p2", "1,1,1"]])
+def test_chi_quiver_with_partitions_is_usage_error(k3_file, capsys, extra):
+    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim", "2,3"] + extra)
+    assert "--p1/--p2" in err
+
+
+@pytest.mark.parametrize("suite", ["mps", "dual-mps"])
+def test_verify_unknown_vertex_is_usage_error(k3_file, capsys, suite):
+    err = _usage_exit(capsys, ["verify", suite, "--quiver", k3_file, "--dim", "2,3",
+                               "--vertex", "zz", "--theta", "1,0"])
+    assert "unknown vertex id 'zz'" in err
+
+
+@pytest.mark.parametrize("argv, low", [
+    (["verify", "lemma3", "--max-n", "0"], 1),
+    (["verify", "lemma3", "--max-n", "-1"], 1),
+    (["verify", "eulgw", "--max-size", "1"], 2),
+    (["verify", "troprec-convention", "--max-size", "1"], 2),
+    (["table", "--max-n", "0"], 1),
+])
+def test_empty_runs_are_usage_errors(capsys, argv, low):
+    # a bound that leaves nothing to check is rejected while parsing
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument %s: must be >= %d" % (argv[-2], low) in captured.err
+
+
+def test_bad_integer_bound_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lemma3", "--max-n", "many"])
+    assert exc.value.code == 2
+    assert "not an integer: 'many'" in capsys.readouterr().err
+
+
+def test_chi_quiver_without_dim_is_usage_error(k3_file, capsys):
+    err = _usage_exit(capsys, ["chi", "--quiver", k3_file])
+    assert "--dim" in err
+
+
+@pytest.mark.parametrize("extra", [["--dim", "2,3"], ["--theta", "1,0"]])
+def test_chi_partitions_with_quiver_flags_is_usage_error(capsys, extra):
+    err = _usage_exit(capsys, ["chi", "--p1", "2", "--p2", "1,1,1"] + extra)
+    assert "--dim/--theta" in err

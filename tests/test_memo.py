@@ -16,9 +16,18 @@ from quivermoduli.quiver import Quiver, Refinement, Stability
 K3 = Quiver.kronecker(3)
 S10 = Stability.of({"i1": 1, "j1": 0})
 
+
+def _hn_from_a_new_solver():
+    # a new solver builds its tables again, so it asks for the class splits
+    # again: a repeated call hits the splits memo
+    motive._solver.cache_clear()
+    return motive.hn_sst_class(K3, S10, {"i1": 2, "j1": 3})
+
+
 # each memo with a public call that reaches it
 MEMOS = [
     (motive._solver, lambda: motive.hn_sst_class(K3, S10, {"i1": 2, "j1": 3})),
+    (motive._class_splits, _hn_from_a_new_solver),
     (localization._count_stable_trees,
      lambda: localization.chi_trees(Refinement.of([((1, 2),)], [((1, 3),)]))),
     (tropical._n_trop, lambda: tropical.n_trop((1, 1), (1, 1, 1))),

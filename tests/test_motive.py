@@ -235,6 +235,15 @@ def test_dual_mps_examples():
     assert dual_mps_check(K3, S10, "j1", {"i1": 2, "j1": 3})
 
 
+@pytest.mark.parametrize("check", [motivic_mps_check, partition_form_check, dual_mps_check])
+def test_degeneration_checks_name_an_unknown_vertex(check):
+    with pytest.raises(ValueError, match="unknown vertex id 'zz'"):
+        check(K3, S10, "zz", {"i1": 2, "j1": 3})
+    # a known vertex with d_i = 0 keeps its own message
+    with pytest.raises(ValueError, match="d_i must be >= 1"):
+        check(K3, S10, "i1", {"j1": 3})
+
+
 def test_euler_level_mps_sum():
     # chi(Q, d) = sum over multiplicity vectors of d_i of
     # prod (1/m_l!) ((-1)^(l-1)/l^2)^m_l chi(Qhat, dhat(m))

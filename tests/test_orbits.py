@@ -197,6 +197,43 @@ def test_gaussian_factors_carry_each_row_to_the_common_denominator(case):
         assert _den(e) * _den(rest) * gauss == _den(key)
 
 
+def test_stratum_table_with_three_classes_matches_box_scan():
+    # three symmetry classes: A = {a1, a2} with loops and arrows both ways
+    # inside it, B = {b1, b2} with arrows to and from A, and C = {c} at level
+    # 2 with a loop.  Every cross term of the walk's running chi is nonzero.
+    ids = ("a1", "a2", "b1", "b2", "c")
+    A, B = ("a1", "a2"), ("b1", "b2")
+    arrows = [("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a2", "a2"), ("c", "c")]
+    arrows += [(a, b) for a in A for b in B]
+    arrows += [(b, a) for a in A for b in B for _ in range(2)]
+    arrows += [(b, "c") for b in B] + [("c", a) for a in A]
+    Q = Quiver(tuple((v, 2 if v == "c" else 1) for v in ids), tuple(arrows))
+    stab = Stability.of({"a1": 2, "a2": 2, "b1": 0, "b2": 0, "c": -1})
+    solver = motive_mod._HNSolver(Q, stab)
+    assert solver.classes == ((0, 1), (2, 3), (4,))
+    oracle = LabelledHNSolver(Q, stab)
+    for dv in ((2, 1, 1, 2, 2), (2, 2, 1, 1, 1), (1, 3, 0, 2, 1)):
+        key = solver.coords(dv)
+        table = solver._table(key)
+        rows = {}
+        for (mu_e, e, rest, chi, mult), gauss in zip(table.rows, table.gauss):
+            assert (e, rest) not in rows, (e, rest)
+            rows[(e, rest)] = (chi, mu_e, mult)
+            assert _den(e) * _den(rest) * gauss == _den(key), (e, rest)
+        box = {}
+        for e in _box(dv):
+            rest = tuple(a - b for a, b in zip(dv, e))
+            if any(e) and any(rest):
+                row = (solver.coords(e), solver.coords(rest))
+                chi, mu_e, mult = box.get(row, (oracle.euler(rest, e), _key(oracle.mu(e)), 0))
+                assert (chi, mu_e) == (oracle.euler(rest, e), _key(oracle.mu(e)))
+                box[row] = (chi, mu_e, mult + 1)
+        assert rows == box, dv
+        assert table.slopes == sorted(table.slopes)
+        assert table.mu == _key(oracle.mu(dv))
+        assert solver.sst_class(key) == oracle.sst_class(dv), dv
+
+
 def _box_theta_coprime(Q, s, d):
     sol = LabelledHNSolver(Q, s)
     dv = tuple(d.get(v, 0) for v in Q.ids)
