@@ -57,8 +57,24 @@ def _emit(payload, path):
     print(text)
 
 
+def _int_list(text, flag=None):
+    """The integers of the comma list ``text``; a bad entry is a ValueError
+    that names it, and ``flag`` where argparse does not name the flag."""
+    out = []
+    for x in text.split(","):
+        try:
+            out.append(int(x))
+        except ValueError:
+            entry = "%s entry" % flag if flag else "entry"
+            raise ValueError("%s %r of %r is not an integer" % (entry, x, text)) from None
+    return out
+
+
 def _parse_parts(s):
-    parts = tuple(int(x) for x in s.split(","))
+    try:
+        parts = tuple(_int_list(s))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     if any(p < 1 for p in parts):
         raise argparse.ArgumentTypeError("parts must be positive integers")
     return parts
@@ -102,12 +118,12 @@ def _parse_refinement(s):
 def _load_quiver_setup(args):
     with open(args.quiver) as fh:
         Q = Quiver.from_json(json.load(fh))
-    dims = [int(x) for x in args.dim.split(",")]
+    dims = _int_list(args.dim, "--dim")
     if len(dims) != len(Q.ids):
         raise ValueError("--dim needs %d entries for this quiver" % len(Q.ids))
     d = dict(zip(Q.ids, dims))
     if args.theta:
-        th = [int(x) for x in args.theta.split(",")]
+        th = _int_list(args.theta, "--theta")
         if len(th) != len(Q.ids):
             raise ValueError("--theta needs %d entries for this quiver" % len(Q.ids))
         theta = dict(zip(Q.ids, th))

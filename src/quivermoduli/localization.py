@@ -9,19 +9,21 @@ the two recursive constructions on the quiver side: glueing semistable
 pieces at a fresh sink, and the square rule that extends a datum of
 dimension type (d-1, d) to d*d data of type (d, d+1).
 
-The stable count ``chi_trees`` lists no tree one by one: it counts by core
-shape and leaf counts (see ``_count_stable_trees``).  The per-tree sum it
-replaces is kept as a test oracle.
+The stable count ``chi_trees`` lists labelled trees only on the smallest
+supports.  Otherwise it generates the level-coloured core shapes up to
+relabelling within a level, weights each by its labelled copies, and runs
+one bitmask slope test (``_slope_test``, which every stability predicate
+here shares) per shape and leaf split; see ``_count_by_shapes``.  The
+per-tree sum is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
-from math import comb, prod
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, prod
 
 from .quiver import Quiver, Refinement, n_support
 from .symfunc import weighted_splits
@@ -186,24 +188,44 @@ def _bipartite_classes(Q):
     return sources, sinks
 
 
-def _slope_test(levels, sources, sinks, adjacency, strict):
-    """sigma(I') vs (e/d)|I'| over nonempty proper source subsets, exactly."""
-    d = sum(levels[v] for v in sources)
-    e = sum(levels[v] for v in sinks)
-    for r in range(1, len(sources)):
-        for subset in combinations(sources, r):
-            hood = set()
-            for s in subset:
-                hood |= adjacency.get(s, set())
-            sigma = sum(levels[v] for v in hood)
-            weight = sum(levels[v] for v in subset)
-            if strict:
-                if sigma * d <= e * weight:
-                    return False
-            else:
-                if sigma * d < e * weight:
-                    return False
+def _slope_test(weights, masks, e, strict):
+    """Whether sigma(I) d > e |I| (>= unless ``strict``) holds, in integers,
+    for every nonempty proper subset I of the sources.
+
+    Source k has level ``weights[k]`` and its sinks as the bitmask
+    ``masks[k]``, in which a sink of level w holds w bits; d is the sum of
+    the source levels and ``e`` that of the sink levels.  One DP over the
+    subsets (as bitmasks) gives each subset's neighbourhood, the rest's
+    or'ed with its lowest source's mask, and its level |I|; then
+    sigma(I) = sum_w w #(level-w sinks in hood(I)) = popcount(hood(I)).
+    """
+    m = len(weights)
+    d = sum(weights)
+    hood = [0] * (1 << m)
+    size = [0] * (1 << m)
+    for subset in range(1, (1 << m) - 1):
+        low = subset & -subset
+        k = low.bit_length() - 1
+        rest = subset ^ low
+        hood[subset] = near = hood[rest] | masks[k]
+        size[subset] = weight = size[rest] + weights[k]
+        sigma = near.bit_count() * d
+        if sigma < e * weight or strict and sigma == e * weight:
+            return False
     return True
+
+
+def _quiver_slope_test(Q, adjacency, strict):
+    """The slope test of the all-ones representation of ``Q`` restricted to
+    the arrows in ``adjacency`` (source -> set of sinks)."""
+    sources, sinks = _bipartite_classes(Q)
+    levels = Q.levels()
+    bits, e = {}, 0
+    for t in sinks:
+        bits[t] = ((1 << levels[t]) - 1) << e
+        e += levels[t]
+    masks = [sum(bits[t] for t in adjacency.get(s, ())) for s in sources]
+    return _slope_test([levels[s] for s in sources], masks, e, strict)
 
 
 def stability_weight(T):
@@ -212,9 +234,7 @@ def stability_weight(T):
     The test is sigma_I'(T) > (e/d) |I'| for every nonempty proper subset I'
     of the sources, all in exact arithmetic.
     """
-    Q = T.quiver
-    sources, sinks = _bipartite_classes(Q)
-    return 1 if _slope_test(Q.levels(), sources, sinks, T.neighbors(), True) else 0
+    return 1 if _quiver_slope_test(T.quiver, T.neighbors(), True) else 0
 
 
 def chi_trees(r):
@@ -224,62 +244,202 @@ def chi_trees(r):
     depends on the refinement only through its weight multiplicities per
     side, so those are the arguments of the memoized count.
     """
+    r.check_nonempty()
     return _count_stable_trees(tuple(sorted(r.weight_multiplicities(1).items())),
                                tuple(sorted(r.weight_multiplicities(2).items())))
+
+
+# A support with at most this many labelled spanning trees is counted by
+# listing them (at most a few hundred microseconds), so that the per-tree
+# route, ``spanning_trees`` and ``stability_weight``, stays on the path and
+# shows in a traced run.
+LISTED_TREES_MAX = 16
+
+
+def _labelled_tree_count(sources, sinks):
+    """Number of spanning trees of the support quiver with the given
+    (weight, multiplicity) pairs, parallel arrows counted as distinct.  The support
+    is complete bipartite with w_s w_t arrows per pair, so by the
+    matrix-tree theorem the count is prod(levels) d^(n-1) e^(m-1) for m
+    sources of total level d and n sinks of total level e."""
+    m, n = sum(c for _, c in sources), sum(c for _, c in sinks)
+    d, e = sum(w * c for w, c in sources), sum(w * c for w, c in sinks)
+    return prod(w ** c for w, c in sources + sinks) * d ** (n - 1) * e ** (m - 1)
 
 
 @cache
 def _count_stable_trees(sources, sinks):
     """Stable spanning trees of the support quiver with the given sorted
-    (weight, multiplicity) pairs of sources and sinks.
+    (weight, multiplicity) pairs of sources and sinks: listed one by one on
+    a support with at most ``LISTED_TREES_MAX`` labelled trees, and counted
+    by core shapes (``_count_by_shapes``) otherwise."""
+    if _labelled_tree_count(sources, sinks) <= LISTED_TREES_MAX:
+        return sum(stability_weight(T) for T in spanning_trees(Refinement((sources,), (sinks,))))
+    return _count_by_shapes(sources, sinks)
 
-    The trees are counted one orbit at a time, never listed.  A spanning
-    tree with m sources splits into its core (the sources and the sinks of
-    degree >= 2, at most m - 1 of them) and its leaf sinks, each hanging on
-    one source.  Sinks of one level are interchangeable and the slope test
-    reads only the simple edge set, so for each vector c of core sizes per
-    sink level (C(m_w, c_w) choices of core sinks) the core trees are
-    grouped by simple edge set, and each such shape is extended by one
-    leaf split per level, weighted by its multinomial and by the parallel
-    arrows (w_s w)^a the leaves can use.  A shape-and-split term counts when
-    one representative tree is stable.  With one source there is no subset
-    to test: every tree is stable and the count is prod_t (w_s w_t).
+
+def _count_by_shapes(sources, sinks):
+    """Stable spanning trees of the support quiver with the given sorted
+    (weight, multiplicity) pairs of sources and sinks, counted without
+    listing a tree.
+
+    A spanning tree with m sources splits into its core (the sources and
+    the sinks of degree >= 2, at most m - 1 of them) and its leaf sinks,
+    each hanging on one source.  For each vector k of core sizes per sink
+    level (C(c_w, k_w) choices of core sinks), the simple core trees are
+    generated once per shape up to relabelling within a level
+    (``_core_shapes``), weighted by their labelled copies and by the
+    w_s w_t parallel arrows of each edge.  Each shape is extended by every
+    split of the leaf sinks of each level among the sources
+    (``weighted_splits``), weighted by its multinomial and by the
+    (w_s w_t)^a parallel arrows its leaves can use.  Relabelling within a
+    level keeps stability and weights, so one bitmask slope test per shape
+    and leaf split decides the whole term.  With one source the only core
+    is the source itself, and the count is prod_t (w_s w_t).
     """
-    Q, _, _ = n_support(Refinement((sources,), (sinks,)))
-    srcs, _ = _bipartite_classes(Q)
-    m = len(srcs)
-    if m == 1:
-        return prod((srcs[0][1] * w) ** c for w, c in sinks)
-    first_arrow = {}
-    for i, pair in enumerate(Q.arrows):
-        first_arrow.setdefault(pair, i)
+    m = sum(c for _, c in sources)
     total = 0
     for core in product(*(range(min(c, m - 1) + 1) for _, c in sinks)):
-        if not 1 <= sum(core) <= m - 1:
+        if sum(core) > m - 1:
             continue
         choices = prod(comb(c, k) for (_, c), k in zip(sinks, core))
         core_sinks = tuple((w, k) for (w, _), k in zip(sinks, core) if k)
-        core_trees = spanning_trees(Refinement((sources,), (core_sinks,)))
-        shapes = Counter(frozenset(T.arrow_pairs()) for T in core_trees)
-        leaf_splits = [list(weighted_splits(c - k, m)) for (_, c), k in zip(sinks, core)]
-        for shape, parallel in shapes.items():
-            degree = Counter(t for _, t in shape)
-            if min(degree.values()) < 2:
-                continue
-            for split in product(*leaf_splits):
-                weight = choices * parallel
-                leaves = []
-                for (w, _), k, (counts, multinomial) in zip(sinks, core, split):
+        splits = [list(weighted_splits(c - k, m)) for (_, c), k in zip(sinks, core)]
+        for source_levels, sink_levels, edges, copies in _core_shapes(sources, core_sinks):
+            shape_weight = choices * copies * prod(source_levels[i] * sink_levels[j]
+                                                   for i, j in edges)
+            blocks, bit = [], 0
+            for w in sink_levels:
+                blocks.append(((1 << w) - 1) << bit)
+                bit += w
+            masks = [0] * m
+            for i, j in edges:
+                masks[i] |= blocks[j]
+            for split in product(*splits):
+                weight, top, full = shape_weight, bit, list(masks)
+                for (w, _), (counts, multinomial) in zip(sinks, split):
                     weight *= multinomial
-                    sink = k
-                    for s, a in zip(srcs, counts):
-                        weight *= (s[1] * w) ** a
-                        leaves.extend((s, ("snk", w, sink + j)) for j in range(1, a + 1))
-                        sink += a
-                tree = SpanningTree(Q, tuple(first_arrow[p] for p in shape.union(leaves)))
-                if stability_weight(tree):
+                    for i, a in enumerate(counts):
+                        if a:
+                            weight *= (source_levels[i] * w) ** a
+                            full[i] |= ((1 << w * a) - 1) << top
+                            top += w * a
+                if _slope_test(source_levels, full, top, True):
                     total += weight
     return total
+
+
+@cache
+def _core_shapes(sources, sinks):
+    """Every core tree on the given sorted (weight, multiplicity) pairs of
+    sources and sinks, one per shape up to relabelling within a level.
+
+    A core tree is a simple tree joining sources to sinks in which every
+    sink has degree >= 2, so its leaves are sources, any two at even
+    distance: its diameter is even and its centre is one vertex, which
+    every automorphism fixes.  Each shape is generated once, rooted at its
+    centre (``_child_sets``).
+
+    Returns ``(source_levels, sink_levels, edges, copies)`` tuples: one
+    representative, whose edges (i, j) join source i to sink j, and the
+    number prod m_w! prod k_w! / |Aut| of labelled trees of its shape.
+    """
+    have = tuple(((0, w), c) for w, c in sources) + tuple(((1, w), c) for w, c in sinks)
+    labelled = prod(factorial(c) for _, c in have)
+    return tuple(_representative(root, children) + (labelled // automorphisms,)
+                 for root, _ in have
+                 for children, automorphisms in _child_sets(root, have, True))
+
+
+def _representative(root, children):
+    """``(source_levels, sink_levels, edges)`` of the tree with a root of
+    colour ``root`` and these child codes, numbered depth first."""
+    levels, edges = ([], []), []
+
+    def place(colour, children):
+        side, level = colour
+        levels[side].append(level)
+        k = len(levels[side]) - 1
+        for kid in children:
+            j = place(kid[1], kid[2])
+            edges.append((j, k) if side else (k, j))
+        return k
+
+    place(root, children)
+    return tuple(levels[0]), tuple(levels[1]), tuple(edges)
+
+
+@cache
+def _rooted_cores(root, have):
+    """Codes (height, root, children, |Aut|) of the rooted trees whose root
+    has the colour ``root`` and whose vertex counts per colour are ``have``,
+    (colour, count) pairs with the root's colour among them.  A colour is a
+    (side, level) pair, 0 for sources and 1 for sinks; every sink has a
+    child, as it has degree >= 2 in a core tree.  |Aut| counts the
+    automorphisms that fix the root."""
+    return tuple((children[0][0] + 1 if children else 0, root, children, automorphisms)
+                 for children, automorphisms in _child_sets(root, have, False))
+
+
+def _child_sets(root, have, centred):
+    """The children of the rooted trees of ``_rooted_cores(root, have)``:
+    each multiset of rooted trees of the other side whose vertex counts add
+    up to what the root leaves, once, with the automorphisms of the tree
+    that fix the root, prod n! |Aut(child)|^n over classes of n equal
+    children.
+
+    Children are picked block by block, a block holding the codes of one
+    height and one count vector, highest first, so a multiset comes out in
+    one canonical order, its highest child first.  Count vectors are packed
+    into integers, one field per colour with a guard bit on top, so that
+    sub <= left, field by field, is one subtraction and one mask.
+
+    With ``centred``, a multiset counts only if its two highest children
+    are equally high (or it is empty, for a lone source): the root is then
+    the centre of the tree, so every shape is rooted there exactly once.
+    """
+    left = [c - (colour == root) for colour, c in have]
+    width = max(left).bit_length() + 1
+    guard = sum(1 << (k * width + width - 1) for k in range(len(have)))
+    other = sum(((1 << width) - 1) << (k * width)
+                for k, (colour, _) in enumerate(have) if colour[0] != root[0])
+    blocks = []
+    for sub in product(*(range(c + 1) for c in left)):
+        sub_have = tuple((colour, c) for (colour, _), c in zip(have, sub) if c)
+        by_height = {}
+        for colour, _ in sub_have:
+            if colour[0] != root[0]:
+                for code in _rooted_cores(colour, sub_have):
+                    by_height.setdefault(code[0], []).append(code)
+        packed = sum(c << (k * width) for k, c in enumerate(sub))
+        blocks.extend((height, packed, codes) for height, codes in by_height.items())
+    blocks.sort(key=lambda block: -block[0])
+    out = []
+
+    def pick(blocks, left, children, automorphisms):
+        if not left:
+            if (children or not root[0]) and not (centred and len(children) == 1):
+                out.append((children, automorphisms))
+            return
+        if not left & other:
+            return
+        for j, (height, sub, codes) in enumerate(blocks):
+            if centred and len(children) == 1 and height < children[0][0]:
+                break
+            rest, r = left, 0
+            while ((rest | guard) - sub) & guard == guard:
+                rest, r = rest - sub, r + 1
+                fence = rest | guard
+                later = [block for block in blocks[j + 1:] if (fence - block[1]) & guard == guard]
+                for chosen in combinations_with_replacement(codes, r):
+                    fixed, run, prev = automorphisms, 0, None
+                    for code in chosen:  # equal codes are one object, side by side
+                        run = run + 1 if code is prev else 1
+                        fixed, prev = fixed * run * code[3], code
+                    pick(later, rest, children + chosen, fixed)
+
+    pick(blocks, sum(c << (k * width) for k, c in enumerate(left)), (), 1)
+    return out
 
 
 def admissible_decompositions(d, e, w):
@@ -340,14 +500,12 @@ def _adjacency(Q):
 
 def is_semistable_type_one(Q):
     """Weak slope test for the all-ones representation of ``Q``."""
-    sources, sinks = _bipartite_classes(Q)
-    return _slope_test(Q.levels(), sources, sinks, _adjacency(Q), False)
+    return _quiver_slope_test(Q, _adjacency(Q), False)
 
 
 def is_stable_type_one(Q):
     """Strict slope test for the all-ones representation of ``Q``."""
-    sources, sinks = _bipartite_classes(Q)
-    return _slope_test(Q.levels(), sources, sinks, _adjacency(Q), True)
+    return _quiver_slope_test(Q, _adjacency(Q), True)
 
 
 def glue(components, w):

@@ -316,8 +316,11 @@ class Refinement:
                 out[w] = out.get(w, 0) + c
         return out
 
-    def is_empty(self, which):
-        return not any(self.side(which))
+    def check_nonempty(self):
+        """Raise ``ValueError`` unless both sides have an entry: a support
+        quiver needs a source and a sink."""
+        if not any(self.k1) or not any(self.k2):
+            raise ValueError("refinement must be nonzero on a source and a sink")
 
 
 def n_support(r):
@@ -328,8 +331,7 @@ def n_support(r):
     the all-ones dimension vector and the slope datum (theta = level on
     sources, 0 on sinks, kappa from levels).
     """
-    if r.is_empty(1) or r.is_empty(2):
-        raise ValueError("refinement must be nonzero on a source and a sink")
+    r.check_nonempty()
     srcs = [("src", w, k)
             for w, c in sorted(r.weight_multiplicities(1).items())
             for k in range(1, c + 1)]

@@ -343,3 +343,28 @@ def test_chi_quiver_without_dim_is_usage_error(k3_file, capsys):
 def test_chi_partitions_with_quiver_flags_is_usage_error(capsys, extra):
     err = _usage_exit(capsys, ["chi", "--p1", "2", "--p2", "1,1,1"] + extra)
     assert "--dim/--theta" in err
+
+
+@pytest.mark.parametrize("argv, flag, entry", [
+    (["chi", "--p1", ",", "--p2", "1"], "--p1", "''"),
+    (["chi", "--p1", "2", "--p2", "1,x"], "--p2", "'x'"),
+    (["localize", "chi", "--refinement", "1+1|1,1,1", "--p1", "2,q"], "--p1", "'q'"),
+])
+def test_bad_part_names_flag_and_entry(capsys, argv, flag, entry):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == "quivermoduli %s: error: argument %s: entry %s of %r is not an integer" % (
+        argv[0], flag, entry, argv[argv.index(flag) + 1])
+
+
+@pytest.mark.parametrize("argv, flag, entry", [
+    (["motive", "chi", "--dim", "1,x"], "--dim", "'x'"),
+    (["motive", "chi", "--dim", "2,3", "--theta", "1,y"], "--theta", "'y'"),
+    (["chi", "--dim", "2,", "--theta", "1,0"], "--dim", "''"),
+])
+def test_bad_dim_or_theta_names_flag_and_entry(k3_file, capsys, argv, flag, entry):
+    err = _usage_exit(capsys, argv + ["--quiver", k3_file])
+    assert "%s entry %s of" % (flag, entry) in err
+    assert "invalid literal" not in err

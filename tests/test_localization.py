@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -150,16 +150,104 @@ def _per_tree_sum(r):
     return sum(stability_weight(T) for T in spanning_trees(r))
 
 
-def _fresh_chi_trees(r):
-    localization_mod._count_stable_trees.cache_clear()
-    return chi_trees(r)
+def _key(r):
+    return (tuple(sorted(r.weight_multiplicities(1).items())),
+            tuple(sorted(r.weight_multiplicities(2).items())))
+
+
+def _shape_count(r):
+    """The core-shape count, which ``chi_trees`` leaves out on a support
+    with few labelled trees."""
+    return localization_mod._count_by_shapes(*_key(r))
 
 
 def test_chi_trees_matches_per_tree_sum_on_every_key_to_size_8():
     keys = _every_key(8)
     assert len(keys) == 301
+    listed = 0
     for r in keys:
-        assert _fresh_chi_trees(r) == _per_tree_sum(r), (r.k1, r.k2)
+        expected = _per_tree_sum(r)
+        assert _shape_count(r) == expected, (r.k1, r.k2)
+        assert chi_trees(r) == expected, (r.k1, r.k2)
+        listed += localization_mod._labelled_tree_count(*_key(r)) <= localization_mod.LISTED_TREES_MAX
+    assert 0 < listed < len(keys)
+
+
+def test_chi_trees_matches_per_tree_sum_on_three_level_3_sources():
+    # 78,732 labelled trees, each listed and slope-tested by the oracle
+    r = Refinement.of([((3, 3),)], [((3, 2),)])
+    assert spanning_tree_count(n_support(r)[0]) == 78732
+    assert _shape_count(r) == _per_tree_sum(r)
+
+
+def _set_slope_test(T, strict):
+    """Oracle: the slope test on T.sigma, a union of neighbour sets."""
+    Q = T.quiver
+    levels = Q.levels()
+    targets = {t for _, t in Q.arrows}
+    sources = [v for v in Q.ids if v not in targets]
+    d = sum(levels[v] for v in sources)
+    e = sum(levels[v] for v in targets)
+    for r in range(1, len(sources)):
+        for sub in combinations(sources, r):
+            lhs, rhs = T.sigma(sub) * d, e * sum(levels[v] for v in sub)
+            if lhs < rhs or strict and lhs == rhs:
+                return False
+    return True
+
+
+def test_bitmask_slope_test_matches_set_unions_on_every_key_to_size_6():
+    # non-coprime keys included, where sigma d = e |I| happens and only the
+    # strict test rejects
+    ties = 0
+    for r in _every_key(6):
+        for T in spanning_trees(r):
+            strict, weak = _set_slope_test(T, True), _set_slope_test(T, False)
+            assert stability_weight(T) == strict, (r.k1, r.k2, T.arrow_indices)
+            assert is_stable_type_one(Quiver(T.quiver.vertices, T.arrow_pairs())) == strict
+            assert is_semistable_type_one(Quiver(T.quiver.vertices, T.arrow_pairs())) == weak
+            ties += weak and not strict
+    assert ties > 0
+
+
+def _labelled_core_trees(m, k):
+    """Oracle: labelled simple trees on K(m, k) whose sinks all have degree >= 2."""
+    support = type_one_support(m, k)
+    sinks = [v for v in support.ids if v[0] == "snk"]
+    count = 0
+    for T in spanning_trees_of(support):
+        degree = Counter(t for _, t in T.arrow_pairs())
+        count += all(degree[t] >= 2 for t in sinks)
+    return count
+
+
+def test_core_shape_copies_count_the_labelled_core_trees_on_every_key_to_size_8():
+    # no stability here: the labelled copies of the generated shapes add up
+    # to the labelled core trees, and each shape is a core tree on its colours
+    oracle = {}
+    checked = set()
+    for r in _every_key(8):
+        sources = tuple(sorted(r.weight_multiplicities(1).items()))
+        sinks = tuple(sorted(r.weight_multiplicities(2).items()))
+        m = sum(c for _, c in sources)
+        for core in product(*(range(c + 1) for _, c in sinks)):
+            core_sinks = tuple((w, k) for (w, _), k in zip(sinks, core) if k)
+            if (sources, core_sinks) in checked:
+                continue
+            checked.add((sources, core_sinks))
+            k = sum(core)
+            if (m, k) not in oracle:
+                oracle[m, k] = _labelled_core_trees(m, k)
+            shapes = localization_mod._core_shapes(sources, core_sinks)
+            assert sum(copies for *_, copies in shapes) == oracle[m, k], (sources, core_sinks)
+            for source_levels, sink_levels, edges, _ in shapes:
+                assert Counter(source_levels) == dict(sources)
+                assert Counter(sink_levels) == dict(core_sinks)
+                assert len(set(edges)) == len(edges) == m + k - 1
+                assert all(n >= 2 for n in Counter(j for _, j in edges).values())
+                if k:
+                    assert len({i for i, _ in edges}) == m
+    assert len(checked) > 300
 
 
 weights = st.lists(st.integers(1, 3), min_size=1, max_size=4)
@@ -171,13 +259,14 @@ def test_chi_trees_matches_per_tree_sum_on_random_refinements(w1, w2):
     r = _refinement(w1, w2)
     # the oracle lists every labelled tree, so keep the listing small
     assume(spanning_tree_count(n_support(r)[0]) <= 3000)
-    assert _fresh_chi_trees(r) == _per_tree_sum(r)
+    assert _shape_count(r) == _per_tree_sum(r)
 
 
 def test_spanning_tree_count_matches_listing_on_every_key_to_size_8():
     for r in _every_key(8):
         Q, _, _ = n_support(r)
         assert spanning_tree_count(Q) == len(spanning_trees(r)), (r.k1, r.k2)
+        assert localization_mod._labelled_tree_count(*_key(r)) == spanning_tree_count(Q)
     assert spanning_tree_count(Quiver((("a", 1), ("b", 1)))) == 0  # disconnected
     assert spanning_tree_count(Quiver((("a", 1),))) == 1
     assert spanning_tree_count(type_one_support(7, 9)) == 7 ** 8 * 9 ** 6
@@ -330,6 +419,10 @@ def test_chi_trees_equals_hn_on_the_support():
         Refinement.of([((2, 1),)], [((1, 1),)] * 5),               # (2,5)
         Refinement.of([((1, 1), (2, 1))], [((1, 2),), ((2, 1),)]), # (3,4)
         Refinement.of([((3, 1),)], [((1, 1),), ((1, 1),)]),        # (3,2)
+        # too heavy to list (K(6,7) alone has 6^6 7^5 labelled trees)
+        Refinement.of([((1, 6),)], [((1, 7),)]),                   # (6,7)
+        Refinement.of([((1, 5),)], [((1, 4), (2, 1))]),            # (5,6)
+        Refinement.of([((1, 6),)], [((2, 2), (3, 1))]),            # (6,7)
     ]
     for r in cases:
         d = sum(w * c for part in r.k1 for w, c in part)
