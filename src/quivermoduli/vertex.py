@@ -10,6 +10,17 @@ carries prod (m_w + 1) monomials, not 2^(#tokens).  Wall automorphisms
 x -> x f^-b, y -> y f^a act by substitution, products factor uniquely in
 slope order, and the wall on the slope of a refinement's dimension vector
 carries its tropical count as the coefficient of the top monomial.
+
+``factorize`` works on packed integer keys (``_Packing``), local to one
+factorization: one bit field per class holding its count, with a guard bit
+above the cap, then the degree, the x exponent and, on top, the y exponent.
+A monomial product is one integer addition, dropped when the sum plus a
+per-field bias sets a guard bit.  Coefficients are stored scaled by
+G / prod k_c!, G the product of the caps' factorials, so E_a E_b =
+C(a+b, a) E_(a+b) needs no binomial: a product of stored coefficients is
+divided by G once per output term.  The walls become public
+``WallAutomorphism`` objects once, at return; ``n_trop_via_factorization``
+reads its count off the packed walls.
 """
 
 from __future__ import annotations
@@ -17,20 +28,30 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 from .quiver import Refinement
 from .ratfunc import _canon
 from .tropical import as_weight_vector, weight_vector_of
 
 
+def _cap(cls):
+    """The cap of a class id, its third entry; ValueError unless a positive int."""
+    cap = cls[2] if isinstance(cls, tuple) and len(cls) > 2 else None
+    if type(cap) is not int or cap < 1:
+        raise ValueError("class %r needs a positive int cap as its third entry" % (cls,))
+    return cap
+
+
 def _counts(tokens):
     """Key of a monomial: sorted (class, count) pairs with count >= 1, from a
     multiset of class ids or a mapping class -> count; None above a cap."""
-    key = tuple(sorted((cls, k) for cls, k in Counter(tokens).items() if k))
+    counts = Counter(tokens)
+    caps = {cls: _cap(cls) for cls in counts}
+    key = tuple(sorted((cls, k) for cls, k in counts.items() if k))
     if any(k < 0 for _, k in key):
         raise ValueError("class counts must be nonnegative")
-    return None if any(k > cls[2] for cls, k in key) else key
+    return None if any(k > caps[cls] for cls, k in key) else key
 
 
 def _merge(s1, s2):
@@ -193,7 +214,6 @@ class WallAutomorphism:
             raise ValueError("wall function must have constant term 1")
         object.__setattr__(self, "direction", (a, b))
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "_eps", f._eps_powers())
 
     def __setattr__(self, *a):
         raise AttributeError("WallAutomorphism is immutable")
@@ -207,12 +227,18 @@ class WallAutomorphism:
         for (A, B, s), c in element.terms.items():
             grouped.setdefault(a * B - b * A, []).append(((A, B, s), c))
         out = element
-        for j, power in enumerate(self._eps, 1):
+        for j, power in enumerate(self._powers(), 1):
             terms = {key: c * coeff for k, part in grouped.items()
                      if (coeff := _binom(k, j)) for key, c in part}
             if terms:
                 out = out + TruncatedElement._raw(terms) * power
         return out
+
+    def _powers(self):
+        """The powers of f - 1, worked out on the first action."""
+        if not hasattr(self, "_eps"):
+            object.__setattr__(self, "_eps", self.f._eps_powers())
+        return self._eps
 
     def __repr__(self):
         return "WallAutomorphism(%r, %r)" % (self.direction, self.f)
@@ -277,34 +303,221 @@ class OrderedFactorization:
         return "OrderedFactorization(%r)" % (list(self.walls),)
 
 
-def factorize(ops):
-    """Unique slope-ordered factorization of a product of wall automorphisms.
+class _Packing:
+    """Integer keys and scaled coefficients for the terms of one factorization.
+
+    A key packs x^A y^B E_s into bit fields, low to high: the count k_c of
+    each class c, in cap.bit_length() + 1 bits; the degree sum k_c, in one
+    bit more than the sum D of the caps needs; A; and B on top, unbounded.
+    A monomial product adds keys.  Adding ``bias`` lifts a count above its
+    cap onto the top bit of its field, so a product is dropped iff
+    ``(s1 + s2 + bias) & guard``; ``bias_at(L)`` also lifts a degree above
+    L onto its guard bit.  A kept key never carries between fields: a field
+    holds twice its cap, and A is bounded by the degree (``for_walls``).
+
+    The coefficient c of x^A y^B E_s is stored as c G / F(s), F(s) = prod
+    k_c! and G = F(caps): G times the coefficient on the power t^s of the
+    class token sums, since E_k = t^k / k!.  So a product's stored
+    coefficient is the sum of c1 c2 over G, and no binomial is looked up.
+    """
+
+    __slots__ = ("fields", "shifts", "bias", "guard", "scale", "degree_bound",
+                 "degree_shift", "degree_mask", "x_shift", "x_mask", "y_shift")
+
+    def __init__(self, classes, x_max):
+        caps = {cls: _cap(cls) for cls in classes}
+        shift = bias = guard = 0
+        fields = []
+        for cls, cap in sorted(caps.items()):
+            width = cap.bit_length() + 1
+            fields.append((cls, shift, (1 << width) - 1))
+            bias += ((1 << width - 1) - 1 - cap) << shift
+            guard += 1 << shift + width - 1
+            shift += width
+        self.fields, self.bias, self.guard = fields, bias, guard
+        self.shifts = {cls: at for cls, at, _ in fields}
+        self.scale = prod(map(factorial, caps.values()))
+        self.degree_bound = sum(caps.values())
+        width = self.degree_bound.bit_length() + 1
+        self.degree_shift, self.degree_mask = shift, (1 << width) - 1
+        self.bias += ((1 << width - 1) - 1 - self.degree_bound) << shift
+        self.guard += 1 << shift + width - 1
+        self.x_shift = shift + width
+        self.x_mask = (1 << x_max.bit_length()) - 1
+        self.y_shift = self.x_shift + x_max.bit_length()
+
+    @classmethod
+    def for_walls(cls, walls, classes=(), x_max=1):
+        """The layout for walls, extra classes and x exponents up to x_max.
+
+        An x exponent never exceeds 1 + D max A over the wall terms, D the
+        sum of the caps: every nonconstant wall term has degree >= 1, and a
+        product of terms adds degrees and exponents alike."""
+        terms = [key for wall in walls for key in wall.f.terms]
+        classes = {c for _, _, s in terms for c, _ in s} | set(classes)
+        top = max((A for A, _, _ in terms), default=0)
+        return cls(classes, max(x_max, 1 + sum(map(_cap, classes)) * top))
+
+    def key(self, A, B, counts=()):
+        """The key of x^A y^B E_s, for s given as (class, count) pairs."""
+        key = (A << self.x_shift) + (B << self.y_shift)
+        for cls, k in counts:
+            key += (k << self.shifts[cls]) + (k << self.degree_shift)
+        return key
+
+    def bias_at(self, level):
+        """The bias that also drops products of degree above level."""
+        return self.bias + (max(self.degree_bound - level, 0) << self.degree_shift)
+
+    def degree(self, key):
+        return key >> self.degree_shift & self.degree_mask
+
+    def decode(self, key):
+        """(A, B, class counts) of a key, the counts as ``_counts`` sorts them."""
+        return (key >> self.x_shift & self.x_mask, key >> self.y_shift,
+                tuple((cls, k) for cls, at, mask in self.fields if (k := key >> at & mask)))
+
+    def _factorials(self, key):
+        return prod(factorial(k) for _, k in self.decode(key)[2])
+
+    def pack(self, element):
+        """Stored terms of a public element."""
+        return {(key := self.key(A, B, s)): c * (self.scale // self._factorials(key))
+                for (A, B, s), c in element.terms.items()}
+
+    def unscaled(self, key, c):
+        """The coefficient of the term stored as c at key."""
+        return _exact(c * self._factorials(key), self.scale)
+
+    def unpack(self, terms):
+        """Public terms of stored terms."""
+        return {self.decode(key): self.unscaled(key, c) for key, c in terms.items()}
+
+    def _products(self, acc, left, right):
+        """acc[key + bias] += c1 c2, not yet over G, for each left and right
+        term pair under the caps."""
+        bias, guard, get = self.bias, self.guard, acc.get
+        for s1, c1 in left:
+            s1 += bias
+            for s2, c2 in right:
+                t = s1 + s2
+                if not t & guard:
+                    acc[t] = get(t, 0) + c1 * c2
+
+    def _plus(self, terms, acc, bias):
+        """terms + acc / G, acc keyed as ``_products`` leaves it."""
+        out, scale = dict(terms), self.scale
+        _add(out, ((t - bias, _exact(v, scale)) for t, v in acc.items()))
+        return out
+
+    def powers(self, terms, old=()):
+        """[e, e^2, ...] up to the last nonzero power, for e = eps + terms and
+        old = [eps, eps^2, ...]; a constant term (key 0) is skipped, so the
+        stored f = 1 + e gives the powers of e.  With D_1 = terms and
+        D_j = D_(j-1) eps + e^(j-1) terms, e^j = eps^j + D_j: only products
+        with a changed factor are taken."""
+        terms = [(key, c) for key, c in terms if key]
+        eps = old[0] if old else []
+        out, change = [], terms
+        while True:
+            power = dict(old[len(out)]) if len(out) < len(old) else {}
+            _add(power, change)
+            if not power:
+                return out
+            out.append(list(power.items()))
+            acc = {}
+            self._products(acc, change, eps)
+            self._products(acc, out[-1], terms)
+            change = list(self._plus({}, acc, self.bias).items())
+
+    def apply(self, direction, eps, element, level):
+        """``WallAutomorphism.apply`` on stored terms, up to degree level:
+        x^A y^B E_s picks up f^k = sum_j C(k, j) eps^j for k = aB - bA."""
+        a, b = direction
+        xs, xm, ys, guard = self.x_shift, self.x_mask, self.y_shift, self.guard
+        bias = self.bias_at(level)
+        acc = {}
+        get = acc.get
+        for key, c in element.items():
+            k = a * (key >> ys) - b * (key >> xs & xm)
+            key += bias
+            binom = 1
+            for j, power in enumerate(eps, 1):
+                binom = binom * (k - j + 1) // j  # C(k, j), exact for any integer k
+                if not binom:
+                    break  # 0 <= k < j: every later C(k, j) is 0 too
+                c1 = c * binom
+                for s2, c2 in power:  # ``_products``, inlined: a call per term is slower
+                    t = key + s2
+                    if not t & guard:
+                        acc[t] = get(t, 0) + c1 * c2
+        return self._plus(element, acc, bias)
+
+    def compose_apply(self, walls, element, level):
+        """``compose_apply`` on stored terms up to degree level, for
+        (direction, eps powers) walls."""
+        for direction, eps in reversed(walls):
+            element = self.apply(direction, eps, element, level)
+        return element
+
+
+def _exact(v, n):
+    """v / n, an int where it divides."""
+    q, rem = divmod(v, n)
+    return Fraction(v, n) if rem else q
+
+
+def _add(out, terms):
+    """out += terms, in place, dropping zeros."""
+    for key, c in terms:
+        v = out.get(key, 0) + c
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
+
+def _factorize_packed(ops):
+    """The slope-ordered walls of a product of wall automorphisms, on packed
+    keys: (layout, [(direction, stored f, eps powers)]).
 
     Iterative normalization by nilpotent degree (total class count): compare
     the slope-ordered candidate with the input on x and y, attribute each
     lowest-degree discrepancy monomial to its primitive direction (solving the
     linearized coefficient, x/y cross-checked where both apply), and repeat.
-    Each round settles a degree and degrees stop at the sum of the caps.
+    Round L settles degree L; the degrees below it already agree, so it
+    compares degrees <= L alone and drops every product above L.  Degrees
+    stop at the sum of the caps.
     """
     ops = list(ops)
-    x, y = TruncatedElement.monomial(1, 0), TruncatedElement.monomial(0, 1)
-    target_x, target_y = compose_apply(ops, x), compose_apply(ops, y)
-    classes = {cls for op in ops for (_, _, s) in op.f.terms for cls, _ in s}
+    layout = _Packing.for_walls(ops)
+    top, one = layout.degree_bound, layout.scale
+    x, y = {layout.key(1, 0): one}, {layout.key(0, 1): one}
+    stored = [(op.direction, layout.powers(layout.pack(op.f).items())) for op in ops]
+    target_x = layout.compose_apply(stored, x, top)
+    target_y = layout.compose_apply(stored, y, top)
 
-    walls = {}  # direction -> wall, kept across rounds with its eps powers
-    for _ in range(sum(cls[2] for cls in classes) + 2):
-        ordered = [walls[d] for d in sorted(walls, key=_slope_key)]
-        diff_x = target_x - compose_apply(ordered, x)
-        diff_y = target_y - compose_apply(ordered, y)
-        if diff_x.is_zero() and diff_y.is_zero():
-            return OrderedFactorization(ordered)
+    walls, eps, order = {}, {}, []  # direction -> stored wall function, its eps powers
+    for level in range(1, top + 2):
+        ordered = [(d, eps[d]) for d in order]
+        diff_x, diff_y = (
+            {key: c for key, c in target.items() if layout.degree(key) <= level}
+            for target in (target_x, target_y))
+        for diff, start in ((diff_x, x), (diff_y, y)):
+            _add(diff, ((key, -c) for key, c in
+                        layout.compose_apply(ordered, start, level).items()))
+        if not diff_x and not diff_y:
+            if level >= top:
+                return layout, [(d, walls[d], eps[d]) for d in order]
+            continue
 
-        level = min(_degree(s) for diff in (diff_x, diff_y) for (_, _, s) in diff.terms)
+        low = min(layout.degree(key) for diff in (diff_x, diff_y) for key in diff)
         updates = {}
         for diff, (dx, dy) in ((diff_x, (1, 0)), (diff_y, (0, 1))):
-            for (A, B, s), c in diff.terms.items():
-                if _degree(s) != level:
+            for key, c in diff.items():
+                if layout.degree(key) != low:
                     continue
+                A, B, s = layout.decode(key)
                 exps = (A - dx, B - dy)
                 if min(exps) < 0 or exps == (0, 0):
                     raise ArithmeticError("discrepancy off the wall grid: %r" % ((A, B, s),))
@@ -313,23 +526,32 @@ def factorize(ops):
                 slope = -b if dx else a  # x picks up f^-b, y picks up f^a
                 if not slope:
                     raise ArithmeticError("%s moved along its own wall" % "xy"[dy])
-                gamma = _canon(Fraction(c) / slope)
-                key = ((a, b), exps, s)
-                if updates.get(key, gamma) != gamma:
+                gamma = _exact(c, slope)
+                update = ((a, b), key - layout.key(dx, dy))
+                if updates.get(update, gamma) != gamma:
                     raise ArithmeticError(
                         "inconsistent x/y coefficients on wall %r: %r vs %r"
-                        % ((a, b), updates[key], gamma))
-                updates[key] = gamma
+                        % ((a, b), layout.unscaled(update[1], updates[update]),
+                           layout.unscaled(update[1], gamma)))
+                updates[update] = gamma
 
         grown = {}
-        for (direction, exps, s), gamma in updates.items():
-            old = walls.get(direction)
-            f = grown.get(direction) or (old.f if old else TruncatedElement.one())
-            grown[direction] = f + TruncatedElement({(exps[0], exps[1], s): gamma})
-        for direction, f in grown.items():
-            walls[direction] = WallAutomorphism(direction, f)
+        for (direction, key), gamma in updates.items():
+            grown.setdefault(direction, []).append((key, gamma))
+        for direction, terms in grown.items():
+            _add(walls.setdefault(direction, {0: one}), terms)
+            eps[direction] = layout.powers(terms, eps.get(direction, ()))
+        order = sorted(walls, key=_slope_key)
 
     raise RuntimeError("ordered factorization did not converge (implementation bug)")
+
+
+def factorize(ops):
+    """Unique slope-ordered factorization of a product of wall automorphisms,
+    computed on packed keys (``_factorize_packed``)."""
+    layout, walls = _factorize_packed(ops)
+    return OrderedFactorization(WallAutomorphism(d, TruncatedElement(layout.unpack(f)))
+                                for d, f, _ in walls)
 
 
 def extract_n_trop(fact, r):
@@ -346,21 +568,32 @@ def extract_n_trop(fact, r):
     ray products and transport corrections, so gcd(d, e) != 1 is a
     ValueError, raised before the wall is read.
     """
-    w1, w2 = weight_vector_of(r.k1), weight_vector_of(r.k2)
-    d, e = sum(w1), sum(w2)
+    d, e = sum(weight_vector_of(r.k1)), sum(weight_vector_of(r.k2))
     if gcd(d, e) != 1:
         raise ValueError("extract_n_trop needs a coprime dimension type, got %d, %d"
                          % (d, e))
     wall = fact.wall((e, d))
     if wall is None:
         return 0
-    top = {cls: cls[2] for cls in token_classes(r)}
-    count = _canon(wall.f.coefficient(e, d, top))
+    layout = _Packing.for_walls([wall], token_classes(r), e)
+    f = layout.pack(wall.f)
+    return _framed_count(layout, r, (e, d), f, layout.powers(f.items()))
 
-    w_min = w1[0]
-    acted = wall.apply(TruncatedElement.monomial(0, w_min))
+
+def _framed_count(layout, r, direction, f, eps):
+    """The count on the packed wall function f, with eps powers, of the
+    direction (e, d) of the coprime type (d, e) of r, checked on the framed
+    action."""
+    e, d = direction
+    w_min = weight_vector_of(r.k1)[0]
+    top = layout.key(e, d, [(cls, cls[2]) for cls in token_classes(r)])
+    count = layout.unscaled(top, f.get(top, 0))
+
+    acted = layout.apply(direction, eps, {layout.key(0, w_min): layout.scale},
+                         layout.degree_bound)
+    framed = top + layout.key(0, w_min)
     expected = e * w_min * count
-    got = acted.coefficient(e, w_min + d, top)
+    got = layout.unscaled(framed, acted.get(framed, 0))
     if got != expected:
         raise ArithmeticError("framed coefficient %r does not match %r" % (got, expected))
     if not isinstance(count, int) or count < 0:
@@ -391,4 +624,8 @@ def n_trop_via_factorization(w1, w2):
 def _via_factorization(w1, w2):
     r = Refinement.of((tuple(sorted(Counter(w1).items())),),
                       (tuple(sorted(Counter(w2).items())),))
-    return extract_n_trop(factorize(ks_operators(r)), r)
+    layout, walls = _factorize_packed(ks_operators(r))
+    for direction, f, eps in walls:
+        if direction == (sum(w2), sum(w1)):
+            return _framed_count(layout, r, direction, f, eps)
+    return 0

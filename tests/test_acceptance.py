@@ -215,13 +215,14 @@ def test_criterion_9_normalization_negative_control():
 
 
 def test_larger_n_closed_form_family():
-    # beyond criterion 1: hn to n=20, vertex to n=8, tropical to n=12, mps
+    # beyond criterion 1: hn to n=20, vertex to n=12, tropical to n=12, mps
     # to n=20 (hn reaches this far since it sums slope-sorted strata in
     # class-count coordinates, not one labelled subvector at a time, as
     # integer numerators over one denominator per dimension vector; vertex
-    # since its ring grows with prod (m_w + 1), not 2^(#tokens); mps since
-    # it counts stable trees by core shape and leaf counts, not one
-    # labelled tree at a time)
+    # since its ring grows with prod (m_w + 1), not 2^(#tokens), and it
+    # multiplies packed integer keys, dropping every product above the
+    # degree it settles; mps since it counts stable trees by core shape and
+    # leaf counts, not one labelled tree at a time)
     def closed_form(n):
         return Fraction(comb(2 * n + 1, n) * comb(n + 1, n), 2) - Fraction(2 ** (2 * n + 1), 4)
 
@@ -231,12 +232,12 @@ def test_larger_n_closed_form_family():
         assert euler_char(Q, stab, d) == closed_form(n), n
     for n in range(5, 13):
         assert degeneration_total((2,), (1,) * (2 * n + 1)) == closed_form(n), n
-    for n in range(5, 9):
+    for n in range(5, 13):
         assert degeneration_total((2,), (1,) * (2 * n + 1),
                                   trop_count=n_trop_via_factorization) == closed_form(n), n
     for n in range(5, 21):
         assert mps_euler((2,), (1,) * (2 * n + 1)) == closed_form(n), n
-    _report("larger n: hn n<=20, vertex n<=8, tropical n<=12, mps n<=20", t0, 20)
+    _report("larger n: hn n<=20, vertex n<=12, tropical n<=12, mps n<=20", t0, 20)
 
 
 def test_hn_matches_tropical_on_heavy_pairs():

@@ -148,6 +148,48 @@ def test_vertex_factorize_emit(tmp_path, capsys):
     assert degrees == sorted(degrees)
 
 
+# refinement -> (its payload, n_trop, walls in slope order); each wall is
+# its direction and the terms (x_exp, y_exp, counts, coefficient) of its
+# function, as the tuple-keyed factorization printed them
+PINNED_WALLS = {
+    "1+1|1,1,1": ({"k1": [[[1, 2]]], "k2": [[[1, 1]], [[1, 1]], [[1, 1]]]}, 6, [
+        ((0, 1), [(0, 0, {}, 1), (0, 1, {"v:1:2": 1}, 1), (0, 2, {"v:1:2": 2}, 1)]),
+        ((1, 2), [(0, 0, {}, 1), (1, 2, {"u:1:3": 1, "v:1:2": 2}, 1)]),
+        ((1, 1), [(0, 0, {}, 1), (1, 1, {"u:1:3": 1, "v:1:2": 1}, 1),
+                  (2, 2, {"u:1:3": 2, "v:1:2": 2}, 6)]),
+        ((3, 2), [(0, 0, {}, 1), (3, 2, {"u:1:3": 3, "v:1:2": 2}, 6)]),
+        ((2, 1), [(0, 0, {}, 1), (2, 1, {"u:1:3": 2, "v:1:2": 1}, 1)]),
+        ((3, 1), [(0, 0, {}, 1), (3, 1, {"u:1:3": 3, "v:1:2": 1}, 1)]),
+        ((1, 0), [(0, 0, {}, 1), (1, 0, {"u:1:3": 1}, 1), (2, 0, {"u:1:3": 2}, 1),
+                  (3, 0, {"u:1:3": 3}, 1)]),
+    ]),
+    "2|1,1,1": ({"k1": [[[2, 1]]], "k2": [[[1, 1]], [[1, 1]], [[1, 1]]]}, 8, [
+        ((0, 1), [(0, 0, {}, 1), (0, 2, {"v:2:1": 1}, 2)]),
+        ((1, 2), [(0, 0, {}, 1), (1, 2, {"u:1:3": 1, "v:2:1": 1}, 2)]),
+        ((1, 1), [(0, 0, {}, 1), (2, 2, {"u:1:3": 2, "v:2:1": 1}, 8)]),
+        ((3, 2), [(0, 0, {}, 1), (3, 2, {"u:1:3": 3, "v:2:1": 1}, 8)]),
+        ((1, 0), [(0, 0, {}, 1), (1, 0, {"u:1:3": 1}, 1), (2, 0, {"u:1:3": 2}, 1),
+                  (3, 0, {"u:1:3": 3}, 1)]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("refinement", sorted(PINNED_WALLS))
+def test_vertex_factorize_output_is_pinned(capsys, refinement):
+    payload, n_trop, walls = PINNED_WALLS[refinement]
+    expected = {
+        "refinement": payload,
+        "walls": [{"direction": list(direction),
+                   "function": [{"x_exp": a, "y_exp": b, "counts": counts, "coefficient": c}
+                                for a, b, counts, c in terms]}
+                  for direction, terms in walls],
+        "n_trop": n_trop,
+    }
+    code, out = run(capsys, "vertex", "factorize", "--refinement", refinement)
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_table_json(capsys):
     code, out = run(capsys, "table", "--max-n", "2")
     assert code == 0

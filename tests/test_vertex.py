@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -64,6 +65,19 @@ def test_divided_power_product():
     assert mixed.coefficient(1, 2, {c: 1, other: 1}) == 5
     with pytest.raises(ValueError):
         TruncatedElement.monomial(0, 0, {c: -1})
+
+
+@pytest.mark.parametrize("cls", [("u", 1, -1), ("u", 1, 0), ("u", 1, 1.0), ("u", 1, "2"),
+                                 ("u", 1, True), ("u", 1), "u"])
+def test_malformed_class_ids_are_rejected(cls):
+    # a cap <= 0 would put every monomial above its cap, so a wall made of
+    # them would silently equal 1
+    with pytest.raises(ValueError, match="class %s" % re.escape(repr(cls))):
+        TruncatedElement.monomial(1, 0, (cls,))
+    with pytest.raises(ValueError, match="positive int cap"):
+        TruncatedElement.monomial(1, 0, {cls: 0})
+    with pytest.raises(ValueError, match="positive int cap"):
+        THETA_X.f.coefficient(1, 0, (cls,))
 
 
 def test_wall_automorphism_validation():
