@@ -218,20 +218,24 @@ def _check(label, ok, failures):
         failures.append(label)
 
 
+IDENTITY_CHECKS = (
+    ("mps", motive.motivic_mps_check),
+    ("partition-form", motive.partition_form_check),
+    ("dual-mps", motive.dual_mps_check),
+)
+
+
 def cmd_verify(args):
+    checks = dict(IDENTITY_CHECKS)
     failures = []
     if args.suite == "lemma3":
         for n in range(1, args.max_n + 1):
             lhs, rhs = lemma3_identity(n)
             _check("lemma3 n=%d" % n, lhs == rhs, failures)
-    elif args.suite == "mps":
+    elif args.suite in checks:
         Q, d, stab = _load_quiver_setup(args)
-        ok = motive.motivic_mps_check(Q, stab, args.vertex, d)
-        _check("mps %s at %s dim %s" % (args.quiver, args.vertex, args.dim), ok, failures)
-    elif args.suite == "dual-mps":
-        Q, d, stab = _load_quiver_setup(args)
-        ok = motive.dual_mps_check(Q, stab, args.vertex, d)
-        _check("dual-mps %s at %s dim %s" % (args.quiver, args.vertex, args.dim),
+        ok = checks[args.suite](Q, stab, args.vertex, d)
+        _check("%s %s at %s dim %s" % (args.suite, args.quiver, args.vertex, args.dim),
                ok, failures)
     elif args.suite == "eulgw":
         for p1, p2, r in tropical.refinement_scan(args.max_size):
@@ -428,7 +432,7 @@ def build_parser():
     v_sub = p_verify.add_subparsers(dest="suite", required=True)
     v_lemma = v_sub.add_parser("lemma3")
     v_lemma.add_argument("--max-n", type=_int_at_least(1), default=8)
-    for name in ("mps", "dual-mps"):
+    for name, _ in IDENTITY_CHECKS:
         v_m = v_sub.add_parser(name)
         v_m.add_argument("--quiver", required=True)
         v_m.add_argument("--dim", required=True)

@@ -37,8 +37,8 @@ from itertools import product
 from math import comb, factorial, lcm
 
 from .quiver import check_quiver, hat_quiver
-from .ratfunc import ONE, Poly, RationalFunction
-from .symfunc import Partition, multiplicity_vectors, partitions, weighted_splits
+from .ratfunc import ONE, Poly, RationalFunction, linear_sum
+from .symfunc import Partition, mps_weight, multiplicity_vectors, partitions, weighted_splits
 
 MotiveClass = RationalFunction
 
@@ -490,13 +490,6 @@ def euler_char(Q, s, d):
 # -- degeneration identities ---------------------------------------------------
 
 
-def _mps_weight(m):
-    out = Fraction(1)
-    for l, ml in m.items():
-        out *= Fraction(1, factorial(ml)) * Fraction((-1) ** ((l - 1) * ml), l ** ml)
-    return out
-
-
 def _blown_up_dim(Q, i, d):
     """d_i at the vertex i that an identity blows up; an unknown vertex id
     or d_i < 1 is rejected."""
@@ -509,15 +502,14 @@ def _blown_up_dim(Q, i, d):
 
 
 def _mps_rhs(Q, s, i, d):
-    di = d.get(i, 0)
-    rhs = MotiveClass.zero()
-    for m in multiplicity_vectors(di):
+    terms = []
+    for m in multiplicity_vectors(d.get(i, 0)):
         Qh, dh, sh = hat_quiver(Q, i, m, d, s)
-        term = hn_sst_class(Qh, sh, dh) * _mps_weight(m)
+        term = hn_sst_class(Qh, sh, dh)
         for l, ml in m.items():
             term = term.times_proj_inverse(l, ml)
-        rhs = rhs + term
-    return rhs
+        terms.append((mps_weight(m), term))
+    return linear_sum(terms)
 
 
 def motivic_mps_check(Q, s, i, d):
@@ -533,16 +525,15 @@ def partition_form_check(Q, s, i, d):
     epsilon_lambda / z_lambda and one projective-space factor per part;
     checked against the multiplicity-vector form."""
     di = _blown_up_dim(Q, i, d)
-    rhs = MotiveClass.zero()
+    terms = []
     for parts in sorted(partitions(di)):
         lam = Partition(parts)
-        m = lam.multiplicities()
-        Qh, dh, sh = hat_quiver(Q, i, m, d, s)
-        term = hn_sst_class(Qh, sh, dh) * Fraction(lam.sign(), lam.z())
+        Qh, dh, sh = hat_quiver(Q, i, lam.multiplicities(), d, s)
+        term = hn_sst_class(Qh, sh, dh)
         for p in parts:
             term = term.times_proj_inverse(p)
-        rhs = rhs + term
-    return rhs == _mps_rhs(Q, s, i, d)
+        terms.append((Fraction(lam.sign(), lam.z()), term))
+    return linear_sum(terms) == _mps_rhs(Q, s, i, d)
 
 
 def dual_mps_check(Q, s, i, d):
@@ -552,15 +543,13 @@ def dual_mps_check(Q, s, i, d):
     Qh, dh0, sh = hat_quiver(Q, i, {di: 1}, d, s)
     lhs = hn_sst_class(Qh, sh, dh0).times_proj_inverse(di)
 
-    rhs = MotiveClass.zero()
+    terms = []
     for parts in sorted(partitions(di)):
         lam = Partition(parts)
-        coef = Fraction((-1) ** (lam.length() - 1) * factorial(lam.length() - 1))
+        coef = Fraction((-1) ** (di - lam.length()) * di * factorial(lam.length() - 1))
         for m in lam.multiplicities().values():
             coef /= factorial(m)
         Qc, dc, sc = check_quiver(Q, i, parts, d, s)
-        term = hn_sst_class(Qc, sc, dc) * coef
-        term = term.times_l_power(sum(comb(p, 2) for p in parts))
-        rhs = rhs + term
-    rhs = rhs * Fraction((-1) ** (di - 1) * di)
-    return lhs == rhs
+        term = hn_sst_class(Qc, sc, dc).times_l_power(sum(comb(p, 2) for p in parts))
+        terms.append((coef, term))
+    return lhs == linear_sum(terms)

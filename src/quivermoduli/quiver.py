@@ -134,6 +134,14 @@ class Stability:
     theta: tuple
     kappa_from_levels: bool = True
 
+    def __post_init__(self):
+        # a float theta would be scaled to its binary value, so slopes that
+        # are equal in exact arithmetic could compare unequal
+        for v, t in self.theta:
+            if type(t) is not int and not isinstance(t, Fraction):
+                raise ValueError("theta at vertex %r must be an int or a Fraction, not %s"
+                                 % (v, type(t).__name__))
+
     @classmethod
     def of(cls, theta_map, kappa_from_levels=True):
         return cls(tuple(sorted(theta_map.items(), key=lambda kv: repr(kv[0]))),

@@ -8,13 +8,16 @@ are integral and irreducible with leading coefficient 1.
 :class:`RationalFunction` stores num / (L^lpow prod Phi_k^e_k) with no
 factor of the denominator dividing num, so equal values have equal fields.
 Coefficients are ``int`` whenever possible and ``fractions.Fraction``
-otherwise.
+otherwise.  Every sum, ``+`` and ``-`` included, goes through
+:func:`linear_sum`, which adds any number of scaled terms over one common
+denominator in integer arithmetic and reduces once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 
 def _canon(c):
@@ -250,15 +253,6 @@ def _reduced(num, lpow, phi, candidates):
     return _new(num, lpow, tuple(sorted((k, e) for k, e in phi.items() if e)))
 
 
-def _lift(num, dl, own, common):
-    """num times L^dl and the Phi-factors of ``common`` missing from ``own``."""
-    out = num.shifted(dl)
-    for k, e in common.items():
-        for _ in range(e - own.get(k, 0)):
-            out = out * cyclotomic(k)
-    return out
-
-
 class RationalFunction:
     """num / (L^lpow * prod_k Phi_k^e_k), reduced: L does not divide num
     when lpow > 0, and no Phi_k with k in ``cyc`` divides num.
@@ -339,19 +333,7 @@ class RationalFunction:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = RationalFunction.of(other)
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        a, b = dict(self.cyc), dict(other.cyc)
-        lpow = max(self.lpow, other.lpow)
-        phi = {k: max(a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()}
-        num = (_lift(self.num, lpow - self.lpow, a, phi)
-               + _lift(other.num, lpow - other.lpow, b, phi))
-        # a factor of the common denominator can divide the sum only if
-        # both summands carry it to the same power
-        return _reduced(num, lpow, phi, [k for k in phi if a.get(k) == b.get(k)])
+        return linear_sum(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -359,10 +341,10 @@ class RationalFunction:
         return _new(-self.num, self.lpow, self.cyc)
 
     def __sub__(self, other):
-        return self + (-RationalFunction.of(other))
+        return linear_sum(((1, self), (-1, other)))
 
     def __rsub__(self, other):
-        return RationalFunction.of(other) + (-self)
+        return linear_sum(((1, other), (-1, self)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -397,3 +379,84 @@ class RationalFunction:
         if den == 0:
             raise ZeroDivisionError("pole at %r" % (value,))
         return _canon(Fraction(1, 1) * self.num(value) / den)
+
+
+def linear_sum(pairs):
+    """sum_i c_i f_i for rational scalars c_i and values f_i (a
+    :class:`RationalFunction`, or an int, Fraction or Poly taken as one),
+    over one common denominator and reduced once.
+
+    The common denominator is L^max(lpow) prod_k Phi_k^max(e_k).  One
+    integer lcm D clears every scalar and every coefficient denominator, so
+    the numerators are added with integer coefficients.  The total is
+    reduced and then divided by D.  Every summand is reduced, so Phi_k can
+    divide the total only if at least two summands carry its top exponent:
+    a lone carrier is the one term not divisible by it.  A scalar or a
+    coefficient that is not an int or a Fraction is a TypeError.
+    """
+    terms = []
+    for c, f in pairs:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("scalar %r is not an int or a Fraction" % (c,))
+        if not isinstance(f, (RationalFunction, Poly, int, Fraction)):
+            raise TypeError("summand %r is not a RationalFunction, Poly, int or Fraction"
+                            % (f,))
+        f = RationalFunction.of(f)
+        if c and f.num:
+            terms.append((c, f))
+    if not terms:
+        return RationalFunction.zero()
+    lpow = max(f.lpow for _, f in terms)
+    phi, carriers = {}, {}
+    for _, f in terms:
+        for k, e in f.cyc:
+            if e > phi.get(k, 0):
+                phi[k], carriers[k] = e, 1
+            elif e == phi[k]:
+                carriers[k] += 1
+    # term i is (a_i / b_i) times an integer numerator
+    cleared, den = [], 1
+    for c, f in terms:
+        a, b = (c, 1) if type(c) is int else (c.numerator, c.denominator)
+        coeffs = f.num.c
+        if not _all_int(coeffs):
+            for x in coeffs:
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError("coefficient %r of %r is not an int or a Fraction"
+                                    % (x, f))
+            q = lcm(*(x.denominator for x in coeffs if type(x) is not int))
+            coeffs, b = [x * q if type(x) is int else x.numerator * (q // x.denominator)
+                         for x in coeffs], b * q
+        cleared.append((a, b, coeffs, f))
+        den = lcm(den, b)
+    # the numerators of the terms that miss the same powers of the Phi_k
+    # from the common denominator are added first
+    order = sorted(phi)
+    sums = {}
+    for a, b, coeffs, f in cleared:
+        a *= den // b
+        own = dict(f.cyc)
+        key = tuple(phi[k] - own.get(k, 0) for k in order)
+        num = Poly._raw([a * x for x in coeffs]).shifted(lpow - f.lpow)
+        sums[key] = sums[key] + num if key in sums else num
+    # then the sums are lifted one factor at a time, by Horner's rule in
+    # Phi_k: the sums that miss the same powers of every later factor share
+    # each multiplication by Phi_k.  The largest powers are those of the
+    # smallest k, so they go first, while the numerators are short.
+    layer = sums
+    for k in order:
+        groups = {}
+        for key, num in layer.items():
+            groups.setdefault(key[1:], {})[key[0]] = num
+        layer = {}
+        for tail, by_missing in groups.items():
+            acc = Poly()
+            for e in range(max(by_missing), -1, -1):
+                acc = acc * cyclotomic(k)
+                if e in by_missing:
+                    acc = acc + by_missing[e]
+            layer[tail] = acc
+    r = _reduced(layer[()], lpow, phi, [k for k, n in carriers.items() if n > 1])
+    if den == 1 or not r.num:
+        return r
+    return _new(Poly(Fraction(x, den) for x in r.num.c), r.lpow, r.cyc)

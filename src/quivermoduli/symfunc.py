@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .ratfunc import Poly, RationalFunction
+from .ratfunc import Poly, RationalFunction, linear_sum
 
 
 @cache
@@ -134,10 +134,14 @@ class SymPoly:
             raise ValueError("basis must be 'e' or 'p'")
         clean = {}
         for lam, c in coeffs.items():
-            c = Fraction(c)
+            if any(type(p) is not int or p < 1 for p in lam):
+                raise ValueError("partition %r must have positive integer parts" % (lam,))
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise ValueError("coefficient of %r must be an int or a Fraction, not %s"
+                                 % (lam, type(c).__name__))
             if c:
-                clean[tuple(sorted(lam, reverse=True))] = clean.get(
-                    tuple(sorted(lam, reverse=True)), 0) + c
+                key = tuple(sorted(lam, reverse=True))
+                clean[key] = clean.get(key, 0) + Fraction(c)
         clean = {lam: c for lam, c in clean.items() if c}
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", clean)
@@ -147,7 +151,7 @@ class SymPoly:
 
     @classmethod
     def basis_element(cls, basis, lam, coeff=1):
-        return cls(basis, {tuple(lam): Fraction(coeff)})
+        return cls(basis, {tuple(lam): coeff})
 
     def _same_basis(self, other):
         if self.basis != other.basis:
@@ -193,21 +197,26 @@ class SymPoly:
         return "SymPoly(%s)" % terms
 
 
+def mps_weight(m):
+    """prod_l (1/m_l!) ((-1)^(l-1) / l)^m_l for a multiplicity vector m,
+    that is, epsilon / z of the partition with multiplicities m: the weight
+    of p_lambda(m) in e_n and of the blow-up at m in the MPS formula."""
+    sign, z = 1, 1
+    for l, ml in m.items():
+        z *= factorial(ml) * l ** ml
+        if (l - 1) * ml % 2:
+            sign = -sign
+    return Fraction(sign, z)
+
+
 def e_to_p(n):
     """e_n in the power-sum basis:
-    sum over multiplicity vectors m of n of
-    prod_l (1/m_l!) * ((-1)^(l-1) / l)^m_l * p_{lambda(m)}.
+    sum over multiplicity vectors m of n of mps_weight(m) * p_{lambda(m)}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = {}
-    for m in multiplicity_vectors(n):
-        coef = Fraction(1)
-        for l, ml in m.items():
-            coef *= Fraction(1, factorial(ml)) * (Fraction((-1) ** (l - 1), l)) ** ml
-        lam = Partition.from_multiplicities(m).parts
-        coeffs[lam] = coef
-    return SymPoly("p", coeffs)
+    return SymPoly("p", {Partition.from_multiplicities(m).parts: mps_weight(m)
+                         for m in multiplicity_vectors(n)})
 
 
 def p_to_e(n):
@@ -273,36 +282,32 @@ def e_lambda_to_p(lam):
                     denom *= factorial(row.get(l, 0))
                 term *= Fraction(factorial(ml), denom)
             inner += term
-        if not inner:
-            continue
-        coef = inner
-        for l, ml in m.items():
-            coef *= Fraction(1, factorial(ml)) * (Fraction((-1) ** (l - 1), l)) ** ml
-        coeffs[Partition.from_multiplicities(m).parts] = coef
+        if inner:
+            coeffs[Partition.from_multiplicities(m).parts] = inner * mps_weight(m)
     return SymPoly("p", coeffs)
 
 
-def _e_image(n):
-    """Principal specialization of e_n: q^(n(n-1)/2) / prod_{i<=n} (1-q^i)."""
-    return RationalFunction(Poly.x_pow(comb(n, 2), (-1) ** n), 0,
-                            {i: 1 for i in range(1, n + 1)})
-
-
-def _p_image(n):
-    """Principal specialization of p_n: 1 / (1-q^n)."""
-    return RationalFunction(-1, 0, {n: 1})
+def _image(basis, lam):
+    """Principal specialization of e_lam or p_lam, as one class.  It sends
+    e_n -> q^(n(n-1)/2) / prod_(i <= n) (1-q^i) and p_n -> 1 / (1-q^n), so
+    e_lam -> (-1)^|lam| q^(sum binom(lam_j, 2)) / prod_i (q^i-1)^#(lam_j >= i)
+    and p_lam -> (-1)^l(lam) / prod_j (q^lam_j - 1)."""
+    den = {}
+    if basis == "e":
+        sign, power = (-1) ** sum(lam), sum(comb(part, 2) for part in lam)
+        for part in lam:
+            for i in range(1, part + 1):
+                den[i] = den.get(i, 0) + 1
+    else:
+        sign, power = (-1) ** len(lam), 0
+        for part in lam:
+            den[part] = den.get(part, 0) + 1
+    return RationalFunction(Poly.x_pow(power, sign), 0, den)
 
 
 def principal_specialize(s):
     """Apply x_i -> q^(i-1) to a SymPoly, exactly, as a rational function."""
-    image = _e_image if s.basis == "e" else _p_image
-    total = RationalFunction.zero()
-    for lam, c in sorted(s.coeffs.items()):
-        term = RationalFunction.of(c)
-        for part in lam:
-            term = term * image(part)
-        total = total + term
-    return total
+    return linear_sum((c, _image(s.basis, lam)) for lam, c in s.coeffs.items())
 
 
 def lemma3_identity(n):
@@ -320,12 +325,8 @@ def lemma3_identity(n):
     # q^(n(n-1)/2) prod_{j<=n} (q^j - 1)
     lhs = RationalFunction(Poly.x_pow(comb(n, 2)), comb(n, 2),
                            {j: 1 for j in range(1, n + 1)})
-    rhs = RationalFunction.zero()
-    for m in multiplicity_vectors(n):
-        term = RationalFunction(1, 0, {1: sum(m.values())})
-        scalar = Fraction(1)
-        for l, ml in m.items():
-            scalar *= Fraction(1, factorial(ml)) * Fraction((-1) ** (l - 1), l) ** ml
-            term = term.times_proj_inverse(l, ml)
-        rhs = rhs + term * scalar
+    # (l [l]_q)^(-m_l) (q-1)^(-m_l) = l^(-m_l) (q^l-1)^(-m_l): the term of m is
+    # its weight over prod_l (q^l-1)^m_l
+    rhs = linear_sum((mps_weight(m), RationalFunction(1, 0, m))
+                     for m in multiplicity_vectors(n))
     return lhs, rhs

@@ -26,7 +26,14 @@ from quivermoduli.motive import (
     poincare,
 )
 from quivermoduli.quiver import Quiver, Refinement, Stability, bipartite_setup, euler_form
-from quivermoduli.symfunc import SymPoly, e_to_p, lemma3_identity, p_to_e, partitions
+from quivermoduli.symfunc import (
+    SymPoly,
+    e_to_p,
+    lemma3_identity,
+    p_to_e,
+    partitions,
+    principal_specialize,
+)
 from quivermoduli.tropical import (
     degeneration_total,
     mps_euler,
@@ -124,9 +131,11 @@ def test_criterion_4_motivic_and_dual_identities():
 
 def test_criterion_5_symmetric_function_identities():
     t0 = time.monotonic()
-    for n in range(1, 9):
+    for n in range(1, 13):
         lhs, rhs = lemma3_identity(n)
         assert lhs == rhs, n
+        assert (principal_specialize(e_to_p(n))
+                == principal_specialize(SymPoly.basis_element("e", (n,)))), n
     for n in range(1, 11):
         back = SymPoly("p", {})
         for lam, c in p_to_e(n).coeffs.items():
@@ -135,7 +144,8 @@ def test_criterion_5_symmetric_function_identities():
                 term = term * e_to_p(part)
             back = back + term * c
         assert back == SymPoly.basis_element("p", (n,)), n
-    _report("criterion 5: q-identity n<=8, inverse base change n<=10", t0, 60)
+    _report("criterion 5: q-identity and specialization n<=12, inverse base change n<=10",
+            t0, 60)
 
 
 def test_criterion_6_vertex_group_oracle():

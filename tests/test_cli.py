@@ -85,6 +85,15 @@ def test_verify_mps_and_dual(tmp_path, capsys):
     assert code == 0 and "pass" in out
 
 
+def test_verify_partition_form(tmp_path, capsys):
+    path = tmp_path / "kronecker3.json"
+    path.write_text(json.dumps(Quiver.kronecker(3).to_json()))
+    code, out = run(capsys, "verify", "partition-form", "--quiver", str(path),
+                    "--dim", "3,4", "--vertex", "j1", "--theta", "1,0")
+    assert code == 0
+    assert out.startswith("partition-form %s at j1 dim 3,4" % path) and " pass\n" in out
+
+
 def test_verify_eulgw_small(capsys):
     code, out = run(capsys, "verify", "eulgw", "--max-size", "5")
     assert code == 0
@@ -345,7 +354,7 @@ def test_chi_quiver_with_partitions_is_usage_error(k3_file, capsys, extra):
     assert "--p1/--p2" in err
 
 
-@pytest.mark.parametrize("suite", ["mps", "dual-mps"])
+@pytest.mark.parametrize("suite", ["mps", "partition-form", "dual-mps"])
 def test_verify_unknown_vertex_is_usage_error(k3_file, capsys, suite):
     err = _usage_exit(capsys, ["verify", suite, "--quiver", k3_file, "--dim", "2,3",
                                "--vertex", "zz", "--theta", "1,0"])

@@ -188,6 +188,18 @@ def test_theta_coprime():
     assert not is_theta_coprime(K3, S10, {"i1": 2, "j1": 2})
 
 
+def test_theta_coprime_with_fraction_theta():
+    # theta = (3/10, 1/10, 2/10) on K(1, 2): theta(j2) = theta(i1 + j1 + j2)
+    # / 3, so the subvector j2 shares the slope of (1, 1, 1); in floats
+    # 0.3 + 0.1 + 0.2 != 3 * 0.2, which is why a float theta is rejected
+    K12 = Quiver.complete_bipartite(1, 2)
+    ones = {v: 1 for v in K12.ids}
+    exact = Stability.of({"i1": Fraction(3, 10), "j1": Fraction(1, 10), "j2": Fraction(2, 10)})
+    assert not is_theta_coprime(K12, exact, ones)
+    with pytest.raises(ValueError, match="theta at vertex 'i1'"):
+        Stability.of({"i1": 0.3, "j1": 0.1, "j2": 0.2})
+
+
 def test_dimension_vector_unknown_ids_rejected():
     for fn in (euler_char, hn_sst_class, is_theta_coprime, poincare, hn_types):
         with pytest.raises(ValueError, match="unknown vertex ids 'zz'"):

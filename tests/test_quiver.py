@@ -60,6 +60,14 @@ def test_euler_form_bilinear_random():
         assert lhs == euler_form(Q, d, e) + euler_form(Q, dp, e)
 
 
+@pytest.mark.parametrize("bad", [0.1, "1", True])
+def test_stability_rejects_inexact_theta(bad):
+    # a float would be scaled to its binary value, not to 1/10
+    with pytest.raises(ValueError, match="theta at vertex 'j1'"):
+        Stability.of({"i1": 1, "j1": bad})
+    assert Stability.of({"i1": 1, "j1": Fraction(1, 10)}).theta_map()["j1"] == Fraction(1, 10)
+
+
 def test_slope():
     Q = Quiver((("a", 1), ("b", 1)))
     s = Stability.of({"a": 1, "b": 0})

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivermoduli.motive import MotiveClass
-from quivermoduli.ratfunc import Poly, RationalFunction, cyclotomic
+from quivermoduli.ratfunc import Poly, RationalFunction, _reduced, cyclotomic, linear_sum
 
 ORACLE = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -203,3 +203,86 @@ def test_equal_values_have_equal_fields_and_hashes(a, b, i, n, j):
         assert (r.num, r.lpow, r.cyc) == (t.num, t.lpow, t.cyc)
         assert r == t and hash(r) == hash(t)
     assert (A == B) == (A - B).is_zero()
+
+
+# -- linear_sum against the pairwise fold ---------------------------------------
+
+
+def _lift(num, dl, own, common):
+    out = num.shifted(dl)
+    for k, e in common.items():
+        for _ in range(e - own.get(k, 0)):
+            out = out * cyclotomic(k)
+    return out
+
+
+def oracle_add(x, y):
+    """x + y by lifting both numerators to the common denominator in Poly
+    arithmetic and reducing by the Phi_k that both carry to the same power."""
+    if not y.num:
+        return x
+    if not x.num:
+        return y
+    a, b = dict(x.cyc), dict(y.cyc)
+    lpow = max(x.lpow, y.lpow)
+    phi = {k: max(a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()}
+    num = _lift(x.num, lpow - x.lpow, a, phi) + _lift(y.num, lpow - y.lpow, b, phi)
+    return _reduced(num, lpow, phi, [k for k in phi if a.get(k) == b.get(k)])
+
+
+SCALARS = st.one_of(st.just(0), st.integers(-3, 3),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=6))
+TERMS = st.tuples(st.lists(COEFFS, max_size=5),
+                  st.integers(-2, 3),
+                  st.dictionaries(st.integers(1, 6), st.integers(0, 2), max_size=3))
+
+
+def _fields(r):
+    return r.num, r.lpow, r.cyc
+
+
+@ORACLE
+@given(st.lists(st.tuples(SCALARS, TERMS), max_size=6), st.lists(st.integers(0, 5), max_size=3))
+def test_linear_sum_matches_pairwise_fold(pairs, cancelled):
+    terms = [(c, _build(spec)) for c, spec in pairs]
+    # c f followed later by -c f cancels exactly
+    terms += [(-terms[i][0], terms[i][1]) for i in cancelled if i < len(terms)]
+    expected = RationalFunction.zero()
+    for c, f in terms:
+        expected = oracle_add(expected, f * c)
+    total = linear_sum(terms)
+    _assert_canonical(total)
+    assert _fields(total) == _fields(expected)
+    zero = linear_sum(terms + [(-c, f) for c, f in terms])
+    assert _fields(zero) == _fields(RationalFunction.zero())
+
+
+def test_linear_sum_examples():
+    inv = RationalFunction(1, 0, {1: 1})      # 1/(L-1)
+    assert linear_sum([]) == RationalFunction.zero()
+    assert linear_sum([(0, inv), (3, RationalFunction.zero())]).is_zero()
+    # constants, Poly values and Fraction scalars
+    assert linear_sum([(2, 3), (Fraction(1, 2), L)]) == RationalFunction(Poly((6, Fraction(1, 2))))
+    # L/(L-1) - 1/(L-1) = 1: the shared Phi_1 cancels
+    assert linear_sum([(1, RationalFunction(L, 0, {1: 1})), (-1, inv)]) == RationalFunction.one()
+    # 1/(L^2-1) + 1/(L^2-1)^2 = L^2/(L^2-1)^2: the top powers of Phi_1 and
+    # Phi_2 come from one term, so neither can cancel
+    s = linear_sum([(1, RationalFunction(1, 0, {2: 1})), (1, RationalFunction(1, 0, {2: 2}))])
+    assert _fields(s) == (Poly.x_pow(2), 0, ((1, 2), (2, 2)))
+    # Fraction coefficients are cleared and restored
+    half = RationalFunction(Poly((Fraction(1, 2),)), 1)
+    assert linear_sum([(Fraction(2, 3), half), (Fraction(1, 3), half)]) == half
+
+
+@pytest.mark.parametrize("pairs, named", [
+    ([(0.5, L)], "0.5"),
+    ([(1, L), (1, "L")], "'L'"),
+    ([(1, Poly((0.5, 1)))], "0.5"),
+    ([(1, RationalFunction(1, 0, {1: 1})), (1, 0.25)], "0.25"),
+])
+def test_linear_sum_rejects_inexact_values(pairs, named):
+    with pytest.raises(TypeError, match=named):
+        linear_sum(pairs)
+    if len(pairs) == 2 and pairs[0][0] == 1 == pairs[1][0]:
+        with pytest.raises(TypeError, match=named):
+            RationalFunction.of(pairs[0][1]) + pairs[1][1]

@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -10,6 +12,7 @@ from quivermoduli.symfunc import (
     e_lambda_to_p,
     e_to_p,
     lemma3_identity,
+    mps_weight,
     multiplicity_vectors,
     p_to_e,
     partitions,
@@ -101,6 +104,17 @@ def test_multiplicity_vectors_cover_partitions():
 # -- base changes ---------------------------------------------------------------
 
 
+def test_mps_weight_is_sign_over_z():
+    # prod_l (1/m_l!) ((-1)^(l-1) / l)^m_l, term by term, is epsilon / z
+    for n in range(1, 9):
+        for m in multiplicity_vectors(n):
+            direct = Fraction(1)
+            for l, ml in m.items():
+                direct *= Fraction(1, factorial(ml)) * Fraction((-1) ** (l - 1), l) ** ml
+            lam = Partition.from_multiplicities(m)
+            assert mps_weight(m) == direct == Fraction(lam.sign(), lam.z())
+
+
 def test_e_to_p_examples():
     assert e_to_p(1).coeffs == {(1,): 1}
     assert e_to_p(2).coeffs == {(1, 1): Fraction(1, 2), (2,): Fraction(-1, 2)}
@@ -163,6 +177,23 @@ def test_sympoly_basis_mixing():
         SymPoly.basis_element("e", (1,)) + SymPoly.basis_element("p", (1,))
 
 
+@pytest.mark.parametrize("basis, lam", [("e", (2, 0)), ("p", (0,)), ("e", (-1,)), ("p", (1.0,))])
+def test_sympoly_rejects_nonpositive_parts(basis, lam):
+    # (2, 0) would be kept apart from (2,), p_0 would fail to specialize and
+    # e_(-1) would reach math.comb
+    with pytest.raises(ValueError, match=r"partition %s" % re.escape(repr(lam))):
+        SymPoly(basis, {lam: 1})
+    with pytest.raises(ValueError, match="partition"):
+        SymPoly.basis_element(basis, lam)
+
+
+@pytest.mark.parametrize("coeff", [0.5, "1/2", True])
+def test_sympoly_rejects_inexact_coefficients(coeff):
+    with pytest.raises(ValueError, match=r"coefficient of \(2, 1\)"):
+        SymPoly("e", {(2, 1): coeff})
+    assert SymPoly("e", {(2, 1): Fraction(1, 2)}).coeffs == {(2, 1): Fraction(1, 2)}
+
+
 # -- principal specialization ----------------------------------------------------
 
 
@@ -191,7 +222,7 @@ def test_principal_specialize_is_ring_map():
 def test_specialization_respects_base_change():
     # the specialization of e_n agrees with the specialization of its
     # power-sum expansion
-    for n in range(1, 7):
+    for n in range(1, 13):
         direct = principal_specialize(SymPoly.basis_element("e", (n,)))
         via_p = principal_specialize(e_to_p(n))
         assert direct == via_p
@@ -211,7 +242,7 @@ def test_lemma3_small_closed_forms():
     assert lhs.den == (q - one) ** 2 * (q + one)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_lemma3_identity(n):
     lhs, rhs = lemma3_identity(n)
     assert lhs == rhs
