@@ -7,20 +7,22 @@ factors (L^n - 1).  The recursion runs on class-count coordinates (per
 class of interchangeable vertices, how many vertices carry each value),
 and keeps one table per dimension vector of its strata sorted by integer
 slope keys; every bounded stratum sum is a prefix of that table.  It runs
-on integers: a class of D is an integer Laurent polynomial N over the one
-denominator den(D) = prod_v prod_(k <= d_v) (L^k - 1), and with the
-Gaussian binomials G_e = prod_v [d_v choose e_v]_L the two recursion
+in Z[L], on the classes [R_D^sst] themselves, which count F_q-points: with
+the Gaussian binomials G_e = prod_v [d_v choose e_v]_L and the arrow count
+ext(r, e) = sum over the arrows i -> j of r_i e_j, the two recursion
 equations read
 
-    S(D)    = L^(dim R_D - sum_v binom(d_v, 2))
-              - sum_(0 < e < D) G_e L^(-chi(D-e, e)) S(e) B(D-e, mu(e)),
-    B(D, b) = sum_(0 < e < D, mu(e) < b) G_e L^(-chi(D-e, e)) S(e) B(D-e, mu(e))
-              + [mu(D) < b] S(D),
+    R(D)    = L^(dim R_D)
+              - sum_(0 < e < D) G_e L^ext(D-e, e) R(e) B(D-e, mu(e)),
+    B(D, b) = sum_(0 < e < D, mu(e) < b) G_e L^ext(D-e, e) R(e) B(D-e, mu(e))
+              + [mu(D) < b] R(D),
 
-for the numerators S(D) of [R_D^sst]/[G_D] and B(D, b) of the sum over the
-HN types of D with every slope below b.  ``MotiveClass`` is another name
-for :class:`ratfunc.RationalFunction`, which keeps exactly that shape in a
-canonical reduced form, so classes compare and hash by value; S(D)/den(D)
+for R(D) = [R_D^sst] and B(D, b), the class of the representations of D
+whose HN type has every slope below b.  Then [R_D^sst]/[G_D] is
+R(D) / (L^(sum_v binom(d_v, 2)) den(D)) with den(D) = prod_v prod_(k <= d_v)
+(L^k - 1).  ``MotiveClass`` is another name for
+:class:`ratfunc.RationalFunction`, which keeps exactly that shape in a
+canonical reduced form, so classes compare and hash by value; the quotient
 is reduced once per D that a caller asks for.  On top of the recursion sit
 the Poincare polynomial / Euler characteristic extraction for coprime
 dimension vectors, and the degeneration identities that trade a vertex for
@@ -36,7 +38,7 @@ from functools import cache
 from itertools import product
 from math import comb, factorial, lcm
 
-from .quiver import check_quiver, hat_quiver
+from .quiver import as_int, check_quiver, hat_quiver
 from .ratfunc import ONE, Poly, RationalFunction, linear_sum
 from .symfunc import Partition, mps_weight, multiplicity_vectors, partitions, weighted_splits
 
@@ -103,24 +105,6 @@ def _symmetry_classes(levels, theta, counts):
     return tuple(tuple(vs) for _, vs in sorted(classes.items()))
 
 
-# numerators L^low * poly are (poly, low) pairs with poly(0) != 0
-_ZERO = (Poly(), 0)
-
-
-def _add(a, b):
-    """The sum of two numerators."""
-    (p, i), (q, j) = a, b
-    if not q:
-        return a
-    if not p:
-        return b
-    if i > j:
-        (p, i), (q, j) = (q, j), (p, i)
-    out = p + q.shifted(j - i)
-    k = out.low_order()
-    return (Poly._raw(out.c[k:]), i + k) if k > 0 else (out, i)
-
-
 def _slope_key(theta, kappa):
     """floor(2^64 theta / kappa), for kappa < 2^32: two slopes whose
     denominators are below 2^32 and that differ, differ by more than
@@ -132,12 +116,12 @@ def _slope_key(theta, kappa):
 
 class _Table:
     """The nontrivial strata of one dimension vector D, by increasing slope:
-    ``rows`` holds ``(mu(e), e, D - e, chi(D - e, e), orbit size)`` for one
+    ``rows`` holds ``(mu(e), e, D - e, ext(D - e, e), orbit size)`` for one
     0 < e < D per orbit of the relabelings fixing D, with the slopes as
     integer keys, and ``gauss`` the matching Gaussian factors
-    prod_v [d_v choose e_v]_L.  ``cum[k]`` is the numerator of the sum of
-    the first k terms, extended on demand; ``num`` caches the numerator of
-    sst(D) and ``sst`` its reduced class.
+    prod_v [d_v choose e_v]_L.  ``cum[k]`` is the sum of the first k terms
+    in Z[L], extended on demand; ``num`` caches [R_D^sst] and ``sst`` the
+    reduced class [R_D^sst]/[G_D].
     """
 
     __slots__ = ("mu", "slopes", "rows", "gauss", "cum", "num", "sst")
@@ -147,7 +131,7 @@ class _Table:
         self.slopes = [row[0] for row in rows]
         self.rows = rows
         self.gauss = gauss
-        self.cum = {0: _ZERO}
+        self.cum = {0: Poly()}
         self.num = None
         self.sst = None
 
@@ -157,27 +141,25 @@ class _HNSolver:
 
     A dimension vector is stored in class-count coordinates (see
     :meth:`coords`), which are also the memo keys.  Arrow counts are
-    constant between two symmetry classes and within one, so [R_D]/[G_D],
-    slopes and the Euler pairing follow from per-class sums, class-level
-    arrow counts and the per-class pairing sum_v r_v e_v.  Slopes are
-    integer keys (:func:`_slope_key`) of theta scaled to integers.
+    constant between two symmetry classes and within one, so dim R_D,
+    slopes and the arrow count ext(r, e) = sum over the arrows i -> j of
+    r_i e_j follow from per-class sums, class-level arrow counts and the
+    per-class pairing sum_v r_v e_v.  Slopes are integer keys
+    (:func:`_slope_key`) of theta scaled to integers.
 
-    Every class X of D is kept as its numerator N over the fixed
-    denominator den(D) = prod_v prod_(k <= d_v) (L^k - 1), an integer
-    Laurent polynomial, so the recursion does no gcd or cyclotomic
-    reduction.  den(e) den(D - e) G_e = den(D) for the Gaussian factor
-    G_e = prod_v [d_v choose e_v]_L, so a stratum term
-    sst(e) L^(-chi(D-e, e)) below(D-e, mu(e)) has numerator
-    G_e L^(-chi) S(e) B(D-e, mu(e)).  It does not depend on the bound it
-    is summed under, so each D has one
+    The recursion runs in Z[L] on R(D) = [R_D^sst], so it does no gcd or
+    cyclotomic reduction.  A stratum with first HN block e has the class
+    G_e L^ext(D-e, e) R(e) B(D-e, mu(e)), with the Gaussian factor
+    G_e = prod_v [d_v choose e_v]_L and B(D, b) the class of the
+    representations of D whose HN slopes are all < b.  The term does not
+    depend on the bound it is summed under, so each D has one
     :class:`_Table` and
 
-        B(D, b) = (its rows with slope < b) + [mu(D) < b] S(D),
-        S(D)    = L^(dim R_D - sum_v binom(d_v, 2)) - (all its rows),
+        B(D, b) = (its rows with slope < b) + [mu(D) < b] R(D),
+        R(D)    = L^(dim R_D) - (all its rows).
 
-    where below(D, b) = B(D, b) / den(D) sums over the HN types of D with
-    every slope < b, and sst(D) = S(D) / den(D).  :meth:`sst_class` reduces
-    S(D) / den(D) once per D.
+    :meth:`sst_class` reduces R(D) / [G_D] once per D, with
+    [G_D] = L^(sum_v binom(d_v, 2)) prod_v prod_(k <= d_v) (L^k - 1).
     """
 
     def __init__(self, Q, stab):
@@ -224,52 +206,51 @@ class _HNSolver:
                           sum(k * x for k, x in zip(self.kappa, sums)))
 
     def _top(self, key):
-        """(s, den): [R_D]/[G_D] = L^s / den(D), with den(D) as the
-        exponents of the factors L^k - 1."""
+        """(dim R_D, b, cyc): [G_D] = L^b prod_k (L^k - 1)^cyc[k]."""
         sums = [sum(x * g for x, g in groups) for groups in key]
-        shift = sum(m * sa * sb for row, sa in zip(self.arrows, sums)
-                    for m, sb in zip(row, sums))
-        cyc = {}
+        dim = sum(m * sa * sb for row, sa in zip(self.arrows, sums)
+                  for m, sb in zip(row, sums))
+        binoms, cyc = 0, {}
         for a, groups in enumerate(key):
             # the d_v^2 terms of a class come from its loops, not from the
             # arrows to another vertex of the class
             own = self.loops[a] - self.arrows[a][a]
             for x, g in groups:
-                shift += g * (own * x * x - comb(x, 2))
+                dim += g * own * x * x
+                binoms += g * comb(x, 2)
                 for k in range(1, x + 1):
                     cyc[k] = cyc.get(k, 0) + g
-        return shift, cyc
+        return dim, binoms, cyc
 
     def top_class(self, key):
         """[R_D]/[G_D] = L^(dim R_D) / prod_v [GL_(d_v)]."""
-        shift, cyc = self._top(key)
-        return MotiveClass(1, -shift, cyc)
+        dim, binoms, cyc = self._top(key)
+        return MotiveClass(Poly.x_pow(dim), binoms, cyc)
 
     # -- the recursion -------------------------------------------------------
 
     def sst_class(self, key):
-        """sst(D) as a reduced class."""
+        """[R_D^sst]/[G_D] as a reduced class."""
         table = self._table(key)
         if table.sst is None:
-            num, low = self._sst_num(key)
-            table.sst = MotiveClass(num, -low, self._top(key)[1])
+            _, binoms, cyc = self._top(key)
+            table.sst = MotiveClass(self._sst_num(key), binoms, cyc)
         return table.sst
 
     def _sst_num(self, key):
-        """S(D), the numerator of sst(D) over den(D)."""
+        """R(D) = [R_D^sst] in Z[L]."""
         table = self._table(key)
         if table.num is None:
-            num, low = self._prefix(table, len(table.rows))
-            table.num = _add((ONE, self._top(key)[0]), (-num, low))
+            table.num = Poly.x_pow(self._top(key)[0]) - self._prefix(table, len(table.rows))
         return table.num
 
     def _below(self, key, bound):
-        """The numerator of the sum over the HN types of D with all slopes
-        < bound."""
+        """B(D, bound): the class of the representations of D whose HN
+        slopes are all < bound."""
         table = self._table(key)
         value = self._prefix(table, bisect_left(table.slopes, bound))
         if table.mu < bound:
-            value = _add(value, self._sst_num(key))
+            value = value + self._sst_num(key)
         return value
 
     def _prefix(self, table, k):
@@ -279,17 +260,17 @@ class _HNSolver:
         cum = table.cum
         while len(cum) <= k:
             i = len(cum) - 1
-            mu_e, e, rest, chi, mult = table.rows[i]
+            mu_e, e, rest, ext, mult = table.rows[i]
             value = cum[i]
-            sst_e, low_e = self._sst_num(e)
+            sst_e = self._sst_num(e)
             if sst_e:  # an empty stratum needs no below-sum
-                below, low_b = self._below(rest, mu_e)
+                below = self._below(rest, mu_e)
                 if below:
                     term = sst_e * below
                     factor = table.gauss[i] if mult == 1 else table.gauss[i] * mult
                     if factor.c != (1,):
                         term = term * factor
-                    value = _add(value, (term, low_e + low_b - chi))
+                    value = value + term.shifted(ext)
             cum.setdefault(i + 1, value)
         return cum[k]
 
@@ -302,12 +283,12 @@ class _HNSolver:
     def _build(self, key):
         """The rows of D in one depth-first walk over the classes.  Descending
         into class a with split (e_a, r_a) adds its terms to running sums:
-        theta.e and kappa.e for the slope key, chi(rest, e), the Gaussian
+        theta.e and kappa.e for the slope key, ext(rest, e), the Gaussian
         factor and the number of labelled ways.  With x_a = sum_v e_v and s_a
-        the class sum of D, chi(rest, e) gains
+        the class sum of D, ext(rest, e) gains
 
-            (1 - loops_a + m_aa) sum_v r_v e_v - (s_a - x_a) m_aa x_a
-            - sum_(b < a) ((s_a - x_a) m_ab x_b + (s_b - x_b) m_ba x_a),
+            (loops_a - m_aa) sum_v r_v e_v + (s_a - x_a) m_aa x_a
+            + sum_(b < a) ((s_a - x_a) m_ab x_b + (s_b - x_b) m_ba x_a),
 
         where the sum over the earlier classes is s_a A + x_a (C - A) with
         A = sum_b m_ab x_b and C = sum_b (s_b - x_b) m_ba, both fixed before
@@ -322,31 +303,31 @@ class _HNSolver:
         splits = []
         for a, groups in enumerate(key):
             s, m, t, k = sums[a], arrows[a][a], self.theta[a], self.kappa[a]
-            coef = 1 - self.loops[a] + m
-            splits.append([(e, r, x, t * x, k * x, coef * pairing - (s - x) * m * x, w, g)
+            own = self.loops[a] - m
+            splits.append([(e, r, x, t * x, k * x, own * pairing + (s - x) * m * x, w, g)
                            for e, r, x, pairing, w, g in _class_splits(groups)])
         rows = []
         xs = [0] * len(key)
 
-        def walk(a, e, rest, th, ka, chi, weight, gauss):
+        def walk(a, e, rest, th, ka, ext, weight, gauss):
             A = C = 0
             for b in range(a):
                 A += arrows[a][b] * xs[b]
                 C += (sums[b] - xs[b]) * arrows[b][a]
             cross_s, cross_x = sums[a] * A, C - A
-            for e_a, r_a, x, th_a, ka_a, chi_a, w, g in splits[a]:
-                chi_e = chi + chi_a - cross_s - x * cross_x
+            for e_a, r_a, x, th_a, ka_a, ext_a, w, g in splits[a]:
+                ext_e = ext + ext_a + cross_s + x * cross_x
                 if g is ONE:
                     g = gauss
                 elif gauss is not ONE:
                     g = gauss * g
                 if a < last:
                     xs[a] = x
-                    walk(a + 1, e + (e_a,), rest + (r_a,), th + th_a, ka + ka_a, chi_e,
+                    walk(a + 1, e + (e_a,), rest + (r_a,), th + th_a, ka + ka_a, ext_e,
                          weight * w, g)
                 elif 0 < ka + ka_a < kappa_d:
                     rows.append((_slope_key(th + th_a, ka + ka_a), e + (e_a,),
-                                 rest + (r_a,), chi_e, weight * w, g))
+                                 rest + (r_a,), ext_e, weight * w, g))
 
         walk(0, (), (), 0, 0, 0, 1, ONE)
         rows.sort(key=lambda row: row[0])
@@ -398,13 +379,13 @@ _solver = cache(_HNSolver)
 
 
 def _as_tuple(Q, d):
-    """The dimension vector in vertex order; unknown ids and negative
-    entries are rejected."""
+    """The dimension vector in vertex order; unknown ids and entries that
+    are negative or not ints are rejected."""
     unknown = set(d) - set(Q.ids)
     if unknown:
         raise ValueError("dimension vector uses unknown vertex ids %s"
                          % ", ".join(sorted(map(repr, unknown))))
-    dv = tuple(int(d.get(v, 0)) for v in Q.ids)
+    dv = tuple(as_int(d.get(v, 0), "dimension vector entry") for v in Q.ids)
     if any(x < 0 for x in dv):
         raise ValueError("dimension vector entries must be nonnegative")
     return dv
@@ -477,7 +458,7 @@ def poincare(Q, s, d):
     if not cls.is_polynomial():
         raise ArithmeticError("(L-1) * class is not polynomial; recursion is inconsistent")
     in_l = cls.num
-    if any(not isinstance(c, int) or c < 0 for c in in_l.c):
+    if any(c < 0 for c in in_l.c):
         raise ArithmeticError("Poincare polynomial has a bad coefficient: %r" % (in_l,))
     return in_l.subst_pow(2)
 

@@ -15,6 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def as_int(x, what):
+    """x if its type is int (a bool is not); otherwise a ValueError that
+    names it, where int() would truncate 1.5 to 1."""
+    if type(x) is not int:
+        raise ValueError("%s %r is not an int" % (what, x))
+    return x
+
+
 @dataclass(frozen=True)
 class Quiver:
     """Directed multigraph with a positive integer level on each vertex.
@@ -28,7 +36,8 @@ class Quiver:
     arrows: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple((v, int(l)) for v, l in self.vertices))
+        object.__setattr__(self, "vertices",
+                           tuple((v, as_int(l, "level")) for v, l in self.vertices))
         object.__setattr__(self, "arrows", tuple((s, t) for s, t in self.arrows))
         ids = [v for v, _ in self.vertices]
         if len(set(ids)) != len(ids):
@@ -214,7 +223,9 @@ def _as_multiplicity(m):
         items = m.items()
     else:
         items = m
-    out = tuple(sorted((int(l), int(c)) for l, c in items if c))
+    items = [(as_int(l, "multiplicity level"), as_int(c, "multiplicity count"))
+             for l, c in items]
+    out = tuple(sorted((l, c) for l, c in items if c))
     for l, c in out:
         if l < 1 or c < 1:
             raise ValueError("bad multiplicity vector entry (%d, %d)" % (l, c))
@@ -285,7 +296,7 @@ def check_quiver(Q, i, lam, d, stab=None):
     """
     if i not in set(Q.ids):
         raise ValueError("unknown vertex %r" % (i,))
-    lam = tuple(int(p) for p in lam)
+    lam = tuple(as_int(p, "part") for p in lam)
     if any(p < 1 for p in lam) or list(lam) != sorted(lam, reverse=True):
         raise ValueError("parts must be positive and weakly decreasing")
     if sum(lam) != d.get(i, 0):

@@ -1,47 +1,40 @@
-"""Dense univariate polynomials over Q, and the one exact class for the
-rational functions the moduli computations compare.
+"""The polynomial ring Z[L], and the one exact class for the rational
+functions the moduli computations compare.
 
 Every such function (a motivic class, a principal specialization, a side
-of the q-identity) is a polynomial over Q divided by powers of L and of
-factors L^n - 1, that is, of the cyclotomic polynomials Phi_k, k | n, which
-are integral and irreducible with leading coefficient 1.
-:class:`RationalFunction` stores num / (L^lpow prod Phi_k^e_k) with no
-factor of the denominator dividing num, so equal values have equal fields.
-Coefficients are ``int`` whenever possible and ``fractions.Fraction``
-otherwise.  Every sum, ``+`` and ``-`` included, goes through
-:func:`linear_sum`, which adds any number of scaled terms over one common
-denominator in integer arithmetic and reduces once.
+of the q-identity) is an integer polynomial divided by a positive integer
+and by powers of L and of factors L^n - 1, that is, of the cyclotomic
+polynomials Phi_k, k | n, which are integral and irreducible with leading
+coefficient 1.  :class:`Poly` holds ``int`` coefficients and nothing else.
+:class:`RationalFunction` stores num / (scale L^lpow prod Phi_k^e_k): the
+rational content is kept once, as the positive int ``scale`` prime to the
+content of num, and no factor of the denominator divides num, so equal
+values have equal fields.  Every sum, ``+`` and ``-`` included, goes
+through :func:`linear_sum`, which adds any number of scaled terms over one
+common denominator in integer arithmetic and reduces once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import lcm
-
-
-def _canon(c):
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _all_int(coeffs):
-    return all(type(x) is int for x in coeffs)
+from math import gcd, lcm
 
 
 class Poly:
-    """Polynomial in one formal variable, coefficients in ascending order."""
+    """Polynomial in one formal variable with int coefficients, in
+    ascending order.  Any other coefficient is a TypeError."""
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
+        for x in coeffs:
+            if type(x) is not int:
+                raise TypeError("coefficient %r is not an int" % (x,))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        object.__setattr__(self, "c", tuple(_canon(x) for x in coeffs))
+        object.__setattr__(self, "c", tuple(coeffs))
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -76,7 +69,7 @@ class Poly:
         if isinstance(other, Poly):
             return self.c == other.c
         if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
+            return self.c == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
@@ -89,20 +82,19 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = Poly.const(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.c, other.c
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, v in enumerate(b):
-            out[i] = out[i] + v
-        if _all_int(a) and _all_int(b):
-            # int sums are canonical already; only trailing zeros can appear
-            while out and not out[-1]:
-                out.pop()
-            return Poly._raw(out)
-        return Poly(out)
+            out[i] += v
+        while out and not out[-1]:
+            out.pop()
+        return Poly._raw(out)
 
     __radd__ = __add__
 
@@ -110,30 +102,26 @@ class Poly:
         return Poly._raw(tuple(-v for v in self.c))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly()
-            return Poly(v * other for v in self.c)
+        if isinstance(other, int):
+            other = Poly.const(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.c, other.c
         if not a or not b:
             return Poly()
+        # Z has no zero divisors, so the leading product is nonzero
         out = [0] * (len(a) + len(b) - 1)
         for i, av in enumerate(a):
             if av:
                 for j, bv in enumerate(b):
                     out[i + j] += av * bv
-        if _all_int(a) and _all_int(b):
-            # canonical already: int entries, and a nonzero leading product
-            return Poly._raw(out)
-        return Poly(out)
+        return Poly._raw(out)
 
     __rmul__ = __mul__
 
@@ -156,8 +144,7 @@ class Poly:
         return Poly._raw((0,) * k + self.c)
 
     def divmod(self, other):
-        """Quotient and remainder by a divisor with leading coefficient 1;
-        the coefficients stay in the ring of the dividend's."""
+        """Quotient and remainder by a divisor with leading coefficient 1."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.c[-1] != 1:
@@ -174,7 +161,7 @@ class Poly:
                 quo[i - dq] = q
                 for j, v in low:
                     rem[i - dq + j] -= q * v
-        return Poly(quo), Poly(rem[:dq])
+        return Poly._raw(quo), Poly(rem[:dq])
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -186,7 +173,7 @@ class Poly:
         acc = 0
         for coef in reversed(self.c):
             acc = acc * value + coef
-        return _canon(acc)
+        return acc
 
     def subst_pow(self, k):
         """Substitute x -> x**k."""
@@ -195,7 +182,7 @@ class Poly:
         out = [0] * ((len(self.c) - 1) * k + 1)
         for i, v in enumerate(self.c):
             out[i * k] = v
-        return Poly(out)
+        return Poly._raw(out)
 
     def low_order(self):
         """Multiplicity of the root 0."""
@@ -229,20 +216,36 @@ def _phi_divides(num, k):
     return folded.divmod(cyclotomic(k))[1].is_zero()
 
 
-def _new(num, lpow, cyc):
+def _new(num, scale, lpow, cyc):
     """Wrap fields that are already in reduced form."""
     r = object.__new__(RationalFunction)
     object.__setattr__(r, "num", num)
+    object.__setattr__(r, "scale", scale)
     object.__setattr__(r, "lpow", lpow)
     object.__setattr__(r, "cyc", cyc)
     return r
 
 
-def _reduced(num, lpow, phi, candidates):
-    """num / (L^lpow prod Phi_k^phi[k]) in reduced form, given that only
-    the Phi_k with k in ``candidates`` can divide num (``phi`` is used up)."""
+def _num(value):
+    """value = poly / scale as (integer Poly, positive int), for an int, a
+    Fraction or an integer Poly; any other value is a TypeError."""
+    if isinstance(value, Poly):
+        return value, 1
+    if isinstance(value, (int, Fraction)):
+        return Poly.const(value.numerator), value.denominator
+    raise TypeError("%r is not an int, a Fraction or a Poly" % (value,))
+
+
+def _reduced(num, scale, lpow, phi, candidates):
+    """num / (scale L^lpow prod Phi_k^phi[k]) in reduced form, for a
+    positive int scale, given that only the Phi_k with k in ``candidates``
+    can divide num (``phi`` is used up)."""
     if num.is_zero():
-        return _new(num, 0, ())
+        return _new(num, 1, 0, ())
+    if scale != 1:
+        g = gcd(scale, *num.c)
+        if g != 1:
+            num, scale = Poly._raw([x // g for x in num.c]), scale // g
     k = min(num.low_order(), lpow)
     if k > 0:
         num, lpow = Poly._raw(num.c[k:]), lpow - k
@@ -250,27 +253,29 @@ def _reduced(num, lpow, phi, candidates):
         while phi[k] and _phi_divides(num, k):
             num = num.exact_div(cyclotomic(k))
             phi[k] -= 1
-    return _new(num, lpow, tuple(sorted((k, e) for k, e in phi.items() if e)))
+    return _new(num, scale, lpow, tuple(sorted((k, e) for k, e in phi.items() if e)))
 
 
 class RationalFunction:
-    """num / (L^lpow * prod_k Phi_k^e_k), reduced: L does not divide num
-    when lpow > 0, and no Phi_k with k in ``cyc`` divides num.
+    """num / (scale * L^lpow * prod_k Phi_k^e_k), reduced: num is an
+    integer Poly, scale a positive int prime to the gcd of its
+    coefficients, L does not divide num when lpow > 0, and no Phi_k with k
+    in ``cyc`` divides num.
 
     ``cyc`` is the sorted tuple of pairs (k, e_k), e_k > 0.  Equal values
     have equal fields, and ``num``/``den`` is the reduced fraction whose
-    denominator has leading coefficient 1.  The constructor takes the
-    denominator as classes in the localized Grothendieck ring arise,
+    denominator has leading coefficient ``scale``.  The constructor takes
+    an int, a Fraction or an integer Poly as num, and the denominator as
+    classes in the localized Grothendieck ring arise,
     num * L^(-lpow) * prod_n (L^n - 1)^(-cyc[n]): its ``cyc`` maps n to the
     exponent of L^n - 1, not of Phi_n.  A negative ``lpow`` multiplies by
     L^(-lpow).
     """
 
-    __slots__ = ("num", "lpow", "cyc")
+    __slots__ = ("num", "scale", "lpow", "cyc")
 
     def __init__(self, num, lpow=0, cyc=()):
-        if not isinstance(num, Poly):
-            num = Poly.const(num)
+        num, scale = _num(num)
         phi = {}
         for n, e in (cyc.items() if isinstance(cyc, dict) else cyc):
             if n < 1 or e < 0:
@@ -279,7 +284,7 @@ class RationalFunction:
                 phi[d] = phi.get(d, 0) + e
         if lpow < 0:
             num, lpow = num.shifted(-lpow), 0
-        r = _reduced(num, lpow, phi, list(phi))
+        r = _reduced(num, scale, lpow, phi, list(phi))
         for name in self.__slots__:
             object.__setattr__(self, name, getattr(r, name))
 
@@ -288,28 +293,31 @@ class RationalFunction:
 
     @classmethod
     def of(cls, value):
+        """An int, a Fraction, an integer Poly or a RationalFunction as a
+        RationalFunction; any other value is a TypeError."""
         if isinstance(value, RationalFunction):
             return value
-        return _new(value if isinstance(value, Poly) else Poly.const(value), 0, ())
+        return _new(*_num(value), 0, ())
 
     @classmethod
     def zero(cls):
-        return _new(Poly(), 0, ())
+        return _new(Poly(), 1, 0, ())
 
     @classmethod
     def one(cls):
-        return _new(ONE, 0, ())
+        return _new(ONE, 1, 0, ())
 
     def is_zero(self):
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return not self.lpow and not self.cyc
+        """The value is an integer polynomial, ``num`` itself."""
+        return self.scale == 1 and not self.lpow and not self.cyc
 
     @property
     def den(self):
-        """The denominator L^lpow * prod Phi_k^e_k as a Poly."""
-        out = Poly.x_pow(self.lpow)
+        """The denominator scale * L^lpow * prod Phi_k^e_k as a Poly."""
+        out = Poly.x_pow(self.lpow, self.scale)
         for k, e in self.cyc:
             out = out * cyclotomic(k) ** e
         return out
@@ -319,15 +327,21 @@ class RationalFunction:
             other = RationalFunction.of(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num == other.num and self.lpow == other.lpow and self.cyc == other.cyc
+        return (self.num == other.num and self.scale == other.scale
+                and self.lpow == other.lpow and self.cyc == other.cyc)
 
     def __hash__(self):
-        if self.is_polynomial():
+        # an integer polynomial hashes like its Poly, a constant like its
+        # Fraction
+        if self.lpow or self.cyc or (self.scale != 1 and len(self.num.c) > 1):
+            return hash((self.num.c, self.scale, self.lpow, self.cyc))
+        if self.scale == 1:
             return hash(self.num)
-        return hash((self.num.c, self.lpow, self.cyc))
+        return hash(Fraction(self.num.c[0], self.scale))
 
     def __repr__(self):
-        den = ["L^%d" % self.lpow] * bool(self.lpow) + ["Phi_%d^%d" % ke for ke in self.cyc]
+        den = (["%d" % self.scale] * (self.scale != 1) + ["L^%d" % self.lpow] * bool(self.lpow)
+               + ["Phi_%d^%d" % ke for ke in self.cyc])
         return "RationalFunction(%s)" % " / ".join([repr(list(self.num.c))] + den)
 
     # -- arithmetic --------------------------------------------------------
@@ -338,7 +352,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(-self.num, self.lpow, self.cyc)
+        return _new(-self.num, self.scale, self.lpow, self.cyc)
 
     def __sub__(self, other):
         return linear_sum(((1, self), (-1, other)))
@@ -348,19 +362,22 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _reduced(self.num * other, self.lpow, dict(self.cyc), ())
+            # a rational constant changes the content and scale only
+            return _reduced(self.num * other.numerator, self.scale * other.denominator,
+                            self.lpow, dict(self.cyc), ())
         other = RationalFunction.of(other)
         # both factors are reduced, so only a Phi_k in exactly one of the
         # two denominators can divide the product of the numerators
         a, b = dict(self.cyc), dict(other.cyc)
         phi = {k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()}
-        return _reduced(self.num * other.num, self.lpow + other.lpow, phi, a.keys() ^ b.keys())
+        return _reduced(self.num * other.num, self.scale * other.scale,
+                        self.lpow + other.lpow, phi, a.keys() ^ b.keys())
 
     __rmul__ = __mul__
 
     def times_l_power(self, k):
         """Multiply by L^k (k of either sign)."""
-        return _reduced(self.num.shifted(max(k, 0)), self.lpow + max(-k, 0),
+        return _reduced(self.num.shifted(max(k, 0)), self.scale, self.lpow + max(-k, 0),
                         dict(self.cyc), ())
 
     def times_proj_inverse(self, n, power=1):
@@ -372,13 +389,14 @@ class RationalFunction:
         new = _divisors(n)[1:]
         for d in new:
             phi[d] = phi.get(d, 0) + power
-        return _reduced(self.num, self.lpow, phi, new)
+        return _reduced(self.num, self.scale, self.lpow, phi, new)
 
     def __call__(self, value):
         den = self.den(value)
         if den == 0:
             raise ZeroDivisionError("pole at %r" % (value,))
-        return _canon(Fraction(1, 1) * self.num(value) / den)
+        out = Fraction(self.num(value), den)
+        return out.numerator if out.denominator == 1 else out
 
 
 def linear_sum(pairs):
@@ -387,20 +405,17 @@ def linear_sum(pairs):
     over one common denominator and reduced once.
 
     The common denominator is L^max(lpow) prod_k Phi_k^max(e_k).  One
-    integer lcm D clears every scalar and every coefficient denominator, so
-    the numerators are added with integer coefficients.  The total is
-    reduced and then divided by D.  Every summand is reduced, so Phi_k can
-    divide the total only if at least two summands carry its top exponent:
-    a lone carrier is the one term not divisible by it.  A scalar or a
-    coefficient that is not an int or a Fraction is a TypeError.
+    integer lcm clears every scalar and every ``scale``, so the numerators
+    are added with integer coefficients, and it becomes the ``scale`` of
+    the total.  Every summand is reduced, so Phi_k can divide the total
+    only if at least two summands carry its top exponent: a lone carrier
+    is the one term not divisible by it.  A scalar that is not an int or a
+    Fraction, or a value of another type, is a TypeError.
     """
     terms = []
     for c, f in pairs:
         if not isinstance(c, (int, Fraction)):
             raise TypeError("scalar %r is not an int or a Fraction" % (c,))
-        if not isinstance(f, (RationalFunction, Poly, int, Fraction)):
-            raise TypeError("summand %r is not a RationalFunction, Poly, int or Fraction"
-                            % (f,))
         f = RationalFunction.of(f)
         if c and f.num:
             terms.append((c, f))
@@ -414,30 +429,17 @@ def linear_sum(pairs):
                 phi[k], carriers[k] = e, 1
             elif e == phi[k]:
                 carriers[k] += 1
-    # term i is (a_i / b_i) times an integer numerator
-    cleared, den = [], 1
-    for c, f in terms:
-        a, b = (c, 1) if type(c) is int else (c.numerator, c.denominator)
-        coeffs = f.num.c
-        if not _all_int(coeffs):
-            for x in coeffs:
-                if not isinstance(x, (int, Fraction)):
-                    raise TypeError("coefficient %r of %r is not an int or a Fraction"
-                                    % (x, f))
-            q = lcm(*(x.denominator for x in coeffs if type(x) is not int))
-            coeffs, b = [x * q if type(x) is int else x.numerator * (q // x.denominator)
-                         for x in coeffs], b * q
-        cleared.append((a, b, coeffs, f))
-        den = lcm(den, b)
+    # term i is c_i / scale_i times an integer numerator
+    den = lcm(*(c.denominator * f.scale for c, f in terms))
     # the numerators of the terms that miss the same powers of the Phi_k
     # from the common denominator are added first
     order = sorted(phi)
     sums = {}
-    for a, b, coeffs, f in cleared:
-        a *= den // b
+    for c, f in terms:
+        a = c.numerator * (den // (c.denominator * f.scale))
         own = dict(f.cyc)
         key = tuple(phi[k] - own.get(k, 0) for k in order)
-        num = Poly._raw([a * x for x in coeffs]).shifted(lpow - f.lpow)
+        num = Poly._raw([a * x for x in f.num.c]).shifted(lpow - f.lpow)
         sums[key] = sums[key] + num if key in sums else num
     # then the sums are lifted one factor at a time, by Horner's rule in
     # Phi_k: the sums that miss the same powers of every later factor share
@@ -456,7 +458,4 @@ def linear_sum(pairs):
                 if e in by_missing:
                     acc = acc + by_missing[e]
             layer[tail] = acc
-    r = _reduced(layer[()], lpow, phi, [k for k, n in carriers.items() if n > 1])
-    if den == 1 or not r.num:
-        return r
-    return _new(Poly(Fraction(x, den) for x in r.num.c), r.lpow, r.cyc)
+    return _reduced(layer[()], den, lpow, phi, [k for k, n in carriers.items() if n > 1])

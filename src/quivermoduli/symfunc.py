@@ -154,6 +154,8 @@ class SymPoly:
         return cls(basis, {tuple(lam): coeff})
 
     def _same_basis(self, other):
+        if not isinstance(other, SymPoly):
+            raise TypeError("cannot combine a SymPoly with %r" % (other,))
         if self.basis != other.basis:
             raise ValueError("mixing e- and p-basis expressions")
 

@@ -19,12 +19,12 @@ from itertools import groupby, product
 from math import factorial, gcd
 
 from .localization import admissible_decompositions, chi_trees
-from .quiver import Refinement
+from .quiver import Refinement, as_int
 from .symfunc import partitions, weighted_splits
 
 
 def as_weight_vector(entries):
-    w = tuple(int(x) for x in entries)
+    w = tuple(as_int(x, "weight vector entry") for x in entries)
     if any(x < 1 for x in w) or list(w) != sorted(w):
         raise ValueError("weight vector entries must be positive and weakly increasing")
     return w
@@ -49,7 +49,7 @@ def ramification_factor(P, w):
     A set partition of the index set of ``w`` into len(P) ordered (possibly
     empty) parts is compatible when the weights in part j sum to P_j.
     """
-    P = tuple(int(p) for p in P)
+    P = tuple(as_int(p, "part") for p in P)
     w = as_weight_vector(w)
     if sum(P) != sum(w):
         raise ValueError("|P| = %d and |w| = %d differ" % (sum(P), sum(w)))

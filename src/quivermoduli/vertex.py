@@ -31,8 +31,12 @@ from functools import cache
 from math import comb, factorial, gcd, prod
 
 from .quiver import Refinement
-from .ratfunc import _canon
 from .tropical import as_weight_vector, weight_vector_of
+
+
+def _canon(c):
+    """A Fraction with denominator 1 as its int; any other value as it is."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
 def _cap(cls):

@@ -212,6 +212,14 @@ def test_dimension_vector_negative_entries_rejected():
             fn(K3, S10, {"i1": -1, "j1": 2})
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(1), True])
+def test_dimension_vector_entries_must_be_ints(bad):
+    # int() would read 1.5 as 1, and chi(1.5, 1) as chi(1, 1) = 3
+    for fn in (euler_char, hn_sst_class, is_theta_coprime, poincare, hn_types):
+        with pytest.raises(ValueError, match="dimension vector entry"):
+            fn(K3, S10, {"i1": bad, "j1": 1})
+
+
 def test_zero_dimension_vector_rejected():
     for fn in (is_theta_coprime, poincare, euler_char, hn_sst_class):
         with pytest.raises(ValueError, match="nonzero"):

@@ -109,7 +109,11 @@ class LabelledHNSolver:
                         sum(k * x for k, x in zip(self.kappa, d)))
 
     def euler(self, d, e):
-        return sum(a * b for a, b in zip(d, e)) - sum(d[u] * e[v] for u, v in self.arrows)
+        return sum(a * b for a, b in zip(d, e)) - self.ext(d, e)
+
+    def ext(self, d, e):
+        """The arrow count sum over the arrows u -> v of d_u e_v."""
+        return sum(d[u] * e[v] for u, v in self.arrows)
 
     def top_class(self, d):
         dim_r = sum(d[u] * d[v] for u, v in self.arrows)
@@ -152,7 +156,7 @@ def _key(mu):
 @given(st.data())
 def test_stratum_orbits_match_box_scan(data):
     # the rows of one table, grouped by the coordinates of (e, rest), their
-    # pairing and slope key, against the labelled box points
+    # arrow count ext(rest, e) and slope key, against the labelled box points
     Q, stab, d = data.draw(small_quivers())
     solver = motive_mod._HNSolver(Q, stab)
     oracle = LabelledHNSolver(Q, stab)
@@ -160,13 +164,13 @@ def test_stratum_orbits_match_box_scan(data):
     key = solver.coords(dv)
     table = solver._table(key)
     rows = Counter()
-    for mu_e, e, rest, chi, mult in table.rows:
-        rows[(e, rest, chi, mu_e)] += mult
+    for mu_e, e, rest, ext, mult in table.rows:
+        rows[(e, rest, ext, mu_e)] += mult
     box = Counter()
     for e in _box(dv):
         rest = tuple(a - b for a, b in zip(dv, e))
         if any(e) and any(rest):
-            box[(solver.coords(e), solver.coords(rest), oracle.euler(rest, e),
+            box[(solver.coords(e), solver.coords(rest), oracle.ext(rest, e),
                  _key(oracle.mu(e)))] += 1
     assert rows == box
     assert table.slopes == sorted(table.slopes)
@@ -200,7 +204,7 @@ def test_gaussian_factors_carry_each_row_to_the_common_denominator(case):
 def test_stratum_table_with_three_classes_matches_box_scan():
     # three symmetry classes: A = {a1, a2} with loops and arrows both ways
     # inside it, B = {b1, b2} with arrows to and from A, and C = {c} at level
-    # 2 with a loop.  Every cross term of the walk's running chi is nonzero.
+    # 2 with a loop.  Every cross term of the walk's running ext is nonzero.
     ids = ("a1", "a2", "b1", "b2", "c")
     A, B = ("a1", "a2"), ("b1", "b2")
     arrows = [("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a2", "a2"), ("c", "c")]
@@ -216,18 +220,18 @@ def test_stratum_table_with_three_classes_matches_box_scan():
         key = solver.coords(dv)
         table = solver._table(key)
         rows = {}
-        for (mu_e, e, rest, chi, mult), gauss in zip(table.rows, table.gauss):
+        for (mu_e, e, rest, ext, mult), gauss in zip(table.rows, table.gauss):
             assert (e, rest) not in rows, (e, rest)
-            rows[(e, rest)] = (chi, mu_e, mult)
+            rows[(e, rest)] = (ext, mu_e, mult)
             assert _den(e) * _den(rest) * gauss == _den(key), (e, rest)
         box = {}
         for e in _box(dv):
             rest = tuple(a - b for a, b in zip(dv, e))
             if any(e) and any(rest):
                 row = (solver.coords(e), solver.coords(rest))
-                chi, mu_e, mult = box.get(row, (oracle.euler(rest, e), _key(oracle.mu(e)), 0))
-                assert (chi, mu_e) == (oracle.euler(rest, e), _key(oracle.mu(e)))
-                box[row] = (chi, mu_e, mult + 1)
+                ext, mu_e, mult = box.get(row, (oracle.ext(rest, e), _key(oracle.mu(e)), 0))
+                assert (ext, mu_e) == (oracle.ext(rest, e), _key(oracle.mu(e)))
+                box[row] = (ext, mu_e, mult + 1)
         assert rows == box, dv
         assert table.slopes == sorted(table.slopes)
         assert table.mu == _key(oracle.mu(dv))

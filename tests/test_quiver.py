@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,19 @@ def test_stability_rejects_inexact_theta(bad):
     with pytest.raises(ValueError, match="theta at vertex 'j1'"):
         Stability.of({"i1": 1, "j1": bad})
     assert Stability.of({"i1": 1, "j1": Fraction(1, 10)}).theta_map()["j1"] == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1), True])
+def test_integer_inputs_are_checked_not_truncated(bad):
+    # int() would read 1.5 as 1
+    with pytest.raises(ValueError, match="level %s is not an int" % re.escape(repr(bad))):
+        Quiver((("a", bad),))
+    with pytest.raises(ValueError, match="multiplicity count"):
+        hat_quiver(JORDAN, "a", {1: bad}, {"a": 1})
+    with pytest.raises(ValueError, match="multiplicity level"):
+        hat_quiver(JORDAN, "a", {bad: 1}, {"a": 1})
+    with pytest.raises(ValueError, match="part"):
+        check_quiver(JORDAN, "a", (bad,), {"a": 1})
 
 
 def test_slope():

@@ -1,11 +1,13 @@
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivermoduli.motive import MotiveClass
-from quivermoduli.ratfunc import Poly, RationalFunction, _reduced, cyclotomic, linear_sum
+from quivermoduli.ratfunc import ONE, Poly, RationalFunction, _reduced, cyclotomic, linear_sum
 
 ORACLE = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -38,9 +40,14 @@ def test_poly_divmod_exact():
         a.divmod(Poly())
     with pytest.raises(ValueError):
         a.divmod(Poly((1, 2)))    # only monic divisors
-    # the quotient stays over the dividend's coefficients
-    half = Poly((Fraction(-1, 2), 0, Fraction(1, 2)))
-    assert half.exact_div(b).c == (Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("coeff", [Fraction(1, 2), Fraction(3), 0.5, True, "1"])
+def test_poly_rejects_a_coefficient_that_is_not_an_int(coeff):
+    with pytest.raises(TypeError, match=re.escape(repr(coeff))):
+        Poly((1, coeff))
+    with pytest.raises(TypeError):
+        Poly((1, 1)) * coeff
 
 
 def test_poly_subst_and_shift():
@@ -72,10 +79,13 @@ def test_one_class_under_two_names():
 
 def test_hash_agrees_with_equality_across_types():
     for value in (0, 3, Fraction(-1, 2)):
-        forms = (value, Poly.const(value), RationalFunction.of(value), RationalFunction(value))
+        as_product = RationalFunction(Poly.const(value.numerator)) * Fraction(1, value.denominator)
+        forms = (value, as_product, RationalFunction.of(value), RationalFunction(value))
+        if value.denominator == 1:
+            forms += (Poly.const(value),)
         assert all(f == value for f in forms)
         assert len({hash(f) for f in forms}) == 1
-        assert {value: 1}[forms[-1]] == 1
+        assert {value: 1}[forms[3]] == 1
     p = Poly((1, 2))
     assert hash(RationalFunction(p)) == hash(p) and {p: 1}[RationalFunction(p)] == 1
 
@@ -86,9 +96,10 @@ def test_rational_normal_form():
     assert (r.num, r.lpow, r.cyc) == (Poly((1,)), 0, ((1, 1),))
     assert r == RationalFunction(1, 0, {1: 1}) and hash(r) == hash(RationalFunction(1, 0, {1: 1}))
     assert r.den == Poly((-1, 1))
-    # Fraction numerators reduce the same way
-    half = RationalFunction(Poly((Fraction(1, 2), Fraction(1, 2))), 0, {2: 1})
-    assert (half.num, half.cyc) == (Poly((Fraction(1, 2),)), ((1, 1),))
+    # the rational content is kept once, in scale
+    half = RationalFunction(Poly((1, 1)), 0, {2: 1}) * Fraction(1, 2)
+    assert (half.num, half.scale, half.cyc) == (Poly((1,)), 2, ((1, 1),))
+    assert half.den == Poly((-2, 2))
     assert half * 2 == r
     # (L^3-1)/(L^6-1) = 1/(L^3+1) = 1/(Phi_2 Phi_6)
     s = RationalFunction(Poly.x_pow(3) - 1, 0, {6: 1})
@@ -134,33 +145,37 @@ def test_rational_arithmetic():
 # -- the oracle: exact evaluation of the constructor's own presentation ----------
 
 
-COEFFS = st.one_of(st.integers(-4, 4),
-                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
-SPECS = st.tuples(st.lists(COEFFS, max_size=5),
+# an integer polynomial times a rational scalar
+COEFFS = st.lists(st.integers(-4, 4), max_size=5)
+SCALES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SPECS = st.tuples(COEFFS, SCALES,
                   st.integers(0, 3),
                   st.dictionaries(st.integers(1, 6), st.integers(0, 2), max_size=3))
 
 
 def _build(spec):
-    num, lpow, cyc = spec
-    return RationalFunction(Poly(num), lpow, cyc)
+    num, scalar, lpow, cyc = spec
+    return RationalFunction(Poly(num), lpow, cyc) * scalar
 
 
 def _value(spec, x):
-    """num(x) / (x^lpow prod (x^n - 1)^e), straight from the presentation."""
-    num, lpow, cyc = spec
+    """scalar num(x) / (x^lpow prod (x^n - 1)^e), straight from the presentation."""
+    num, scalar, lpow, cyc = spec
     den = Fraction(x) ** lpow
     for n, e in cyc.items():
         den *= (Fraction(x) ** n - 1) ** e
-    return sum(Fraction(c) * x ** i for i, c in enumerate(num)) / den
+    return scalar * sum(c * x ** i for i, c in enumerate(num)) / den
 
 
 def _assert_canonical(r):
     assert r.lpow >= 0
     assert list(r.cyc) == sorted(r.cyc) and all(e > 0 for _, e in r.cyc)
+    assert all(type(c) is int for c in r.num.c)
+    assert type(r.scale) is int and r.scale >= 1
     if r.is_zero():
-        assert (r.lpow, r.cyc) == (0, ())
+        assert (r.scale, r.lpow, r.cyc) == (1, 0, ())
         return
+    assert gcd(r.scale, *r.num.c) == 1
     if r.lpow:
         assert r.num.c[0] != 0
     for k, _ in r.cyc:
@@ -192,15 +207,15 @@ def test_arithmetic_matches_exact_evaluation(a, b, k, n, power):
 def test_equal_values_have_equal_fields_and_hashes(a, b, i, n, j):
     A, B = _build(a), _build(b)
     # the same value presented with an extra common factor L^i (L^n - 1)^j
-    num, lpow, cyc = a
+    num, scalar, lpow, cyc = a
     cyc = dict(cyc)
     cyc[n] = cyc.get(n, 0) + j
     padded = RationalFunction(Poly(num) * (Poly.x_pow(n) - 1) ** j * Poly.x_pow(i),
-                              lpow + i, cyc)
+                              lpow + i, cyc) * scalar
     pairs = [(padded, A), ((A + B) - B, A), (A * RationalFunction.one(), A),
              (A * B, B * A), (A + B, B + A), ((A - B) * (A + B), A * A - B * B)]
     for r, t in pairs:
-        assert (r.num, r.lpow, r.cyc) == (t.num, t.lpow, t.cyc)
+        assert _fields(r) == _fields(t)
         assert r == t and hash(r) == hash(t)
     assert (A == B) == (A - B).is_zero()
 
@@ -226,19 +241,21 @@ def oracle_add(x, y):
     a, b = dict(x.cyc), dict(y.cyc)
     lpow = max(x.lpow, y.lpow)
     phi = {k: max(a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()}
-    num = _lift(x.num, lpow - x.lpow, a, phi) + _lift(y.num, lpow - y.lpow, b, phi)
-    return _reduced(num, lpow, phi, [k for k in phi if a.get(k) == b.get(k)])
+    num = (_lift(x.num, lpow - x.lpow, a, phi) * y.scale
+           + _lift(y.num, lpow - y.lpow, b, phi) * x.scale)
+    return _reduced(num, x.scale * y.scale, lpow, phi,
+                    [k for k in phi if a.get(k) == b.get(k)])
 
 
 SCALARS = st.one_of(st.just(0), st.integers(-3, 3),
                     st.fractions(min_value=-2, max_value=2, max_denominator=6))
-TERMS = st.tuples(st.lists(COEFFS, max_size=5),
+TERMS = st.tuples(COEFFS, SCALES,
                   st.integers(-2, 3),
                   st.dictionaries(st.integers(1, 6), st.integers(0, 2), max_size=3))
 
 
 def _fields(r):
-    return r.num, r.lpow, r.cyc
+    return r.num, r.scale, r.lpow, r.cyc
 
 
 @ORACLE
@@ -262,22 +279,23 @@ def test_linear_sum_examples():
     assert linear_sum([]) == RationalFunction.zero()
     assert linear_sum([(0, inv), (3, RationalFunction.zero())]).is_zero()
     # constants, Poly values and Fraction scalars
-    assert linear_sum([(2, 3), (Fraction(1, 2), L)]) == RationalFunction(Poly((6, Fraction(1, 2))))
+    assert linear_sum([(2, 3), (Fraction(1, 2), L)]) == \
+        RationalFunction(Poly((12, 1))) * Fraction(1, 2)
     # L/(L-1) - 1/(L-1) = 1: the shared Phi_1 cancels
     assert linear_sum([(1, RationalFunction(L, 0, {1: 1})), (-1, inv)]) == RationalFunction.one()
     # 1/(L^2-1) + 1/(L^2-1)^2 = L^2/(L^2-1)^2: the top powers of Phi_1 and
     # Phi_2 come from one term, so neither can cancel
     s = linear_sum([(1, RationalFunction(1, 0, {2: 1})), (1, RationalFunction(1, 0, {2: 2}))])
-    assert _fields(s) == (Poly.x_pow(2), 0, ((1, 2), (2, 2)))
-    # Fraction coefficients are cleared and restored
-    half = RationalFunction(Poly((Fraction(1, 2),)), 1)
+    assert _fields(s) == (Poly.x_pow(2), 1, 0, ((1, 2), (2, 2)))
+    # the scales are cleared and restored
+    half = RationalFunction(ONE, 1) * Fraction(1, 2)
     assert linear_sum([(Fraction(2, 3), half), (Fraction(1, 3), half)]) == half
 
 
 @pytest.mark.parametrize("pairs, named", [
     ([(0.5, L)], "0.5"),
     ([(1, L), (1, "L")], "'L'"),
-    ([(1, Poly((0.5, 1)))], "0.5"),
+    ([(1, L), (0.5, Poly((1, 2)))], "0.5"),
     ([(1, RationalFunction(1, 0, {1: 1})), (1, 0.25)], "0.25"),
 ])
 def test_linear_sum_rejects_inexact_values(pairs, named):

@@ -194,6 +194,20 @@ def test_sympoly_rejects_inexact_coefficients(coeff):
     assert SymPoly("e", {(2, 1): Fraction(1, 2)}).coeffs == {(2, 1): Fraction(1, 2)}
 
 
+@pytest.mark.parametrize("combine, named", [
+    (lambda e1: e1 * 0.5, "0.5"),
+    (lambda e1: e1 + 1, "1"),
+    (lambda e1: e1 - 1, "1"),
+    (lambda e1: 0.5 * e1, "0.5"),
+    (lambda e1: e1 * "e1", "'e1'"),
+])
+def test_sympoly_arithmetic_rejects_other_operands(combine, named):
+    e1 = SymPoly.basis_element("e", (1,))
+    with pytest.raises(TypeError, match="with %s$" % named):
+        combine(e1)
+    assert e1 * Fraction(1, 2) == SymPoly.basis_element("e", (1,), Fraction(1, 2))
+
+
 # -- principal specialization ----------------------------------------------------
 
 

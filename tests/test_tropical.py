@@ -26,6 +26,15 @@ def test_weight_vector_of():
     assert weight_vector_of(r.k1) == (1, 2, 2)
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(1), True])
+def test_weights_must_be_ints(bad):
+    # int() would read 1.5 as 1, and n_trop((1.5,), (1,)) as n_trop((1,), (1,))
+    with pytest.raises(ValueError, match="weight vector entry"):
+        n_trop((bad,), (1,))
+    with pytest.raises(ValueError, match="part"):
+        ramification_factor((bad,), (1,))
+
+
 def test_ramification_factor_examples():
     assert ramification_factor((2,), (1, 1)) == 1
     assert ramification_factor((2,), (2,)) == Fraction(-1, 4)

@@ -20,13 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivermoduli.quiver import Refinement
-from quivermoduli.ratfunc import _canon
 from quivermoduli.symfunc import partitions
 from quivermoduli.tropical import n_trop, refinement_scan
 from quivermoduli.vertex import (
     OrderedFactorization,
     TruncatedElement,
     WallAutomorphism,
+    _canon,
     _degree,
     _Packing,
     _slope_key,
