@@ -35,8 +35,9 @@ print("K(2,3): %d spanning trees, %d stable"
 r2 = Refinement.of([((2, 1),)], [((1, 1),)] * 5)
 print("weight-2 source over 1^5: chi_trees =", chi_trees(r2), "(= 2^5 parallel choices)")
 
-# chi_trees counts by core shape and leaf counts: K(2,13) has 53,248 labelled
-# trees, but only one core tree (a sink joining both sources) and 13 leaf splits
+# chi_trees builds no tree here: K(2,13) has 53,248 labelled trees, but
+# stability is read off the vertex counts of subtrees, and the subtree holding
+# the second source has 1 to 13 of the sinks, so the count is a 13-term sum
 r3 = Refinement.of([((1, 2),)], [((1, 1),)] * 13)
 print("K(2,13): chi_trees =", chi_trees(r3))
 

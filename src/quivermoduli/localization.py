@@ -10,11 +10,10 @@ pieces at a fresh sink, and the square rule that extends a datum of
 dimension type (d-1, d) to d*d data of type (d, d+1).
 
 The stable count ``chi_trees`` lists labelled trees only on the smallest
-supports.  Otherwise it generates the level-coloured core shapes up to
-relabelling within a level, weights each by its labelled copies, and runs
-one bitmask slope test (``_slope_test``, which every stability predicate
-here shares) per shape and leaf split; see ``_count_by_shapes``.  The
-per-tree sum is kept as a test oracle.
+supports.  Otherwise it decides stability one arrow at a time, from the
+vertex counts on either side of it, and counts the stable trees by one
+memoized recursion on subtree vertex counts; see ``_count_by_subtrees``.
+The per-tree sum is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement, product
-from math import comb, factorial, prod
+from itertools import combinations, product
+from math import comb, prod
 
 from .quiver import Quiver, Refinement, n_support
-from .symfunc import weighted_splits
 
 
 @dataclass(frozen=True)
@@ -272,174 +270,81 @@ def _count_stable_trees(sources, sinks):
     """Stable spanning trees of the support quiver with the given sorted
     (weight, multiplicity) pairs of sources and sinks: listed one by one on
     a support with at most ``LISTED_TREES_MAX`` labelled trees, and counted
-    by core shapes (``_count_by_shapes``) otherwise."""
+    from subtree vertex counts (``_count_by_subtrees``) otherwise."""
     if _labelled_tree_count(sources, sinks) <= LISTED_TREES_MAX:
         return sum(stability_weight(T) for T in spanning_trees(Refinement((sources,), (sinks,))))
-    return _count_by_shapes(sources, sinks)
+    return _count_by_subtrees(sources, sinks)
 
 
-def _count_by_shapes(sources, sinks):
+def _count_by_subtrees(sources, sinks):
     """Stable spanning trees of the support quiver with the given sorted
     (weight, multiplicity) pairs of sources and sinks, counted without
-    listing a tree.
+    building a tree.
 
-    A spanning tree with m sources splits into its core (the sources and
-    the sinks of degree >= 2, at most m - 1 of them) and its leaf sinks,
-    each hanging on one source.  For each vector k of core sizes per sink
-    level (C(c_w, k_w) choices of core sinks), the simple core trees are
-    generated once per shape up to relabelling within a level
-    (``_core_shapes``), weighted by their labelled copies and by the
-    w_s w_t parallel arrows of each edge.  Each shape is extended by every
-    split of the leaf sinks of each level among the sources
-    (``weighted_splits``), weighted by its multinomial and by the
-    (w_s w_t)^a parallel arrows its leaves can use.  Relabelling within a
-    level keeps stability and weights, so one bitmask slope test per shape
-    and leaf split decides the whole term.  With one source the only core
-    is the source itself, and the count is prod_t (w_s w_t).
+    Stability is decided one arrow at a time.  Let d and e be the source
+    and sink level totals.  Cutting an arrow s -> t into a sink t that is
+    not a leaf leaves a part holding s, of sink level total A and source
+    level total B; the tree is stable iff every such part has d A < e B.
+    Necessity: the sources of the other part have all their neighbours on
+    their side, and their slope test gives the inequality.  Sufficiency:
+    the parts hanging off the sinks next to a connected source set I are of
+    this kind, and their inequalities add up to d sigma(I) > e |I|.  Rooted
+    at a fixed source, this asks every subtree for d A - e B < 0 if its
+    root is a source and > 0 if its root is a sink; a leaf sink passes.
+
+    So the count is one recursion on count vectors n, one entry per colour
+    (side, level), sources first.  It is evaluated on demand: filling in
+    every count vector would take time quadratic in the number of sinks.
+
+    - ``tree(c, n)``: passing trees on a fixed labelled vertex set with
+      counts n, rooted at a fixed vertex of colour c;
+    - ``child(c, k)``: trees on counts k hanging from a vertex of colour c,
+      each of the k_j roots of colour j joined by w_c w_j parallel arrows;
+    - ``kids(c, n)``: sets of trees covering n below a vertex of colour c.
+      The one holding the first source left takes k, in
+      C(n_f - 1, k_f - 1) prod_(i != f) C(n_i, k_i) ways.  With no source
+      left, a source's children are leaf sinks, and a sink has none.
     """
-    m = sum(c for _, c in sources)
-    total = 0
-    for core in product(*(range(min(c, m - 1) + 1) for _, c in sinks)):
-        if sum(core) > m - 1:
-            continue
-        choices = prod(comb(c, k) for (_, c), k in zip(sinks, core))
-        core_sinks = tuple((w, k) for (w, _), k in zip(sinks, core) if k)
-        splits = [list(weighted_splits(c - k, m)) for (_, c), k in zip(sinks, core)]
-        for source_levels, sink_levels, edges, copies in _core_shapes(sources, core_sinks):
-            shape_weight = choices * copies * prod(source_levels[i] * sink_levels[j]
-                                                   for i, j in edges)
-            blocks, bit = [], 0
-            for w in sink_levels:
-                blocks.append(((1 << w) - 1) << bit)
-                bit += w
-            masks = [0] * m
-            for i, j in edges:
-                masks[i] |= blocks[j]
-            for split in product(*splits):
-                weight, top, full = shape_weight, bit, list(masks)
-                for (w, _), (counts, multinomial) in zip(sinks, split):
-                    weight *= multinomial
-                    for i, a in enumerate(counts):
-                        if a:
-                            weight *= (source_levels[i] * w) ** a
-                            full[i] |= ((1 << w * a) - 1) << top
-                            top += w * a
-                if _slope_test(source_levels, full, top, True):
-                    total += weight
-    return total
+    levels = tuple(w for w, _ in sources + sinks)
+    m = len(sources)
+    d = sum(w * c for w, c in sources)
+    e = sum(w * c for w, c in sinks)
+    gain = tuple(-e * w for w, _ in sources) + tuple(d * w for w, _ in sinks)
+    sides = (range(m), range(m, len(levels)))
 
+    @cache
+    def tree(c, n):
+        slope = sum(g * x for g, x in zip(gain, n))
+        if slope >= 0 if c < m else slope <= 0:
+            return 0
+        return kids(c, n[:c] + (n[c] - 1,) + n[c + 1:])
 
-@cache
-def _core_shapes(sources, sinks):
-    """Every core tree on the given sorted (weight, multiplicity) pairs of
-    sources and sinks, one per shape up to relabelling within a level.
+    @cache
+    def child(c, k):
+        return levels[c] * sum(k[j] * levels[j] * tree(j, k) for j in sides[c < m] if k[j])
 
-    A core tree is a simple tree joining sources to sinks in which every
-    sink has degree >= 2, so its leaves are sources, any two at even
-    distance: its diameter is even and its centre is one vertex, which
-    every automorphism fixes.  Each shape is generated once, rooted at its
-    centre (``_child_sets``).
+    @cache
+    def kids(c, n):
+        first = next((i for i in sides[0] if n[i]), None)
+        if first is None:  # leaf sinks; below a sink, n is empty here
+            return prod((levels[c] * levels[j]) ** n[j] for j in sides[1])
+        ranges = [range(x + 1) for x in n]
+        ranges[first] = range(1, n[first] + 1)
+        total = 0
+        for low in product(*ranges[:m]):
+            # below a sink every tree holds a source, so one that takes
+            # every source left takes everything
+            highs = (n[m:],) if c >= m and low == n[:m] else product(*ranges[m:])
+            for k in (low + high for high in highs):
+                branch = child(c, k)
+                if branch:
+                    # C(n_f - 1, k_f - 1) = C(n_f, k_f) k_f / n_f
+                    labels = prod(map(comb, n, k)) * k[first] // n[first]
+                    total += labels * branch * kids(c, tuple(x - y for x, y in zip(n, k)))
+        return total
 
-    Returns ``(source_levels, sink_levels, edges, copies)`` tuples: one
-    representative, whose edges (i, j) join source i to sink j, and the
-    number prod m_w! prod k_w! / |Aut| of labelled trees of its shape.
-    """
-    have = tuple(((0, w), c) for w, c in sources) + tuple(((1, w), c) for w, c in sinks)
-    labelled = prod(factorial(c) for _, c in have)
-    return tuple(_representative(root, children) + (labelled // automorphisms,)
-                 for root, _ in have
-                 for children, automorphisms in _child_sets(root, have, True))
-
-
-def _representative(root, children):
-    """``(source_levels, sink_levels, edges)`` of the tree with a root of
-    colour ``root`` and these child codes, numbered depth first."""
-    levels, edges = ([], []), []
-
-    def place(colour, children):
-        side, level = colour
-        levels[side].append(level)
-        k = len(levels[side]) - 1
-        for kid in children:
-            j = place(kid[1], kid[2])
-            edges.append((j, k) if side else (k, j))
-        return k
-
-    place(root, children)
-    return tuple(levels[0]), tuple(levels[1]), tuple(edges)
-
-
-@cache
-def _rooted_cores(root, have):
-    """Codes (height, root, children, |Aut|) of the rooted trees whose root
-    has the colour ``root`` and whose vertex counts per colour are ``have``,
-    (colour, count) pairs with the root's colour among them.  A colour is a
-    (side, level) pair, 0 for sources and 1 for sinks; every sink has a
-    child, as it has degree >= 2 in a core tree.  |Aut| counts the
-    automorphisms that fix the root."""
-    return tuple((children[0][0] + 1 if children else 0, root, children, automorphisms)
-                 for children, automorphisms in _child_sets(root, have, False))
-
-
-def _child_sets(root, have, centred):
-    """The children of the rooted trees of ``_rooted_cores(root, have)``:
-    each multiset of rooted trees of the other side whose vertex counts add
-    up to what the root leaves, once, with the automorphisms of the tree
-    that fix the root, prod n! |Aut(child)|^n over classes of n equal
-    children.
-
-    Children are picked block by block, a block holding the codes of one
-    height and one count vector, highest first, so a multiset comes out in
-    one canonical order, its highest child first.  Count vectors are packed
-    into integers, one field per colour with a guard bit on top, so that
-    sub <= left, field by field, is one subtraction and one mask.
-
-    With ``centred``, a multiset counts only if its two highest children
-    are equally high (or it is empty, for a lone source): the root is then
-    the centre of the tree, so every shape is rooted there exactly once.
-    """
-    left = [c - (colour == root) for colour, c in have]
-    width = max(left).bit_length() + 1
-    guard = sum(1 << (k * width + width - 1) for k in range(len(have)))
-    other = sum(((1 << width) - 1) << (k * width)
-                for k, (colour, _) in enumerate(have) if colour[0] != root[0])
-    blocks = []
-    for sub in product(*(range(c + 1) for c in left)):
-        sub_have = tuple((colour, c) for (colour, _), c in zip(have, sub) if c)
-        by_height = {}
-        for colour, _ in sub_have:
-            if colour[0] != root[0]:
-                for code in _rooted_cores(colour, sub_have):
-                    by_height.setdefault(code[0], []).append(code)
-        packed = sum(c << (k * width) for k, c in enumerate(sub))
-        blocks.extend((height, packed, codes) for height, codes in by_height.items())
-    blocks.sort(key=lambda block: -block[0])
-    out = []
-
-    def pick(blocks, left, children, automorphisms):
-        if not left:
-            if (children or not root[0]) and not (centred and len(children) == 1):
-                out.append((children, automorphisms))
-            return
-        if not left & other:
-            return
-        for j, (height, sub, codes) in enumerate(blocks):
-            if centred and len(children) == 1 and height < children[0][0]:
-                break
-            rest, r = left, 0
-            while ((rest | guard) - sub) & guard == guard:
-                rest, r = rest - sub, r + 1
-                fence = rest | guard
-                later = [block for block in blocks[j + 1:] if (fence - block[1]) & guard == guard]
-                for chosen in combinations_with_replacement(codes, r):
-                    fixed, run, prev = automorphisms, 0, None
-                    for code in chosen:  # equal codes are one object, side by side
-                        run = run + 1 if code is prev else 1
-                        fixed, prev = fixed * run * code[3], code
-                    pick(later, rest, children + chosen, fixed)
-
-    pick(blocks, sum(c << (k * width) for k, c in enumerate(left)), (), 1)
-    return out
+    counts = tuple(c for _, c in sources + sinks)
+    return kids(0, (counts[0] - 1,) + counts[1:])
 
 
 def admissible_decompositions(d, e, w):

@@ -269,15 +269,22 @@ class RationalFunction:
     classes in the localized Grothendieck ring arise,
     num * L^(-lpow) * prod_n (L^n - 1)^(-cyc[n]): its ``cyc`` maps n to the
     exponent of L^n - 1, not of Phi_n.  A negative ``lpow`` multiplies by
-    L^(-lpow).
+    L^(-lpow).  Every exponent and every n is an int; anything else is a
+    TypeError.
     """
 
     __slots__ = ("num", "scale", "lpow", "cyc")
 
     def __init__(self, num, lpow=0, cyc=()):
         num, scale = _num(num)
+        if type(lpow) is not int:
+            raise TypeError("exponent %r of L is not an int" % (lpow,))
         phi = {}
         for n, e in (cyc.items() if isinstance(cyc, dict) else cyc):
+            if type(n) is not int:
+                raise TypeError("exponent n = %r of L^n - 1 is not an int" % (n,))
+            if type(e) is not int:
+                raise TypeError("exponent %r of L^%d - 1 is not an int" % (e, n))
             if n < 1 or e < 0:
                 raise ValueError("denominator exponents must be nonnegative")
             for d in _divisors(n):

@@ -231,8 +231,8 @@ def test_larger_n_closed_form_family():
     # integer numerators over one denominator per dimension vector; vertex
     # since its ring grows with prod (m_w + 1), not 2^(#tokens), and it
     # multiplies packed integer keys, dropping every product above the
-    # degree it settles; mps since it counts stable trees by core shape and
-    # leaf counts, not one labelled tree at a time)
+    # degree it settles; mps since it counts stable trees by one recursion
+    # on subtree vertex counts, not one labelled tree at a time)
     def closed_form(n):
         return Fraction(comb(2 * n + 1, n) * comb(n + 1, n), 2) - Fraction(2 ** (2 * n + 1), 4)
 
@@ -259,3 +259,14 @@ def test_hn_matches_tropical_on_heavy_pairs():
         Q, d, stab = bipartite_setup(p1, p2)
         assert euler_char(Q, stab, d) == degeneration_total(p1, p2), (p1, p2)
     _report("heavy pairs: hn = tropical on 3,2|1^6 .. 4,4|3,3,3", t0, 10)
+
+
+def test_mps_matches_hn_on_heavy_pairs():
+    # the stable-tree sum over refinements against HN, on the pairs with the
+    # most sources and sink levels
+    t0 = time.monotonic()
+    for p1, p2 in (((3, 2), (1, 1, 1, 1, 1, 1)), ((5,), (2, 2, 2)), ((3, 3), (2, 2, 3)),
+                   ((4, 3), (3, 3, 2)), ((4, 4), (3, 3, 3)), ((5, 4), (2, 2, 2, 2, 2))):
+        Q, d, stab = bipartite_setup(p1, p2)
+        assert mps_euler(p1, p2) == euler_char(Q, stab, d), (p1, p2)
+    _report("heavy pairs: mps = hn on 3,2|1^6 .. 5,4|2^5", t0, 10)

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -155,10 +155,10 @@ def _key(r):
             tuple(sorted(r.weight_multiplicities(2).items())))
 
 
-def _shape_count(r):
-    """The core-shape count, which ``chi_trees`` leaves out on a support
-    with few labelled trees."""
-    return localization_mod._count_by_shapes(*_key(r))
+def _subtree_count(r):
+    """The count by subtree vertex counts, which ``chi_trees`` leaves out on
+    a support with few labelled trees."""
+    return localization_mod._count_by_subtrees(*_key(r))
 
 
 def test_chi_trees_matches_per_tree_sum_on_every_key_to_size_8():
@@ -167,7 +167,7 @@ def test_chi_trees_matches_per_tree_sum_on_every_key_to_size_8():
     listed = 0
     for r in keys:
         expected = _per_tree_sum(r)
-        assert _shape_count(r) == expected, (r.k1, r.k2)
+        assert _subtree_count(r) == expected, (r.k1, r.k2)
         assert chi_trees(r) == expected, (r.k1, r.k2)
         listed += localization_mod._labelled_tree_count(*_key(r)) <= localization_mod.LISTED_TREES_MAX
     assert 0 < listed < len(keys)
@@ -177,7 +177,7 @@ def test_chi_trees_matches_per_tree_sum_on_three_level_3_sources():
     # 78,732 labelled trees, each listed and slope-tested by the oracle
     r = Refinement.of([((3, 3),)], [((3, 2),)])
     assert spanning_tree_count(n_support(r)[0]) == 78732
-    assert _shape_count(r) == _per_tree_sum(r)
+    assert _subtree_count(r) == _per_tree_sum(r)
 
 
 def _set_slope_test(T, strict):
@@ -196,6 +196,38 @@ def _set_slope_test(T, strict):
     return True
 
 
+def _edge_cut_test(T):
+    """Oracle: for every arrow s -> t into a sink t that is not a leaf, the
+    part of T - (s -> t) holding s has d A < e B, with A its sink level
+    total and B its source level total (the arrow-by-arrow form of the
+    strict slope test that ``_count_by_subtrees`` counts with)."""
+    Q = T.quiver
+    levels = Q.levels()
+    pairs = T.arrow_pairs()
+    targets = {t for _, t in Q.arrows}
+    d = sum(levels[v] for v in Q.ids if v not in targets)
+    e = sum(levels[v] for v in targets)
+    degree = Counter(t for _, t in pairs)
+    for cut in pairs:
+        s, t = cut
+        if degree[t] < 2:
+            continue
+        part, stack = {s}, [s]
+        while stack:
+            v = stack.pop()
+            for a, b in pairs:
+                if (a, b) != cut and v in (a, b):
+                    w = b if v == a else a
+                    if w not in part:
+                        part.add(w)
+                        stack.append(w)
+        big_a = sum(levels[v] for v in part if v in targets)
+        big_b = sum(levels[v] for v in part if v not in targets)
+        if not d * big_a < e * big_b:
+            return False
+    return True
+
+
 def test_bitmask_slope_test_matches_set_unions_on_every_key_to_size_6():
     # non-coprime keys included, where sigma d = e |I| happens and only the
     # strict test rejects
@@ -204,50 +236,11 @@ def test_bitmask_slope_test_matches_set_unions_on_every_key_to_size_6():
         for T in spanning_trees(r):
             strict, weak = _set_slope_test(T, True), _set_slope_test(T, False)
             assert stability_weight(T) == strict, (r.k1, r.k2, T.arrow_indices)
+            assert _edge_cut_test(T) == strict, (r.k1, r.k2, T.arrow_indices)
             assert is_stable_type_one(Quiver(T.quiver.vertices, T.arrow_pairs())) == strict
             assert is_semistable_type_one(Quiver(T.quiver.vertices, T.arrow_pairs())) == weak
             ties += weak and not strict
     assert ties > 0
-
-
-def _labelled_core_trees(m, k):
-    """Oracle: labelled simple trees on K(m, k) whose sinks all have degree >= 2."""
-    support = type_one_support(m, k)
-    sinks = [v for v in support.ids if v[0] == "snk"]
-    count = 0
-    for T in spanning_trees_of(support):
-        degree = Counter(t for _, t in T.arrow_pairs())
-        count += all(degree[t] >= 2 for t in sinks)
-    return count
-
-
-def test_core_shape_copies_count_the_labelled_core_trees_on_every_key_to_size_8():
-    # no stability here: the labelled copies of the generated shapes add up
-    # to the labelled core trees, and each shape is a core tree on its colours
-    oracle = {}
-    checked = set()
-    for r in _every_key(8):
-        sources = tuple(sorted(r.weight_multiplicities(1).items()))
-        sinks = tuple(sorted(r.weight_multiplicities(2).items()))
-        m = sum(c for _, c in sources)
-        for core in product(*(range(c + 1) for _, c in sinks)):
-            core_sinks = tuple((w, k) for (w, _), k in zip(sinks, core) if k)
-            if (sources, core_sinks) in checked:
-                continue
-            checked.add((sources, core_sinks))
-            k = sum(core)
-            if (m, k) not in oracle:
-                oracle[m, k] = _labelled_core_trees(m, k)
-            shapes = localization_mod._core_shapes(sources, core_sinks)
-            assert sum(copies for *_, copies in shapes) == oracle[m, k], (sources, core_sinks)
-            for source_levels, sink_levels, edges, _ in shapes:
-                assert Counter(source_levels) == dict(sources)
-                assert Counter(sink_levels) == dict(core_sinks)
-                assert len(set(edges)) == len(edges) == m + k - 1
-                assert all(n >= 2 for n in Counter(j for _, j in edges).values())
-                if k:
-                    assert len({i for i, _ in edges}) == m
-    assert len(checked) > 300
 
 
 weights = st.lists(st.integers(1, 3), min_size=1, max_size=4)
@@ -259,7 +252,7 @@ def test_chi_trees_matches_per_tree_sum_on_random_refinements(w1, w2):
     r = _refinement(w1, w2)
     # the oracle lists every labelled tree, so keep the listing small
     assume(spanning_tree_count(n_support(r)[0]) <= 3000)
-    assert _shape_count(r) == _per_tree_sum(r)
+    assert _subtree_count(r) == _per_tree_sum(r)
 
 
 def test_spanning_tree_count_matches_listing_on_every_key_to_size_8():

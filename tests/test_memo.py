@@ -24,20 +24,9 @@ def _hn_from_a_new_solver():
     return motive.hn_sst_class(K3, S10, {"i1": 2, "j1": 3})
 
 
-# 432 labelled trees, over ``LISTED_TREES_MAX``, so counted by core shapes
+# 432 labelled trees, over ``LISTED_TREES_MAX``, so counted from subtree
+# vertex counts
 R_3_4 = Refinement.of([((1, 3),)], [((1, 4),)])
-
-
-def _trees_from_a_new_count():
-    # a new count asks for the core shapes again
-    localization._count_stable_trees.cache_clear()
-    return localization.chi_trees(R_3_4)
-
-
-def _trees_from_new_shapes():
-    # new shapes are built from the rooted core trees again
-    localization._core_shapes.cache_clear()
-    return _trees_from_a_new_count()
 
 
 # each memo with a public call that reaches it
@@ -45,8 +34,6 @@ MEMOS = [
     (motive._solver, lambda: motive.hn_sst_class(K3, S10, {"i1": 2, "j1": 3})),
     (motive._class_splits, _hn_from_a_new_solver),
     (localization._count_stable_trees, lambda: localization.chi_trees(R_3_4)),
-    (localization._core_shapes, _trees_from_a_new_count),
-    (localization._rooted_cores, _trees_from_new_shapes),
     (tropical._n_trop, lambda: tropical.n_trop((1, 1), (1, 1, 1))),
     (vertex._via_factorization, lambda: vertex.n_trop_via_factorization((1, 1), (1, 2))),
     (ratfunc.cyclotomic, lambda: ratfunc.cyclotomic(6)),

@@ -50,6 +50,17 @@ def test_poly_rejects_a_coefficient_that_is_not_an_int(coeff):
         Poly((1, 1)) * coeff
 
 
+@pytest.mark.parametrize("lpow, cyc, named", [
+    (1.5, (), "1.5"),
+    (True, (), "True"),
+    (0, {2: 1.5}, "1.5"),
+    (0, {1.5: 1}, "1.5"),
+], ids=["float-lpow", "bool-lpow", "float-exponent", "float-n"])
+def test_rational_function_rejects_an_exponent_that_is_not_an_int(lpow, cyc, named):
+    with pytest.raises(TypeError, match=re.escape(named)):
+        RationalFunction(1, lpow, cyc)
+
+
 def test_poly_subst_and_shift():
     p = Poly((1, 2))
     assert p.subst_pow(2).c == (1, 0, 2)
