@@ -10,6 +10,8 @@ are cross-validated against each other:
 All arithmetic is exact (``fractions.Fraction``); nothing is floating point.
 """
 
+import sys
+
 from .quiver import (
     Quiver,
     Refinement,
@@ -74,3 +76,14 @@ from .vertex import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_memos():
+    """Empty every memo of the package, so that the next call runs from
+    cold memos, as in a fresh process.  Every memo is a ``functools.cache``
+    held by one of the package's modules."""
+    for name, module in list(sys.modules.items()):
+        if name == __name__ or name.startswith(__name__ + "."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 
-from . import localization, motive, tropical, vertex
+from . import clear_memos, localization, motive, tropical, vertex
 from .quiver import (
     Quiver,
     Refinement,
@@ -171,16 +171,6 @@ def _chi_by_method(method, p1, p2):
     raise ValueError(method)
 
 
-def _clear_memos():
-    """Empty every functools cache in the package, so that the next method
-    is timed from cold memos, as in a fresh process."""
-    for name, module in list(sys.modules.items()):
-        if name.startswith(__package__ + "."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-
-
 def cmd_chi(args):
     if args.quiver:
         if args.p1 or args.p2:
@@ -204,7 +194,7 @@ def cmd_chi(args):
         methods = _METHODS if args.method == "all" else (args.method,)
         report = AgreementReport({"p1": list(p1), "p2": list(p2)})
         for m in methods:
-            _clear_memos()
+            clear_memos()
             t0 = time.monotonic()
             report.values[m] = _chi_by_method(m, p1, p2)
             report.seconds[m] = time.monotonic() - t0

@@ -6,8 +6,10 @@ reached by the recursion is a polynomial in L divided by powers of L and of
 factors (L^n - 1).  The recursion runs on class-count coordinates (per
 class of interchangeable vertices, how many vertices carry each value),
 and keeps one table per dimension vector of its strata sorted by integer
-slope keys; every bounded stratum sum is a prefix of that table.  It runs
-in Z[L], on the classes [R_D^sst] themselves, which count F_q-points: with
+slope keys; every bounded stratum sum is a prefix of that table.  The
+tables depend on the per-class data alone, so every quiver with the same
+class data shares them.  The recursion runs in Z[L], on the classes
+[R_D^sst] themselves, which count F_q-points: with
 the Gaussian binomials G_e = prod_v [d_v choose e_v]_L and the arrow count
 ext(r, e) = sum over the arrows i -> j of r_i e_j, the two recursion
 equations read
@@ -121,7 +123,8 @@ class _Table:
     integer keys, and ``gauss`` the matching Gaussian factors
     prod_v [d_v choose e_v]_L.  ``cum[k]`` is the sum of the first k terms
     in Z[L], extended on demand; ``num`` caches [R_D^sst] and ``sst`` the
-    reduced class [R_D^sst]/[G_D].
+    reduced class [R_D^sst]/[G_D].  D is a class-count key of one class
+    data, so the table serves every quiver with that class data.
     """
 
     __slots__ = ("mu", "slopes", "rows", "gauss", "cum", "num", "sst")
@@ -136,16 +139,61 @@ class _Table:
         self.sst = None
 
 
+def _class_data(Q, stab):
+    """The vertex classes of (Q, stab) and their class data
+    ``(theta, kappa, arrows, loops)``, all int tuples: per class, theta
+    scaled to an integer (a positive scale keeps the order of the slopes)
+    and kappa; ``arrows[a][b]``, the arrows from one vertex of class a to
+    one other vertex of class b; ``loops[a]``, the loops at one vertex of
+    class a.  The class data alone determine every HN table, so quivers
+    that differ only in the sizes of their classes share one solver."""
+    index = {v: k for k, v in enumerate(Q.ids)}
+    levels = tuple(l for _, l in Q.vertices)
+    th = stab.theta_map()
+    theta = tuple(th.get(v, 0) for v in Q.ids)
+    kappa = levels if stab.kappa_from_levels else (1,) * len(levels)
+    counts = {}
+    for s, t in Q.arrows:
+        key = (index[s], index[t])
+        counts[key] = counts.get(key, 0) + 1
+    classes = _symmetry_classes(levels, theta, counts)
+    scale = lcm(*(t.denominator for t in theta))
+
+    def between(ca, cb):
+        if ca is not cb:
+            return counts.get((ca[0], cb[0]), 0)
+        return counts.get((ca[0], ca[1]), 0) if len(ca) > 1 else 0
+
+    return classes, (tuple(int(theta[cls[0]] * scale) for cls in classes),
+                     tuple(kappa[cls[0]] for cls in classes),
+                     tuple(tuple(between(ca, cb) for cb in classes) for ca in classes),
+                     tuple(counts.get((ca[0], ca[0]), 0) for ca in classes))
+
+
+def _coords(classes, dv):
+    """Class-count coordinates of a dimension vector in vertex order: per
+    class, (value, count) pairs over the nonzero values, largest value
+    first.  Zero values are dropped, so a key means the same dimension
+    vector type in every quiver with the same class data."""
+    out = []
+    for cls in classes:
+        values = [dv[v] for v in cls]
+        out.append(tuple((x, values.count(x)) for x in sorted(set(values), reverse=True) if x))
+    return tuple(out)
+
+
 class _HNSolver:
-    """Memoized semistable-class computation for one (quiver, stability).
+    """Memoized semistable-class computation for one class data
+    ``(theta, kappa, arrows, loops)`` (see :func:`_class_data`), shared by
+    every quiver and stability that have it.
 
     A dimension vector is stored in class-count coordinates (see
-    :meth:`coords`), which are also the memo keys.  Arrow counts are
+    :func:`_coords`), which are also the memo keys.  Arrow counts are
     constant between two symmetry classes and within one, so dim R_D,
     slopes and the arrow count ext(r, e) = sum over the arrows i -> j of
     r_i e_j follow from per-class sums, class-level arrow counts and the
-    per-class pairing sum_v r_v e_v.  Slopes are integer keys
-    (:func:`_slope_key`) of theta scaled to integers.
+    per-class pairing sum_v r_v e_v; no class size enters.  Slopes are
+    integer keys (:func:`_slope_key`) of the integer theta.
 
     The recursion runs in Z[L] on R(D) = [R_D^sst], so it does no gcd or
     cyclotomic reduction.  A stratum with first HN block e has the class
@@ -162,43 +210,11 @@ class _HNSolver:
     [G_D] = L^(sum_v binom(d_v, 2)) prod_v prod_(k <= d_v) (L^k - 1).
     """
 
-    def __init__(self, Q, stab):
-        index = {v: k for k, v in enumerate(Q.ids)}
-        levels = tuple(l for _, l in Q.vertices)
-        th = stab.theta_map()
-        theta = tuple(th.get(v, 0) for v in Q.ids)
-        kappa = levels if stab.kappa_from_levels else (1,) * len(levels)
-        counts = {}
-        for s, t in Q.arrows:
-            key = (index[s], index[t])
-            counts[key] = counts.get(key, 0) + 1
-        self.classes = _symmetry_classes(levels, theta, counts)
-        # a positive scale keeps the order of the slopes
-        scale = lcm(*(Fraction(t).denominator for t in theta))
-        self.theta = tuple(int(theta[cls[0]] * scale) for cls in self.classes)
-        self.kappa = tuple(kappa[cls[0]] for cls in self.classes)
-        # arrows[a][b]: arrows from one vertex of class a to one other vertex
-        # of class b; loops[a]: loops at one vertex of class a
-        def between(ca, cb):
-            if ca is not cb:
-                return counts.get((ca[0], cb[0]), 0)
-            return counts.get((ca[0], ca[1]), 0) if len(ca) > 1 else 0
-
-        self.arrows = tuple(tuple(between(ca, cb) for cb in self.classes) for ca in self.classes)
-        self.loops = tuple(counts.get((ca[0], ca[0]), 0) for ca in self.classes)
+    def __init__(self, theta, kappa, arrows, loops):
+        self.theta, self.kappa, self.arrows, self.loops = theta, kappa, arrows, loops
         self._tables = {}
 
-    # -- coordinates ---------------------------------------------------------
-
-    def coords(self, dv):
-        """Class-count coordinates of a dimension vector in vertex order:
-        per class, (value, count) pairs over the nonzero values, largest
-        value first."""
-        out = []
-        for cls in self.classes:
-            values = [dv[v] for v in cls]
-            out.append(tuple((x, values.count(x)) for x in sorted(set(values), reverse=True) if x))
-        return tuple(out)
+    # -- slopes and the top class -------------------------------------------
 
     def slope(self, sums):
         """The slope key of a dimension vector with the given per-class sums."""
@@ -375,6 +391,8 @@ def _class_splits(groups):
     return tuple(out)
 
 
+# keyed by the class data, not by the quiver: every quiver and stability
+# with the same class data share one solver and its tables
 _solver = cache(_HNSolver)
 
 
@@ -398,15 +416,24 @@ def _nonzero_tuple(Q, d):
     return dv
 
 
+def _solver_and_key(Q, s, d):
+    """The shared solver of the class data of (Q, s) and the class-count
+    key of d, a nonzero dimension vector."""
+    dv = _nonzero_tuple(Q, d)
+    classes, data = _class_data(Q, s)
+    return _solver(*data), _coords(classes, dv)
+
+
 def hn_types(Q, s, d):
     """All decompositions d = d^1 + ... + d^s into nonzero vectors with
     strictly decreasing slopes, the trivial type (d,) included.  Enumerated
     by recursive first-block choice, in a deterministic order."""
-    sol = _solver(Q, s)
     dv = _as_tuple(Q, d)
     if not any(dv):
         return []
-    mu = lambda e: sol.slope([sum(e[v] for v in cls) for cls in sol.classes])
+    classes, data = _class_data(Q, s)
+    sol = _solver(*data)
+    mu = lambda e: sol.slope([sum(e[v] for v in cls) for cls in classes])
     mu(dv)  # rejects a slope denominator too large for the keys
 
     def rec(rest, bound):
@@ -432,16 +459,15 @@ def hn_sst_class(Q, s, d):
     """[R_d^sst]/[G_d]: the class of all representations minus the strata of
     nontrivial filtration types, summed from the slope-sorted stratum table
     of d (grouped by first block and memoized)."""
-    sol = _solver(Q, s)
-    return sol.sst_class(sol.coords(_nonzero_tuple(Q, d)))
+    sol, key = _solver_and_key(Q, s, d)
+    return sol.sst_class(key)
 
 
 def is_theta_coprime(Q, s, d):
     """No proper nonzero subvector e <= d shares the slope of d: no row of
     the slope-sorted stratum table of d has slope mu(d)."""
-    dv = _nonzero_tuple(Q, d)
-    sol = _solver(Q, s)
-    table = sol._table(sol.coords(dv))
+    sol, key = _solver_and_key(Q, s, d)
+    table = sol._table(key)
     k = bisect_left(table.slopes, table.mu)
     return k == len(table.slopes) or table.slopes[k] != table.mu
 

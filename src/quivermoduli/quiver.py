@@ -170,11 +170,28 @@ class Stability:
         return sum(d.values())
 
 
+def partition_pair(p1, p2):
+    """The ordered-partition pair (p1, p2) as two tuples of positive ints.
+    An empty side, or a part that is not a positive int, is rejected with
+    a ValueError that names it."""
+    out = []
+    for side, parts in (("p1", p1), ("p2", p2)):
+        parts = tuple(as_int(x, "%s part" % side) for x in parts)
+        if not parts:
+            raise ValueError("%s has no parts" % side)
+        for x in parts:
+            if x < 1:
+                raise ValueError("%s part %d is not positive" % (side, x))
+        out.append(parts)
+    return tuple(out)
+
+
 def bipartite_setup(p1, p2):
     """The complete bipartite quiver K(len p1, len p2) with the dimension
     vector whose sources i_k carry p1 and sinks j_k carry p2, and the
     stability theta = 1 on sources, 0 on sinks: the setting in which the
     four methods compute chi for the ordered-partition pair (p1, p2)."""
+    p1, p2 = partition_pair(p1, p2)
     Q = Quiver.complete_bipartite(len(p1), len(p2))
     d, theta = {}, {}
     for k, p in enumerate(p1):

@@ -19,7 +19,7 @@ from itertools import groupby, product
 from math import factorial, gcd
 
 from .localization import admissible_decompositions, chi_trees
-from .quiver import Refinement, as_int
+from .quiver import Refinement, as_int, partition_pair
 from .symfunc import partitions, weighted_splits
 
 
@@ -226,7 +226,7 @@ def _refinement_factor(r, weight_exponent):
 def mps_euler(P1, P2):
     """Euler characteristic of the bipartite moduli space as a weighted sum
     of stable-tree counts over refinements (weights 1/(k! w^(2k)))."""
-    P1, P2 = tuple(P1), tuple(P2)
+    P1, P2 = partition_pair(P1, P2)
     if gcd(sum(P1), sum(P2)) != 1:
         raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
     total = Fraction(0)
@@ -242,7 +242,7 @@ def degeneration_total(P1, P2, trop_count=None):
     relative count n_trop / prod w_{ij} times ramification weights
     1/(k! w^k).  ``trop_count(w1, w2)`` may replace the recursion by another
     source of tropical counts (e.g. wall-function extraction)."""
-    P1, P2 = tuple(P1), tuple(P2)
+    P1, P2 = partition_pair(P1, P2)
     if gcd(sum(P1), sum(P2)) != 1:
         raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
     count = trop_count if trop_count is not None else n_trop

@@ -47,11 +47,6 @@ def _modules():
                              if m.name != "__main__"]
 
 
-def _clear_all():
-    for memo, _ in MEMOS:
-        memo.cache_clear()
-
-
 def test_every_memo_is_a_functools_cache():
     found = {id(value) for module in _modules() for value in vars(module).values()
              if hasattr(value, "cache_info") and hasattr(value, "cache_clear")}
@@ -77,11 +72,18 @@ def test_cache_info_counts_hits_and_clears(memo, call):
     assert call() == value
 
 
+def test_clear_memos_empties_every_memo():
+    for _, call in MEMOS:
+        call()
+    quivermoduli.clear_memos()
+    assert [memo.cache_info().currsize for memo, _ in MEMOS] == [0] * len(MEMOS)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(coprime_partition_pairs(max_total=7))
 def test_cold_memos_give_the_warm_values(pair):
     p1, p2 = pair
     for method in ("hn", "mps", "tropical", "vertex"):
         warm = _chi_by_method(method, p1, p2)
-        _clear_all()
+        quivermoduli.clear_memos()
         assert _chi_by_method(method, p1, p2) == warm, method

@@ -1,9 +1,13 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
+import quivermoduli
+import quivermoduli.motive as motive_mod
 from quivermoduli.motive import (
     MotiveClass,
     dual_mps_check,
@@ -18,9 +22,17 @@ from quivermoduli.motive import (
     poincare,
     proj_class,
 )
-from quivermoduli.quiver import Quiver, Stability, bipartite_setup, euler_form, hat_quiver
+from quivermoduli.quiver import (
+    Quiver,
+    Stability,
+    bipartite_setup,
+    check_quiver,
+    euler_form,
+    hat_quiver,
+)
 from quivermoduli.ratfunc import Poly, cyclotomic
-from quivermoduli.symfunc import multiplicity_vectors
+from quivermoduli.symfunc import multiplicity_vectors, partitions
+from quivermoduli.tropical import degeneration_total
 from test_orbits import LabelledHNSolver
 
 K1 = Quiver.kronecker(1)
@@ -297,10 +309,6 @@ def test_lemma3_specialized_to_motives():
 
 def test_concurrent_memo_observes_identical_values():
     # racing callers may duplicate work but must agree on the value
-    from concurrent.futures import ThreadPoolExecutor
-
-    import quivermoduli.motive as motive_mod
-
     motive_mod._solver.cache_clear()
     d = {"i1": 2, "j1": 3}
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -313,8 +321,6 @@ def test_symmetry_collapse_is_sound():
     # memo keys collapse provably interchangeable vertices; the labelled
     # recursion must give the same values, including on quivers where
     # vertices share level/theta but are NOT interchangeable
-    import quivermoduli.motive as motive_mod
-
     cases = [
         # equal theta/level sinks with different arrow multiplicities
         (Quiver((("a", 1), ("b", 1), ("c", 1)),
@@ -334,7 +340,7 @@ def test_symmetry_collapse_is_sound():
     ]
     for Q, theta, d, n_classes in cases:
         stab = Stability.of(theta)
-        assert len(motive_mod._HNSolver(Q, stab).classes) == n_classes
+        assert len(motive_mod._class_data(Q, stab)[0]) == n_classes
         slow = LabelledHNSolver(Q, stab).sst_class(tuple(d.get(v, 0) for v in Q.ids))
         assert hn_sst_class(Q, stab, d) == slow, Q
 
@@ -343,11 +349,6 @@ def test_threaded_tables_match_serial_values():
     # racing threads extend the same lazy prefix sums; with the interpreter
     # switching threads as often as it can, every value must equal the
     # serial one
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-
-    import quivermoduli.motive as motive_mod
-
     ladder = [bipartite_setup((2,), (1,) * (2 * n + 1)) for n in range(1, 5)]
     ladder += [(K3, {"i1": a, "j1": a + 1}, S10) for a in range(1, 4)]
     motive_mod._solver.cache_clear()
@@ -374,6 +375,122 @@ def test_threaded_tables_match_serial_values():
     for got in results:
         for k, value in got:
             assert value == serial[k], k
+
+
+# -- one solver per class data --------------------------------------------------
+
+
+def _coprime_pairs(max_total):
+    """Every pair of partitions (weakly decreasing) of coprime sizes with
+    total <= max_total."""
+    return [(p1, p2) for total in range(2, max_total + 1)
+            for d in range(1, total) if gcd(d, total - d) == 1
+            for p1 in sorted(partitions(d)) for p2 in sorted(partitions(total - d))]
+
+
+def test_complete_bipartite_quivers_share_one_solver():
+    # theta = 1 on the sources and 0 on the sinks gives K(a, b) the same
+    # class data for every a and b
+    motive_mod._solver.cache_clear()
+    for p1, p2 in [((2,), (1, 1, 1)), ((2, 1), (2, 1, 1)), ((1, 1, 1), (1, 1, 1, 1, 1))]:
+        Q, d, stab = bipartite_setup(p1, p2)
+        euler_char(Q, stab, d)
+    assert motive_mod._solver.cache_info().currsize == 1
+
+
+def test_level_one_blow_up_shares_the_splitting_solver():
+    # every level-one splitting of i1, and its blow-up into level-one
+    # vertices, has one class of interchangeable copies
+    d = {"i1": 4, "j1": 5}
+    motive_mod._solver.cache_clear()
+    Qh, dh, sh = hat_quiver(K3, "i1", {1: 4}, d, S10)
+    hn_sst_class(Qh, sh, dh)
+    for lam in partitions(4):
+        Qc, dc, sc = check_quiver(K3, "i1", lam, d, S10)
+        hn_sst_class(Qc, sc, dc)
+    assert motive_mod._solver.cache_info().currsize == 1
+
+
+def test_class_data_that_differ_only_in_kappa_keep_their_own_tables():
+    # with c at level 2, kappa from the levels and kappa = 1 order the
+    # slopes of (1, 1, 0) and (1, 0, 1) differently, and d gets two classes
+    Q = Quiver((("a", 1), ("b", 1), ("c", 2)),
+               (("a", "b"), ("a", "c"), ("a", "c"), ("b", "c")))
+    d = {"a": 2, "b": 1, "c": 1}
+    motive_mod._solver.cache_clear()
+    values = []
+    for from_levels in (True, False):
+        stab = Stability.of({"a": 1, "b": 0, "c": 0}, from_levels)
+        values.append(hn_sst_class(Q, stab, d))
+        assert values[-1] == LabelledHNSolver(Q, stab).sst_class((2, 1, 1))
+    assert values[0] != values[1]
+    assert motive_mod._solver.cache_info().currsize == 2
+
+
+def test_warm_shared_tables_give_each_pairs_cold_value():
+    pairs = _coprime_pairs(8)
+    assert len(pairs) == 199
+    cold = {}
+    for p1, p2 in pairs:
+        quivermoduli.clear_memos()
+        Q, d, stab = bipartite_setup(p1, p2)
+        cold[p1, p2] = euler_char(Q, stab, d)
+    random.Random(15).shuffle(pairs)
+    quivermoduli.clear_memos()
+    for p1, p2 in pairs:
+        Q, d, stab = bipartite_setup(p1, p2)
+        assert euler_char(Q, stab, d) == cold[p1, p2] == degeneration_total(p1, p2), (p1, p2)
+
+
+def test_shared_keys_match_the_labelled_recursion():
+    # every key that the pairs of total <= 6 leave in the shared solver,
+    # against the labelled recursion on a complete bipartite quiver that
+    # holds it (zeros pad an empty side)
+    motive_mod._solver.cache_clear()
+    for p1, p2 in _coprime_pairs(6):
+        Q, d, stab = bipartite_setup(p1, p2)
+        euler_char(Q, stab, d)
+    solver = motive_mod._solver(*motive_mod._class_data(Q, stab)[1])
+    oracles = {}
+    for key in list(solver._tables):
+        sides = [[x for x, g in groups for _ in range(g)] or [0] for groups in key]
+        shape = tuple(map(len, sides))
+        if shape not in oracles:
+            _, _, stab = bipartite_setup((1,) * shape[0], (1,) * shape[1])
+            oracles[shape] = LabelledHNSolver(Quiver.complete_bipartite(*shape), stab)
+        assert solver.sst_class(key) == oracles[shape].sst_class(tuple(sides[0] + sides[1])), key
+    assert len(solver._tables) > 50
+
+
+def test_threads_on_quivers_with_one_class_data_agree():
+    # racing threads build and extend the tables of the one shared solver
+    # from different quivers; every value must equal the serial cold one
+    pairs = [((2,), (1, 1, 1)), ((1, 1), (1, 1, 1)), ((2, 1), (2, 1, 1)),
+             ((3,), (1, 1, 1, 1)), ((1, 1, 1), (1, 1, 1, 1, 1)), ((2, 2, 1), (1, 1, 1))]
+    setups = [bipartite_setup(p1, p2) for p1, p2 in pairs]
+    serial = []
+    for Q, d, s in setups:
+        motive_mod._solver.cache_clear()
+        serial.append(hn_sst_class(Q, s, d))
+    motive_mod._solver.cache_clear()
+
+    def run(order):
+        return [(k, hn_sst_class(setups[k][0], setups[k][2], setups[k][1])) for k in order]
+
+    n = len(setups)
+    orders = [list(range(n)), list(range(n))[::-1],
+              list(range(0, n, 2)) + list(range(1, n, 2)), [k % n for k in range(3, n + 3)]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, orders, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        for k, value in got:
+            assert value == serial[k], pairs[k]
+    assert motive_mod._solver.cache_info().currsize == 1
 
 
 def test_hn_types_deterministic():

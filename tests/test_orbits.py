@@ -9,6 +9,7 @@ forms must reproduce their counts and values exactly.
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb
 
@@ -92,7 +93,8 @@ class LabelledHNSolver:
     """The HN recursion on labelled dimension vectors, one stratum per point
     of the box 0 <= e <= d (every vertex its own symmetry class).  It is the
     reference for ``motive._HNSolver``, which sums over orbits in
-    class-count coordinates."""
+    class-count coordinates shared by every quiver with the same class
+    data."""
 
     def __init__(self, Q, stab):
         index = {v: k for k, v in enumerate(Q.ids)}
@@ -147,6 +149,13 @@ class LabelledHNSolver:
         return total
 
 
+def _fresh_solver(Q, stab):
+    """A new solver for the class data of (Q, stab), and the class-count
+    coordinates of the dimension vectors of Q."""
+    classes, data = motive_mod._class_data(Q, stab)
+    return motive_mod._HNSolver(*data), partial(motive_mod._coords, classes)
+
+
 def _key(mu):
     """floor(2^64 mu): the solver's slope key of mu for integer theta."""
     return (mu.numerator << 64) // mu.denominator
@@ -158,10 +167,10 @@ def test_stratum_orbits_match_box_scan(data):
     # the rows of one table, grouped by the coordinates of (e, rest), their
     # arrow count ext(rest, e) and slope key, against the labelled box points
     Q, stab, d = data.draw(small_quivers())
-    solver = motive_mod._HNSolver(Q, stab)
+    solver, coords = _fresh_solver(Q, stab)
     oracle = LabelledHNSolver(Q, stab)
     dv = tuple(d[v] for v in Q.ids)
-    key = solver.coords(dv)
+    key = coords(dv)
     table = solver._table(key)
     rows = Counter()
     for mu_e, e, rest, ext, mult in table.rows:
@@ -170,7 +179,7 @@ def test_stratum_orbits_match_box_scan(data):
     for e in _box(dv):
         rest = tuple(a - b for a, b in zip(dv, e))
         if any(e) and any(rest):
-            box[(solver.coords(e), solver.coords(rest), oracle.ext(rest, e),
+            box[(coords(e), coords(rest), oracle.ext(rest, e),
                  _key(oracle.mu(e)))] += 1
     assert rows == box
     assert table.slopes == sorted(table.slopes)
@@ -193,8 +202,8 @@ def _den(key):
 def test_gaussian_factors_carry_each_row_to_the_common_denominator(case):
     # den(e) den(D - e) prod_v [d_v choose e_v]_L = den(D) on every row
     Q, stab, d = case
-    solver = motive_mod._HNSolver(Q, stab)
-    key = solver.coords(tuple(d[v] for v in Q.ids))
+    solver, coords = _fresh_solver(Q, stab)
+    key = coords(tuple(d[v] for v in Q.ids))
     table = solver._table(key)
     assert len(table.gauss) == len(table.rows)
     for (_, e, rest, _, _), gauss in zip(table.rows, table.gauss):
@@ -213,11 +222,11 @@ def test_stratum_table_with_three_classes_matches_box_scan():
     arrows += [(b, "c") for b in B] + [("c", a) for a in A]
     Q = Quiver(tuple((v, 2 if v == "c" else 1) for v in ids), tuple(arrows))
     stab = Stability.of({"a1": 2, "a2": 2, "b1": 0, "b2": 0, "c": -1})
-    solver = motive_mod._HNSolver(Q, stab)
-    assert solver.classes == ((0, 1), (2, 3), (4,))
+    solver, coords = _fresh_solver(Q, stab)
+    assert motive_mod._class_data(Q, stab)[0] == ((0, 1), (2, 3), (4,))
     oracle = LabelledHNSolver(Q, stab)
     for dv in ((2, 1, 1, 2, 2), (2, 2, 1, 1, 1), (1, 3, 0, 2, 1)):
-        key = solver.coords(dv)
+        key = coords(dv)
         table = solver._table(key)
         rows = {}
         for (mu_e, e, rest, ext, mult), gauss in zip(table.rows, table.gauss):
@@ -228,7 +237,7 @@ def test_stratum_table_with_three_classes_matches_box_scan():
         for e in _box(dv):
             rest = tuple(a - b for a, b in zip(dv, e))
             if any(e) and any(rest):
-                row = (solver.coords(e), solver.coords(rest))
+                row = (coords(e), coords(rest))
                 ext, mu_e, mult = box.get(row, (oracle.ext(rest, e), _key(oracle.mu(e)), 0))
                 assert (ext, mu_e) == (oracle.ext(rest, e), _key(oracle.mu(e)))
                 box[row] = (ext, mu_e, mult + 1)
@@ -279,10 +288,11 @@ def test_orbit_classes_match_singleton_classes(case):
     dv = tuple(d[v] for v in Q.ids)
     oracle = LabelledHNSolver(Q, stab)
     assert hn_sst_class(Q, stab, d) == oracle.sst_class(dv)
-    solver = motive_mod._solver(Q, stab)
+    classes, data = motive_mod._class_data(Q, stab)
+    solver = motive_mod._solver(*data)
     for e in _box(dv):
         if any(e):
-            assert solver.sst_class(solver.coords(e)) == oracle.sst_class(e), e
+            assert solver.sst_class(motive_mod._coords(classes, e)) == oracle.sst_class(e), e
 
 
 # -- integer slope keys --------------------------------------------------------

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -160,6 +161,24 @@ def test_coprime_required():
         mps_euler((2,), (1, 1))
     with pytest.raises(ValueError):
         degeneration_total((2,), (1, 1))
+
+
+MALFORMED_PAIRS = [
+    ((0, 1), (1, 1), "p1 part 0 is not positive"),
+    ((-1, 2), (1, 1), "p1 part -1 is not positive"),
+    ((2,), (1, 2, -2), "p2 part -2 is not positive"),
+    ((), (1,), "p1 has no parts"),
+    ((2,), (1.0,), "p2 part 1.0 is not an int"),
+]
+
+
+@pytest.mark.parametrize("method", ["hn", "mps", "tropical", "vertex"])
+@pytest.mark.parametrize("p1, p2, message", MALFORMED_PAIRS)
+def test_malformed_partitions_are_rejected(method, p1, p2, message):
+    from quivermoduli.cli import _chi_by_method
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _chi_by_method(method, p1, p2)
 
 
 def test_three_way_agreement_small():
