@@ -16,6 +16,7 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
@@ -100,17 +101,9 @@ def _parse_refinement(s):
         sides = s.split("|")
         if len(sides) != 2:
             raise ValueError
-        out = []
-        for side in sides:
-            side_parts = []
-            for part in side.split(","):
-                weights = [int(w) for w in part.split("+")]
-                mult = {}
-                for w in weights:
-                    mult[w] = mult.get(w, 0) + 1
-                side_parts.append(tuple(sorted(mult.items())))
-            out.append(tuple(side_parts))
-        return Refinement.of(out[0], out[1])
+        k1, k2 = ([Counter(int(w) for w in part.split("+")) for part in side.split(",")]
+                  for side in sides)
+        return Refinement.of(k1, k2)
     except ValueError:
         raise argparse.ArgumentTypeError("bad refinement syntax: %r" % s)
 
@@ -208,6 +201,15 @@ def _check(label, ok, failures):
         failures.append(label)
 
 
+def _check_eulgw(max_size, label, failures):
+    """n_trop against the stable-tree count on every refinement of the scan;
+    ``label`` is formatted with p1, p2, w1 and w2."""
+    for p1, p2, r in tropical.refinement_scan(max_size):
+        w1, w2 = tropical.weight_vector_of(r.k1), tropical.weight_vector_of(r.k2)
+        _check(label.format(p1=p1, p2=p2, w1=w1, w2=w2),
+               tropical.n_trop(w1, w2) == localization.chi_trees(r), failures)
+
+
 IDENTITY_CHECKS = (
     ("mps", motive.motivic_mps_check),
     ("partition-form", motive.partition_form_check),
@@ -228,11 +230,7 @@ def cmd_verify(args):
         _check("%s %s at %s dim %s" % (args.suite, args.quiver, args.vertex, args.dim),
                ok, failures)
     elif args.suite == "eulgw":
-        for p1, p2, r in tropical.refinement_scan(args.max_size):
-            w1 = tropical.weight_vector_of(r.k1)
-            w2 = tropical.weight_vector_of(r.k2)
-            ok = tropical.n_trop(w1, w2) == localization.chi_trees(r)
-            _check("eulgw %r %r w=%r,%r" % (p1, p2, w1, w2), ok, failures)
+        _check_eulgw(args.max_size, "eulgw {p1!r} {p2!r} w={w1!r},{w2!r}", failures)
     elif args.suite == "troprec-convention":
         # the normalization guard: with repeated-piece division disabled the
         # recursion must over-count, and the flagship case must show 8 vs 6
@@ -240,11 +238,7 @@ def cmd_verify(args):
         norm = tropical.n_trop((1, 1), (1, 1, 1))
         _check("troprec-convention (1,1)|(1,1,1): %d raw vs %d" % (raw, norm),
                raw == 8 and norm == 6, failures)
-        for p1, p2, r in tropical.refinement_scan(args.max_size):
-            w1 = tropical.weight_vector_of(r.k1)
-            w2 = tropical.weight_vector_of(r.k2)
-            ok = tropical.n_trop(w1, w2) == localization.chi_trees(r)
-            _check("convention-oracle %r,%r" % (w1, w2), ok, failures)
+        _check_eulgw(args.max_size, "convention-oracle {w1!r},{w2!r}", failures)
     if failures:
         print("%d check(s) FAILED" % len(failures))
         return 1
@@ -343,13 +337,23 @@ def _family_rows(max_n, with_trees=False, with_walls=False):
         total = Fraction(0)
         for r in tropical.refinements(p1, p2):
             chi = localization.chi_trees(r)
-            factor = tropical._refinement_factor(r, 2)
-            contributions.append({
+            factor = tropical._refinement_factor(r)
+            entry = {
                 "refinement": _refinement_payload(r),
                 "tree_count": chi,
                 "weight": factor,
                 "contribution": chi * factor,
-            })
+            }
+            if with_trees:
+                entry["stable_trees"] = [
+                    [[_tok(s), _tok(t)] for s, t in T.arrow_pairs()]
+                    for T in localization.spanning_trees(r)
+                    if localization.stability_weight(T)
+                ]
+            if with_walls:
+                fact = vertex.factorize(vertex.ks_operators(r))
+                entry["wall_directions"] = [list(w.direction) for w in fact.walls]
+            contributions.append(entry)
             total += chi * factor
         closed_form = Fraction(comb(2 * n + 1, n) * comb(n + 1, n), 2) \
             - Fraction(2 ** (2 * n + 1), 4)
@@ -361,17 +365,6 @@ def _family_rows(max_n, with_trees=False, with_walls=False):
             "total": total,
             "closed_form": closed_form,
         }
-        if with_trees:
-            for entry, r in zip(row["contributions"], tropical.refinements(p1, p2)):
-                entry["stable_trees"] = [
-                    [[_tok(s), _tok(t)] for s, t in T.arrow_pairs()]
-                    for T in localization.spanning_trees(r)
-                    if localization.stability_weight(T)
-                ]
-        if with_walls:
-            for entry, r in zip(row["contributions"], tropical.refinements(p1, p2)):
-                fact = vertex.factorize(vertex.ks_operators(r))
-                entry["wall_directions"] = [list(w.direction) for w in fact.walls]
         rows.append(row)
     return rows
 

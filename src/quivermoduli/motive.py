@@ -156,7 +156,10 @@ def _class_data(Q, stab):
     for s, t in Q.arrows:
         key = (index[s], index[t])
         counts[key] = counts.get(key, 0) + 1
-    classes = _symmetry_classes(levels, theta, counts)
+    # ordered by theta, kappa and loops, ties in vertex order, so that a
+    # quiver and its level-one blow-ups and splittings share one solver
+    classes = tuple(sorted(_symmetry_classes(levels, theta, counts), key=lambda cls: (
+        theta[cls[0]], kappa[cls[0]], counts.get((cls[0], cls[0]), 0))))
     scale = lcm(*(t.denominator for t in theta))
 
     def between(ca, cb):
@@ -466,7 +469,10 @@ def hn_sst_class(Q, s, d):
 def is_theta_coprime(Q, s, d):
     """No proper nonzero subvector e <= d shares the slope of d: no row of
     the slope-sorted stratum table of d has slope mu(d)."""
-    sol, key = _solver_and_key(Q, s, d)
+    return _is_coprime(*_solver_and_key(Q, s, d))
+
+
+def _is_coprime(sol, key):
     table = sol._table(key)
     k = bisect_left(table.slopes, table.mu)
     return k == len(table.slopes) or table.slopes[k] != table.mu
@@ -478,9 +484,10 @@ def poincare(Q, s, d):
     Computed as (L-1) * [R_d^sst]/[G_d] with L -> t^2; the result is checked
     to be a polynomial with nonnegative integer coefficients.
     """
-    if not is_theta_coprime(Q, s, d):
+    sol, key = _solver_and_key(Q, s, d)
+    if not _is_coprime(sol, key):
         raise ValueError("dimension vector is not theta-coprime")
-    cls = hn_sst_class(Q, s, d) * gm_class()
+    cls = sol.sst_class(key) * gm_class()
     if not cls.is_polynomial():
         raise ArithmeticError("(L-1) * class is not polynomial; recursion is inconsistent")
     in_l = cls.num

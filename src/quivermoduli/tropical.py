@@ -1,26 +1,30 @@
-"""Recursive tropical curve counts and the degeneration identities that tie
-them to quiver Euler characteristics.
+"""Recursive tropical curve counts and the degeneration sum that ties them
+to quiver Euler characteristics.
 
 A pair of weakly increasing weight vectors (w1, w2) determines a count
 N(w1, w2) of rational tropical curves with those prescribed unbounded edge
 weights; it satisfies a recursion obtained by splitting off the last
-(largest) entry of w2 into admissible decompositions.  Summed over
-refinements of a pair of ordered partitions, these counts reproduce the
-Euler characteristic of the bipartite quiver moduli space in two ways: the
-degeneration form (tropical counts with ramification bookkeeping) and the
-tree form (stable spanning-tree counts with squared weight factors).
+(largest) entry of w2 into admissible decompositions.  The Euler
+characteristic of the bipartite quiver moduli space of a pair of ordered
+partitions (P1, P2) is the degeneration sum over pairs of weight vectors
+
+    sum N(w1, w2) R_(P1|w1) R_(P2|w2) / (|Aut w1| |Aut w2|),
+
+with N the recursion (``tropical``), the wall-function count (``vertex``)
+or the stable-tree count of the support quiver (``mps``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, product
-from math import factorial, gcd
+from math import comb, factorial, gcd, prod
 
 from .localization import admissible_decompositions, chi_trees
 from .quiver import Refinement, as_int, partition_pair
-from .symfunc import partitions, weighted_splits
+from .symfunc import mps_weight, multiplicity_vectors, partitions, weighted_splits
 
 
 def as_weight_vector(entries):
@@ -33,14 +37,7 @@ def as_weight_vector(entries):
 def weight_vector_of(k_side):
     """Weight vector induced by one side of a refinement: the weight-w
     segment carries m_w entries, segments in increasing weight order."""
-    mult = {}
-    for part in k_side:
-        for w, c in part:
-            mult[w] = mult.get(w, 0) + c
-    out = []
-    for w in sorted(mult):
-        out.extend([w] * mult[w])
-    return tuple(out)
+    return tuple(sorted(w for part in k_side for w, c in part for _ in range(c)))
 
 
 def ramification_factor(P, w):
@@ -174,21 +171,8 @@ def _n_trop(w1, w2, normalize_repeats):
 def refinements(P1, P2):
     """All refinements (k^1, k^2) of a pair of ordered partitions: every part
     p_ij is split into weighted pieces with sum w * k_{w,j} = p_ij."""
-    def side_options(P):
-        per_part = []
-        for p in P:
-            opts = []
-            for lam in sorted(partitions(p)):
-                mult = {}
-                for x in lam:
-                    mult[x] = mult.get(x, 0) + 1
-                opts.append(tuple(sorted(mult.items())))
-            per_part.append(opts)
-        return [tuple(choice) for choice in product(*per_part)]
-
-    return [Refinement.of(k1, k2)
-            for k1 in side_options(tuple(P1))
-            for k2 in side_options(tuple(P2))]
+    k1s, k2s = (list(product(*map(multiplicity_vectors, P))) for P in (P1, P2))
+    return [Refinement.of(k1, k2) for k1 in k1s for k2 in k2s]
 
 
 def refinement_scan(max_size):
@@ -212,49 +196,62 @@ def refinement_scan(max_size):
                             yield p1, p2, r
 
 
-def _refinement_factor(r, weight_exponent):
-    """prod_{i,j,w} (-1)^(k_{w,j}(w-1)) / (k_{w,j}! * w^(weight_exponent * k_{w,j}))."""
+def _refinement_factor(r):
+    """prod_{i,j,w} (-1)^(k_{w,j}(w-1)) / (k_{w,j}! * w^(2 k_{w,j})): the weight
+    of one refinement in the degeneration sum."""
     out = Fraction(1)
     for side in (r.k1, r.k2):
         for part in side:
             for w, c in part:
-                out *= Fraction((-1) ** (c * (w - 1)),
-                                factorial(c) * w ** (weight_exponent * c))
+                out *= Fraction((-1) ** (c * (w - 1)), factorial(c) * w ** (2 * c))
     return out
 
 
+def _side_coefficients(P):
+    """{w: R_(P|w) / |Aut w|} over the weight vectors w refining P, where w
+    has m_x entries of weight x and |Aut w| = prod_x m_x!.  Part by part, in
+    integers: a part adds one multiplicity vector of itself, and k more
+    entries of weight x multiply the number of compatible maps (entry ->
+    part) by C(m_x + k, k); that number times mps_weight(m) / prod_x x^(m_x)
+    is R_(P|w) / |Aut w|."""
+    counts = {(): 1}
+    options = {p: multiplicity_vectors(p) for p in set(P)}
+    for p in P:
+        step = {}
+        for key, n in counts.items():
+            for option in options[p]:
+                m, labelled = dict(key), n
+                for x, k in option.items():
+                    have = m.get(x, 0)
+                    labelled *= comb(have + k, k)
+                    m[x] = have + k
+                key_out = tuple(sorted(m.items()))
+                step[key_out] = step.get(key_out, 0) + labelled
+        counts = step
+    return {weight_vector_of((key,)): n * mps_weight(dict(key)) / prod(x ** m for x, m in key)
+            for key, n in counts.items()}
+
+
 def mps_euler(P1, P2):
-    """Euler characteristic of the bipartite moduli space as a weighted sum
-    of stable-tree counts over refinements (weights 1/(k! w^(2k)))."""
-    P1, P2 = partition_pair(P1, P2)
-    if gcd(sum(P1), sum(P2)) != 1:
-        raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
-    total = Fraction(0)
-    for r in refinements(P1, P2):
-        total += chi_trees(r) * _refinement_factor(r, 2)
-    if total.denominator != 1:
-        raise ArithmeticError("tree-sum total is not an integer: %r" % total)
-    return int(total)
+    """Euler characteristic of the bipartite moduli space as the degeneration
+    sum with N(w1, w2) the stable-tree count of the one-part refinement."""
+    return degeneration_total(P1, P2, trop_count=lambda w1, w2: chi_trees(
+        Refinement.of((Counter(w1),), (Counter(w2),))))
 
 
 def degeneration_total(P1, P2, trop_count=None):
-    """Euler characteristic as a degeneration sum over refinements: the
-    relative count n_trop / prod w_{ij} times ramification weights
-    1/(k! w^k).  ``trop_count(w1, w2)`` may replace the recursion by another
-    source of tropical counts (e.g. wall-function extraction)."""
+    """Euler characteristic as the degeneration sum over pairs of weight
+    vectors, sum N(w1, w2) R_(P1|w1) R_(P2|w2) / (|Aut w1| |Aut w2|).
+    N is the recursion :func:`n_trop` unless ``trop_count(w1, w2)`` gives
+    another source of tropical counts (e.g. wall-function extraction)."""
     P1, P2 = partition_pair(P1, P2)
     if gcd(sum(P1), sum(P2)) != 1:
         raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
     count = trop_count if trop_count is not None else n_trop
+    side2 = _side_coefficients(P2).items()
     total = Fraction(0)
-    for r in refinements(P1, P2):
-        w1 = weight_vector_of(r.k1)
-        w2 = weight_vector_of(r.k2)
-        weight_product = 1
-        for x in w1 + w2:
-            weight_product *= x
-        relative = Fraction(count(w1, w2), weight_product)
-        total += relative * _refinement_factor(r, 1)
+    for w1, c1 in _side_coefficients(P1).items():
+        total += c1 * sum(c2 * count(w1, w2) for w2, c2 in side2)
     if total.denominator != 1:
         raise ArithmeticError("degeneration total is not an integer: %r" % total)
     return int(total)

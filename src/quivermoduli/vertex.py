@@ -626,8 +626,7 @@ def n_trop_via_factorization(w1, w2):
 
 @cache
 def _via_factorization(w1, w2):
-    r = Refinement.of((tuple(sorted(Counter(w1).items())),),
-                      (tuple(sorted(Counter(w2).items())),))
+    r = Refinement.of((Counter(w1),), (Counter(w2),))
     layout, walls = _factorize_packed(ks_operators(r))
     for direction, f, eps in walls:
         if direction == (sum(w2), sum(w1)):

@@ -411,6 +411,23 @@ def test_level_one_blow_up_shares_the_splitting_solver():
     assert motive_mod._solver.cache_info().currsize == 1
 
 
+def test_quiver_and_its_level_one_splittings_at_i1_share_one_solver():
+    # classes are ordered by their data, not by vertex order: K3 lists i1
+    # first, its blow-ups and splittings list the copies of i1 last
+    d = {"i1": 3, "j1": 4}
+    data = motive_mod._class_data(K3, S10)[1]
+    Qh, dh, sh = hat_quiver(K3, "i1", {1: 3}, d, S10)
+    assert motive_mod._class_data(Qh, sh)[1] == data
+    motive_mod._solver.cache_clear()
+    hn_sst_class(K3, S10, d)
+    hn_sst_class(Qh, sh, dh)
+    for lam in partitions(3):
+        Qc, dc, sc = check_quiver(K3, "i1", lam, d, S10)
+        assert motive_mod._class_data(Qc, sc)[1] == data
+        hn_sst_class(Qc, sc, dc)
+    assert motive_mod._solver.cache_info().currsize == 1
+
+
 def test_class_data_that_differ_only_in_kappa_keep_their_own_tables():
     # with c at level 2, kappa from the levels and kappa = 1 order the
     # slopes of (1, 1, 0) and (1, 0, 1) differently, and d gets two classes

@@ -223,7 +223,8 @@ def test_stratum_table_with_three_classes_matches_box_scan():
     Q = Quiver(tuple((v, 2 if v == "c" else 1) for v in ids), tuple(arrows))
     stab = Stability.of({"a1": 2, "a2": 2, "b1": 0, "b2": 0, "c": -1})
     solver, coords = _fresh_solver(Q, stab)
-    assert motive_mod._class_data(Q, stab)[0] == ((0, 1), (2, 3), (4,))
+    # classes in the order of their data: theta -1 (C), 0 (B), 2 (A)
+    assert motive_mod._class_data(Q, stab)[0] == ((4,), (2, 3), (0, 1))
     oracle = LabelledHNSolver(Q, stab)
     for dv in ((2, 1, 1, 2, 2), (2, 2, 1, 1, 1), (1, 3, 0, 2, 1)):
         key = coords(dv)

@@ -1,14 +1,18 @@
 import re
+from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from itertools import product
+from math import factorial, gcd, prod
 
 import pytest
+from test_motive import _coprime_pairs
 
 from quivermoduli.localization import chi_trees
 from quivermoduli.motive import euler_char
-from quivermoduli.quiver import Refinement, bipartite_setup
+from quivermoduli.quiver import Refinement, bipartite_setup, partition_pair
 from quivermoduli.symfunc import partitions
 from quivermoduli.tropical import (
+    _side_coefficients,
     degeneration_total,
     mps_euler,
     n_trop,
@@ -241,3 +245,138 @@ def test_four_way_agreement_with_cancellation():
     assert degeneration_total(p1, p2) == 0
     assert degeneration_total(p1, p2, trop_count=n_trop_via_factorization) == 0
     assert any(chi_trees(r) for r in refinements(p1, p2))
+
+
+# -- the per-refinement sums that the sum over weight vectors replaced ----------
+#
+# Kept as the reference: they build every refinement and weight it on its
+# own, where the sum over weight vectors groups the refinements by their
+# weight content.
+
+
+def _side_options_refinements(P1, P2):
+    """All refinements (k^1, k^2) of a pair of ordered partitions: every part
+    p_ij is split into weighted pieces with sum w * k_{w,j} = p_ij."""
+    def side_options(P):
+        per_part = []
+        for p in P:
+            opts = []
+            for lam in sorted(partitions(p)):
+                mult = {}
+                for x in lam:
+                    mult[x] = mult.get(x, 0) + 1
+                opts.append(tuple(sorted(mult.items())))
+            per_part.append(opts)
+        return [tuple(choice) for choice in product(*per_part)]
+
+    return [Refinement.of(k1, k2)
+            for k1 in side_options(tuple(P1))
+            for k2 in side_options(tuple(P2))]
+
+
+def _refinement_factor(r, weight_exponent):
+    """prod_{i,j,w} (-1)^(k_{w,j}(w-1)) / (k_{w,j}! * w^(weight_exponent * k_{w,j}))."""
+    out = Fraction(1)
+    for side in (r.k1, r.k2):
+        for part in side:
+            for w, c in part:
+                out *= Fraction((-1) ** (c * (w - 1)),
+                                factorial(c) * w ** (weight_exponent * c))
+    return out
+
+
+def mps_euler_by_refinement(P1, P2):
+    """Euler characteristic of the bipartite moduli space as a weighted sum
+    of stable-tree counts over refinements (weights 1/(k! w^(2k)))."""
+    P1, P2 = partition_pair(P1, P2)
+    if gcd(sum(P1), sum(P2)) != 1:
+        raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
+    total = Fraction(0)
+    for r in refinements(P1, P2):
+        total += chi_trees(r) * _refinement_factor(r, 2)
+    if total.denominator != 1:
+        raise ArithmeticError("tree-sum total is not an integer: %r" % total)
+    return int(total)
+
+
+def degeneration_total_by_refinement(P1, P2, trop_count=None):
+    """Euler characteristic as a degeneration sum over refinements: the
+    relative count n_trop / prod w_{ij} times ramification weights
+    1/(k! w^k).  ``trop_count(w1, w2)`` may replace the recursion by another
+    source of tropical counts (e.g. wall-function extraction)."""
+    P1, P2 = partition_pair(P1, P2)
+    if gcd(sum(P1), sum(P2)) != 1:
+        raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
+    count = trop_count if trop_count is not None else n_trop
+    total = Fraction(0)
+    for r in refinements(P1, P2):
+        w1 = weight_vector_of(r.k1)
+        w2 = weight_vector_of(r.k2)
+        weight_product = 1
+        for x in w1 + w2:
+            weight_product *= x
+        relative = Fraction(count(w1, w2), weight_product)
+        total += relative * _refinement_factor(r, 1)
+    if total.denominator != 1:
+        raise ArithmeticError("degeneration total is not an integer: %r" % total)
+    return int(total)
+
+
+def _all_three_match_the_refinement_sums(p1, p2):
+    from quivermoduli.vertex import n_trop_via_factorization
+
+    assert mps_euler(p1, p2) == mps_euler_by_refinement(p1, p2), (p1, p2)
+    assert degeneration_total(p1, p2) == degeneration_total_by_refinement(p1, p2), (p1, p2)
+    assert (degeneration_total(p1, p2, trop_count=n_trop_via_factorization)
+            == degeneration_total_by_refinement(p1, p2, trop_count=n_trop_via_factorization)), \
+        (p1, p2)
+
+
+def test_refinements_keep_their_order_on_the_scan_pairs():
+    for p1, p2 in _coprime_pairs(8):
+        assert refinements(p1, p2) == _side_options_refinements(p1, p2), (p1, p2)
+
+
+def test_sum_over_weight_vectors_matches_the_refinement_sums_on_the_scan_pairs():
+    pairs = _coprime_pairs(8)
+    assert len(pairs) == 199
+    for p1, p2 in pairs:
+        _all_three_match_the_refinement_sums(p1, p2)
+
+
+def test_sum_over_weight_vectors_matches_the_refinement_sums_on_the_family():
+    from quivermoduli.vertex import n_trop_via_factorization
+
+    for n in range(1, 31):
+        p1, p2 = (2,), (1,) * (2 * n + 1)
+        assert mps_euler(p1, p2) == mps_euler_by_refinement(p1, p2), n
+        if n <= 9:
+            assert degeneration_total(p1, p2) == degeneration_total_by_refinement(p1, p2), n
+        if n <= 3:
+            assert (degeneration_total(p1, p2, trop_count=n_trop_via_factorization)
+                    == degeneration_total_by_refinement(
+                        p1, p2, trop_count=n_trop_via_factorization)), n
+
+
+@pytest.mark.parametrize("p1,p2", [((4, 4), (3, 3, 3)), ((5, 4), (2, 2, 2, 2, 2))])
+def test_mps_matches_the_refinement_sum_on_heavy_pairs(p1, p2):
+    assert mps_euler(p1, p2) == mps_euler_by_refinement(p1, p2)
+
+
+def test_side_coefficients_are_ramification_factors_over_automorphisms():
+    # every ordered partition P with |P| <= 7, against every weight vector
+    for n in range(1, 8):
+        for cuts in product((False, True), repeat=n - 1):
+            P, part = [], 1
+            for cut in cuts:
+                if cut:
+                    P.append(part)
+                    part = 0
+                part += 1
+            P.append(part)
+            coefficients = _side_coefficients(P)
+            for lam in partitions(n):
+                w = tuple(sorted(lam))
+                aut = prod(factorial(c) for c in Counter(w).values())
+                assert coefficients.get(w, 0) == ramification_factor(P, w) / aut, (P, w)
+            assert set(coefficients) <= {tuple(sorted(lam)) for lam in partitions(n)}
