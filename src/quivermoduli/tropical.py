@@ -171,8 +171,8 @@ def _n_trop(w1, w2, normalize_repeats):
 def refinements(P1, P2):
     """All refinements (k^1, k^2) of a pair of ordered partitions: every part
     p_ij is split into weighted pieces with sum w * k_{w,j} = p_ij."""
-    k1s, k2s = (list(product(*map(multiplicity_vectors, P))) for P in (P1, P2))
-    return [Refinement.of(k1, k2) for k1 in k1s for k2 in k2s]
+    sides2 = _side_choices(P2)
+    return [Refinement.of(k1, k2) for k1, _ in _side_choices(P1) for k2, _ in sides2]
 
 
 def refinement_scan(max_size):
@@ -180,7 +180,7 @@ def refinement_scan(max_size):
 
     Counts only depend on parts through their multiset, so weakly decreasing
     representatives are scanned; each pair of weight vectors is yielded once,
-    as (p1, p2, refinement).
+    as (p1, p2, refinement), and only the yielded refinements are built.
     """
     seen = set()
     for total in range(2, max_size + 1):
@@ -189,11 +189,19 @@ def refinement_scan(max_size):
                 continue
             for p1 in sorted(partitions(d)):
                 for p2 in sorted(partitions(total - d)):
-                    for r in refinements(p1, p2):
-                        key = (weight_vector_of(r.k1), weight_vector_of(r.k2))
-                        if key not in seen:
-                            seen.add(key)
-                            yield p1, p2, r
+                    sides2 = _side_choices(p2)
+                    for k1, w1 in _side_choices(p1):
+                        for k2, w2 in sides2:
+                            if (w1, w2) not in seen:
+                                seen.add((w1, w2))
+                                yield p1, p2, Refinement.of(k1, k2)
+
+
+def _side_choices(P):
+    """(one multiplicity vector per part, the weight vector they induce) for
+    every refinement of one side."""
+    return [(k, weight_vector_of(m.items() for m in k))
+            for k in product(*map(multiplicity_vectors, P))]
 
 
 def _refinement_factor(r):
@@ -207,13 +215,14 @@ def _refinement_factor(r):
     return out
 
 
+@cache
 def _side_coefficients(P):
-    """{w: R_(P|w) / |Aut w|} over the weight vectors w refining P, where w
-    has m_x entries of weight x and |Aut w| = prod_x m_x!.  Part by part, in
-    integers: a part adds one multiplicity vector of itself, and k more
-    entries of weight x multiply the number of compatible maps (entry ->
-    part) by C(m_x + k, k); that number times mps_weight(m) / prod_x x^(m_x)
-    is R_(P|w) / |Aut w|."""
+    """(w, R_(P|w) / |Aut w|) pairs over the weight vectors w refining the
+    tuple P, where w has m_x entries of weight x and |Aut w| = prod_x m_x!.
+    Part by part, in integers: a part adds one multiplicity vector of
+    itself, and k more entries of weight x multiply the number of compatible
+    maps (entry -> part) by C(m_x + k, k); that number times mps_weight(m) /
+    prod_x x^(m_x) is R_(P|w) / |Aut w|."""
     counts = {(): 1}
     options = {p: multiplicity_vectors(p) for p in set(P)}
     for p in P:
@@ -228,8 +237,9 @@ def _side_coefficients(P):
                 key_out = tuple(sorted(m.items()))
                 step[key_out] = step.get(key_out, 0) + labelled
         counts = step
-    return {weight_vector_of((key,)): n * mps_weight(dict(key)) / prod(x ** m for x, m in key)
-            for key, n in counts.items()}
+    return tuple((weight_vector_of((key,)),
+                  n * mps_weight(dict(key)) / prod(x ** m for x, m in key))
+                 for key, n in counts.items())
 
 
 def mps_euler(P1, P2):
@@ -248,9 +258,9 @@ def degeneration_total(P1, P2, trop_count=None):
     if gcd(sum(P1), sum(P2)) != 1:
         raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
     count = trop_count if trop_count is not None else n_trop
-    side2 = _side_coefficients(P2).items()
+    side2 = _side_coefficients(P2)
     total = Fraction(0)
-    for w1, c1 in _side_coefficients(P1).items():
+    for w1, c1 in _side_coefficients(P1):
         total += c1 * sum(c2 * count(w1, w2) for w2, c2 in side2)
     if total.denominator != 1:
         raise ArithmeticError("degeneration total is not an integer: %r" % total)

@@ -21,10 +21,20 @@ C(a+b, a) E_(a+b) needs no binomial: a product of stored coefficients is
 divided by G once per output term.  The walls become public
 ``WallAutomorphism`` objects once, at return; ``n_trop_via_factorization``
 reads its count off the packed walls.
+
+The factorization is a graded, incremental composite: for x and y it keeps
+the image under every suffix of the slope-ordered walls, stored by degree,
+and round L adds only the degree-L pieces.  A degree-L piece pairs the
+lower pieces of the image to its right with the wall's eps-power terms of
+the complementary degree, so no product is formed only to be dropped for
+its degree.  The walls' new degree-L terms are solved from the discrepancy
+with the input's image and enter each image linearly; the input must then
+be matched at degree L on x and y.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -414,48 +424,77 @@ class _Packing:
         _add(out, ((t - bias, _exact(v, scale)) for t, v in acc.items()))
         return out
 
-    def powers(self, terms, old=()):
-        """[e, e^2, ...] up to the last nonzero power, for e = eps + terms and
-        old = [eps, eps^2, ...]; a constant term (key 0) is skipped, so the
-        stored f = 1 + e gives the powers of e.  With D_1 = terms and
-        D_j = D_(j-1) eps + e^(j-1) terms, e^j = eps^j + D_j: only products
-        with a changed factor are taken."""
-        terms = [(key, c) for key, c in terms if key]
-        eps = old[0] if old else []
-        out, change = [], terms
-        while True:
-            power = dict(old[len(out)]) if len(out) < len(old) else {}
-            _add(power, change)
-            if not power:
-                return out
-            out.append(list(power.items()))
-            acc = {}
-            self._products(acc, change, eps)
-            self._products(acc, out[-1], terms)
-            change = list(self._plus({}, acc, self.bias).items())
+    def powers(self, terms):
+        """[eps, eps^2, ...] as dicts, up to the last nonzero power, for eps =
+        terms; a constant term (key 0) is skipped, so the stored f = 1 + eps
+        gives the powers of eps."""
+        graded, terms = {}, [(key, c) for key, c in terms if key]
+        if terms:
+            self.grow(graded, terms, min(self.degree(key) for key, _ in terms))
+        return _flat(graded)
 
-    def apply(self, direction, eps, element, level):
-        """``WallAutomorphism.apply`` on stored terms, up to degree level:
-        x^A y^B E_s picks up f^k = sum_j C(k, j) eps^j for k = aB - bA."""
+    def grow(self, graded, terms, level):
+        """Add terms, of degree level or more, to eps, its powers stored by
+        degree: ``graded[e][j - 1]`` maps the keys of the eps^j terms of
+        degree e to their stored coefficients.  Only products with a new
+        factor are taken: the change of eps^(j+1) is the change of eps^j
+        times the old eps plus the new eps^j times the terms, and a change
+        of eps^j has degree at least level + j - 1."""
+        top = self.degree_bound
+        old = [(e, term) for e, by_j in graded.items() for term in by_j[0].items()]
+        change, j = terms, 0
+        while True:
+            for key, c in change:
+                by_j = graded.setdefault(self.degree(key), [])
+                by_j.extend({} for _ in range(j + 1 - len(by_j)))
+                _add(by_j[j], ((key, c),))
+            power = [term for e, by_j in graded.items() if e + level <= top and len(by_j) > j
+                     for term in by_j[j].items()]
+            if not change and not power:
+                return
+            acc = {}
+            self._products(acc, change, [term for e, term in old if e + level + j <= top])
+            self._products(acc, power, terms)
+            change = list(self._plus({}, acc, self.bias).items())
+            j += 1
+
+    def _act(self, acc, direction, terms, powers, bias):
+        """acc[key + bias] += C(k, j) c c2, not yet over G, for each term c at
+        key = x^A y^B E_s, k = aB - bA, and each term c2 of eps^j, the j-th
+        dict of powers, under the caps: x^A y^B E_s picks up f^k =
+        sum_j C(k, j) eps^j."""
         a, b = direction
-        xs, xm, ys, guard = self.x_shift, self.x_mask, self.y_shift, self.guard
-        bias = self.bias_at(level)
-        acc = {}
-        get = acc.get
-        for key, c in element.items():
+        xs, xm, ys, guard, get = self.x_shift, self.x_mask, self.y_shift, self.guard, acc.get
+        for key, c in terms:
             k = a * (key >> ys) - b * (key >> xs & xm)
             key += bias
             binom = 1
-            for j, power in enumerate(eps, 1):
+            for j, power in enumerate(powers, 1):
                 binom = binom * (k - j + 1) // j  # C(k, j), exact for any integer k
                 if not binom:
                     break  # 0 <= k < j: every later C(k, j) is 0 too
                 c1 = c * binom
-                for s2, c2 in power:  # ``_products``, inlined: a call per term is slower
+                for s2, c2 in power.items():  # ``_products``, inlined: a call per term is slower
                     t = key + s2
                     if not t & guard:
                         acc[t] = get(t, 0) + c1 * c2
+
+    def apply(self, direction, eps, element, level):
+        """``WallAutomorphism.apply`` on stored terms, up to degree level."""
+        acc, bias = {}, self.bias_at(level)
+        self._act(acc, direction, element.items(), eps, bias)
         return self._plus(element, acc, bias)
+
+    def apply_piece(self, direction, graded, pieces, level):
+        """The degree-level piece of ``apply`` on an element stored by degree,
+        ``pieces[d]`` its terms of degree d for d <= level, for eps powers by
+        degree (``grow``): a term of degree d pairs only with the eps-power
+        terms of degree level - d."""
+        acc = {}
+        for e, by_j in graded.items():
+            if e <= level:
+                self._act(acc, direction, pieces[level - e].items(), by_j, self.bias)
+        return self._plus(pieces[level], acc, self.bias)
 
     def compose_apply(self, walls, element, level):
         """``compose_apply`` on stored terms up to degree level, for
@@ -469,6 +508,15 @@ def _exact(v, n):
     """v / n, an int where it divides."""
     q, rem = divmod(v, n)
     return Fraction(v, n) if rem else q
+
+
+def _flat(graded):
+    """The eps powers as ``_Packing.powers`` gives them, of powers by degree."""
+    powers = [{} for _ in range(max(map(len, graded.values()), default=0))]
+    for by_j in graded.values():
+        for power, piece in zip(powers, by_j):
+            power.update(piece)
+    return [power for power in powers if power]
 
 
 def _add(out, terms):
@@ -485,69 +533,76 @@ def _factorize_packed(ops):
     """The slope-ordered walls of a product of wall automorphisms, on packed
     keys: (layout, [(direction, stored f, eps powers)]).
 
-    Iterative normalization by nilpotent degree (total class count): compare
-    the slope-ordered candidate with the input on x and y, attribute each
-    lowest-degree discrepancy monomial to its primitive direction (solving the
-    linearized coefficient, x/y cross-checked where both apply), and repeat.
-    Round L settles degree L; the degrees below it already agree, so it
-    compares degrees <= L alone and drops every product above L.  Degrees
-    stop at the sum of the caps.
+    A graded, incremental composite.  For s in {x, y} and the walls W_1 ..
+    W_k so far, in slope order, it keeps E_(k+1) = s and E_i = W_i(E_(i+1))
+    by nilpotent degree (total class count).  Round L takes the degree-L
+    piece of each E_i from the pieces of E_(i+1) of degree d < L and the
+    eps-power terms of W_i of degree L - d (``apply_piece``).  The walls'
+    degree-L terms, still missing there, are solved from the discrepancy of
+    E_1 with the input on x and y: a monomial gamma t on the primitive
+    direction (a, b) of its exponents moves E_1 by k gamma at s + t, k =
+    -b on x and a on y.  A wall at position p that gains gamma t moves E_i,
+    i <= p, by that much at degree L, and nothing else: a product with it has
+    degree above L.  A new wall starts from its right neighbour's image,
+    sharing the lower pieces.  E_1 must then match the input at degree L on
+    both starts, else ArithmeticError.  Degrees stop at the sum of the caps.
     """
     ops = list(ops)
     layout = _Packing.for_walls(ops)
     top, one = layout.degree_bound, layout.scale
-    x, y = {layout.key(1, 0): one}, {layout.key(0, 1): one}
     stored = [(op.direction, layout.powers(layout.pack(op.f).items())) for op in ops]
-    target_x = layout.compose_apply(stored, x, top)
-    target_y = layout.compose_apply(stored, y, top)
+    starts = []  # (key of s, its exponents, the input's image of s by degree, E_1 .. E_(k+1))
+    for start in ((1, 0), (0, 1)):
+        s = layout.key(*start)
+        target = [{} for _ in range(top + 1)]
+        for key, c in layout.compose_apply(stored, {s: one}, top).items():
+            target[layout.degree(key)][key] = c
+        starts.append((s, start, target, [[{s: one}]]))
 
-    walls, eps, order = {}, {}, []  # direction -> stored wall function, its eps powers
-    for level in range(1, top + 2):
-        ordered = [(d, eps[d]) for d in order]
-        diff_x, diff_y = (
-            {key: c for key, c in target.items() if layout.degree(key) <= level}
-            for target in (target_x, target_y))
-        for diff, start in ((diff_x, x), (diff_y, y)):
-            _add(diff, ((key, -c) for key, c in
-                        layout.compose_apply(ordered, start, level).items()))
-        if not diff_x and not diff_y:
-            if level >= top:
-                return layout, [(d, walls[d], eps[d]) for d in order]
-            continue
-
-        low = min(layout.degree(key) for diff in (diff_x, diff_y) for key in diff)
-        updates = {}
-        for diff, (dx, dy) in ((diff_x, (1, 0)), (diff_y, (0, 1))):
-            for key, c in diff.items():
-                if layout.degree(key) != low:
-                    continue
-                A, B, s = layout.decode(key)
+    walls, graded = {}, {}  # direction -> stored f, its eps powers by degree
+    order, slopes = [], []  # the directions in slope order, their slope keys
+    for level in range(1, top + 1):
+        grown = {}  # direction -> {key of t: gamma}
+        for s, (dx, dy), target, images in starts:
+            images[-1].append({})  # s has no terms of positive degree
+            for i in range(len(order) - 1, -1, -1):
+                images[i].append(layout.apply_piece(order[i], graded[order[i]],
+                                                    images[i + 1], level))
+            diff = dict(target[level])
+            _add(diff, ((key, -c) for key, c in images[0][level].items()))
+            for key, c in diff.items():  # the other start checks an x/y overlap below
+                A, B, counts = layout.decode(key)
                 exps = (A - dx, B - dy)
-                if min(exps) < 0 or exps == (0, 0):
-                    raise ArithmeticError("discrepancy off the wall grid: %r" % ((A, B, s),))
                 g = gcd(*exps)
-                a, b = exps[0] // g, exps[1] // g
-                slope = -b if dx else a  # x picks up f^-b, y picks up f^a
-                if not slope:
-                    raise ArithmeticError("%s moved along its own wall" % "xy"[dy])
-                gamma = _exact(c, slope)
-                update = ((a, b), key - layout.key(dx, dy))
-                if updates.get(update, gamma) != gamma:
-                    raise ArithmeticError(
-                        "inconsistent x/y coefficients on wall %r: %r vs %r"
-                        % ((a, b), layout.unscaled(update[1], updates[update]),
-                           layout.unscaled(update[1], gamma)))
-                updates[update] = gamma
+                a, b = (exps[0] // g, exps[1] // g) if g else exps
+                if min(exps) < 0 or not (k := a * dy - b * dx):
+                    raise ArithmeticError("discrepancy off the walls: %r" % ((A, B, counts),))
+                grown.setdefault((a, b), {})[key - s] = _exact(c, k)
 
-        grown = {}
-        for (direction, key), gamma in updates.items():
-            grown.setdefault(direction, []).append((key, gamma))
+        for direction in grown:
+            if direction not in walls:
+                walls[direction], graded[direction] = {0: one}, {}
+                i = bisect_left(slopes, slope := _slope_key(direction))
+                slopes.insert(i, slope)
+                order.insert(i, direction)
+                for *_, images in starts:
+                    images.insert(i, images[i][:level] + [dict(images[i][level])])
+        for s, (dx, dy), target, images in starts:
+            moved = {}  # how the walls from position i on move E_i
+            for i in range(len(order) - 1, -1, -1):
+                a, b = order[i]
+                if order[i] in grown:
+                    _add(moved, ((s + t, (a * dy - b * dx) * gamma)
+                                 for t, gamma in grown[order[i]].items()))
+                if moved:
+                    _add(images[i][level], moved.items())
+            if images[0][level] != target[level]:
+                raise ArithmeticError("the walls miss the input on %s at degree %d"
+                                      % ("xy"[dy], level))
         for direction, terms in grown.items():
-            _add(walls.setdefault(direction, {0: one}), terms)
-            eps[direction] = layout.powers(terms, eps.get(direction, ()))
-        order = sorted(walls, key=_slope_key)
-
-    raise RuntimeError("ordered factorization did not converge (implementation bug)")
+            _add(walls[direction], terms.items())
+            layout.grow(graded[direction], terms.items(), level)
+    return layout, [(d, walls[d], _flat(graded[d])) for d in order]
 
 
 def factorize(ops):

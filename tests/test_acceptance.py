@@ -270,3 +270,14 @@ def test_mps_matches_hn_on_heavy_pairs():
         Q, d, stab = bipartite_setup(p1, p2)
         assert mps_euler(p1, p2) == euler_char(Q, stab, d), (p1, p2)
     _report("heavy pairs: mps = hn on 3,2|1^6 .. 5,4|2^5", t0, 10)
+
+
+def test_vertex_matches_hn_on_heavy_pairs():
+    # the wall-function counts against HN, on pairs whose factorizations
+    # have the most walls and nilpotent degrees
+    t0 = time.monotonic()
+    for p1, p2 in (((4, 3), (3, 3, 2)), ((5, 4), (2, 2, 2, 2, 2))):
+        Q, d, stab = bipartite_setup(p1, p2)
+        assert degeneration_total(p1, p2, trop_count=n_trop_via_factorization) == euler_char(
+            Q, stab, d), (p1, p2)
+    _report("heavy pairs: vertex = hn on 4,3|3,3,2, 5,4|2^5", t0, 20)

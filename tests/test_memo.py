@@ -35,6 +35,7 @@ MEMOS = [
     (motive._class_splits, _hn_from_a_new_solver),
     (localization._count_stable_trees, lambda: localization.chi_trees(R_3_4)),
     (tropical._n_trop, lambda: tropical.n_trop((1, 1), (1, 1, 1))),
+    (tropical._side_coefficients, lambda: tropical.degeneration_total((2, 1), (1, 1))),
     (vertex._via_factorization, lambda: vertex.n_trop_via_factorization((1, 1), (1, 2))),
     (ratfunc.cyclotomic, lambda: ratfunc.cyclotomic(6)),
     (symfunc.partitions, lambda: symfunc.partitions(5)),

@@ -374,7 +374,7 @@ def test_side_coefficients_are_ramification_factors_over_automorphisms():
                     part = 0
                 part += 1
             P.append(part)
-            coefficients = _side_coefficients(P)
+            coefficients = dict(_side_coefficients(tuple(P)))
             for lam in partitions(n):
                 w = tuple(sorted(lam))
                 aut = prod(factorial(c) for c in Counter(w).values())
