@@ -201,12 +201,11 @@ def _check(label, ok, failures):
         failures.append(label)
 
 
-def _check_eulgw(max_size, label, failures):
-    """n_trop against the stable-tree count on every refinement of the scan;
-    ``label`` is formatted with p1, p2, w1 and w2."""
+def _check_eulgw(max_size, failures):
+    """n_trop against the stable-tree count on every refinement of the scan."""
     for p1, p2, r in tropical.refinement_scan(max_size):
         w1, w2 = tropical.weight_vector_of(r.k1), tropical.weight_vector_of(r.k2)
-        _check(label.format(p1=p1, p2=p2, w1=w1, w2=w2),
+        _check("eulgw %r %r w=%r,%r" % (p1, p2, w1, w2),
                tropical.n_trop(w1, w2) == localization.chi_trees(r), failures)
 
 
@@ -230,7 +229,7 @@ def cmd_verify(args):
         _check("%s %s at %s dim %s" % (args.suite, args.quiver, args.vertex, args.dim),
                ok, failures)
     elif args.suite == "eulgw":
-        _check_eulgw(args.max_size, "eulgw {p1!r} {p2!r} w={w1!r},{w2!r}", failures)
+        _check_eulgw(args.max_size, failures)
     elif args.suite == "troprec-convention":
         # the normalization guard: with repeated-piece division disabled the
         # recursion must over-count, and the flagship case must show 8 vs 6
@@ -238,7 +237,6 @@ def cmd_verify(args):
         norm = tropical.n_trop((1, 1), (1, 1, 1))
         _check("troprec-convention (1,1)|(1,1,1): %d raw vs %d" % (raw, norm),
                raw == 8 and norm == 6, failures)
-        _check_eulgw(args.max_size, "convention-oracle {w1!r},{w2!r}", failures)
     if failures:
         print("%d check(s) FAILED" % len(failures))
         return 1
@@ -423,8 +421,7 @@ def build_parser():
         v_m.add_argument("--theta")
     v_e = v_sub.add_parser("eulgw")
     v_e.add_argument("--max-size", type=_int_at_least(2), default=9)
-    v_t = v_sub.add_parser("troprec-convention")
-    v_t.add_argument("--max-size", type=_int_at_least(2), default=7)
+    v_sub.add_parser("troprec-convention")
     p_verify.set_defaults(func=cmd_verify)
 
     p_motive = sub.add_parser("motive", help="chi / Poincare polynomial for a quiver file")

@@ -143,15 +143,15 @@ def _class_data(Q, stab):
     """The vertex classes of (Q, stab) and their class data
     ``(theta, kappa, arrows, loops)``, all int tuples: per class, theta
     scaled to an integer (a positive scale keeps the order of the slopes)
-    and kappa; ``arrows[a][b]``, the arrows from one vertex of class a to
-    one other vertex of class b; ``loops[a]``, the loops at one vertex of
-    class a.  The class data alone determine every HN table, so quivers
-    that differ only in the sizes of their classes share one solver."""
+    and kappa, the level; ``arrows[a][b]``, the arrows from one vertex of
+    class a to one other vertex of class b; ``loops[a]``, the loops at one
+    vertex of class a.  The class data alone determine every HN table, so
+    quivers that differ only in the sizes of their classes share one
+    solver."""
     index = {v: k for k, v in enumerate(Q.ids)}
     levels = tuple(l for _, l in Q.vertices)
     th = stab.theta_map()
     theta = tuple(th.get(v, 0) for v in Q.ids)
-    kappa = levels if stab.kappa_from_levels else (1,) * len(levels)
     counts = {}
     for s, t in Q.arrows:
         key = (index[s], index[t])
@@ -159,7 +159,7 @@ def _class_data(Q, stab):
     # ordered by theta, kappa and loops, ties in vertex order, so that a
     # quiver and its level-one blow-ups and splittings share one solver
     classes = tuple(sorted(_symmetry_classes(levels, theta, counts), key=lambda cls: (
-        theta[cls[0]], kappa[cls[0]], counts.get((cls[0], cls[0]), 0))))
+        theta[cls[0]], levels[cls[0]], counts.get((cls[0], cls[0]), 0))))
     scale = lcm(*(t.denominator for t in theta))
 
     def between(ca, cb):
@@ -168,7 +168,7 @@ def _class_data(Q, stab):
         return counts.get((ca[0], ca[1]), 0) if len(ca) > 1 else 0
 
     return classes, (tuple(int(theta[cls[0]] * scale) for cls in classes),
-                     tuple(kappa[cls[0]] for cls in classes),
+                     tuple(levels[cls[0]] for cls in classes),
                      tuple(tuple(between(ca, cb) for cb in classes) for ca in classes),
                      tuple(counts.get((ca[0], ca[0]), 0) for ca in classes))
 

@@ -134,14 +134,10 @@ def _id_str(v):
 
 @dataclass(frozen=True)
 class Stability:
-    """Linear form theta together with the normalization kappa.
-
-    ``kappa_from_levels`` selects kappa(d) = sum l(q) d_q (default); with the
-    flag cleared kappa is the total dimension regardless of levels.
-    """
+    """Linear form theta together with the normalization kappa(d) =
+    sum l(q) d_q, the level-weighted dimension."""
 
     theta: tuple
-    kappa_from_levels: bool = True
 
     def __post_init__(self):
         # a float theta would be scaled to its binary value, so slopes that
@@ -152,9 +148,8 @@ class Stability:
                                  % (v, type(t).__name__))
 
     @classmethod
-    def of(cls, theta_map, kappa_from_levels=True):
-        return cls(tuple(sorted(theta_map.items(), key=lambda kv: repr(kv[0]))),
-                   kappa_from_levels)
+    def of(cls, theta_map):
+        return cls(tuple(sorted(theta_map.items(), key=lambda kv: repr(kv[0]))))
 
     def theta_map(self):
         return dict(self.theta)
@@ -164,10 +159,8 @@ class Stability:
         return sum(th.get(v, 0) * n for v, n in d.items())
 
     def kappa_value(self, Q, d):
-        if self.kappa_from_levels:
-            lev = Q.levels()
-            return sum(lev[v] * n for v, n in d.items())
-        return sum(d.values())
+        lev = Q.levels()
+        return sum(lev[v] * n for v, n in d.items())
 
 
 def partition_pair(p1, p2):
@@ -280,7 +273,7 @@ def _split_vertex(Q, i, copies, d, stab):
         th = stab.theta_map()
         th_new = {v: th.get(v, 0) for v in Q.ids if v != i}
         th_new.update((c, l * th.get(i, 0)) for c, l, _ in copies)
-        stab_new = Stability.of(th_new, kappa_from_levels=True)
+        stab_new = Stability.of(th_new)
     return Quiver(tuple(verts), tuple(arrows)), d_new, stab_new
 
 

@@ -22,14 +22,15 @@ divided by G once per output term.  The walls become public
 ``WallAutomorphism`` objects once, at return; ``n_trop_via_factorization``
 reads its count off the packed walls.
 
-The factorization is a graded, incremental composite: for x and y it keeps
-the image under every suffix of the slope-ordered walls, stored by degree,
-and round L adds only the degree-L pieces.  A degree-L piece pairs the
-lower pieces of the image to its right with the wall's eps-power terms of
-the complementary degree, so no product is formed only to be dropped for
-its degree.  The walls' new degree-L terms are solved from the discrepancy
-with the input's image and enter each image linearly; the input must then
-be matched at degree L on x and y.
+A packed wall acts on one graded path (``_Packing.apply_piece``): the
+degree-L piece of an image pairs the lower pieces of an element stored by
+degree with the wall's eps-power terms of the complementary degree, so no
+product is formed only to be dropped for its degree.  The factorization
+keeps the images of x and y under every suffix of the input's walls and of
+the slope-ordered walls found so far, and round L appends their degree-L
+pieces.  The walls' new degree-L terms are solved from the discrepancy and
+enter each image linearly; the input must then be matched at degree L on x
+and y.  The framed check of a read-out is the same step at the top degree.
 """
 
 from __future__ import annotations
@@ -324,10 +325,10 @@ class _Packing:
     each class c, in cap.bit_length() + 1 bits; the degree sum k_c, in one
     bit more than the sum D of the caps needs; A; and B on top, unbounded.
     A monomial product adds keys.  Adding ``bias`` lifts a count above its
-    cap onto the top bit of its field, so a product is dropped iff
-    ``(s1 + s2 + bias) & guard``; ``bias_at(L)`` also lifts a degree above
-    L onto its guard bit.  A kept key never carries between fields: a field
-    holds twice its cap, and A is bounded by the degree (``for_walls``).
+    cap, or a degree above D, onto the top bit of its field, so a product is
+    dropped iff ``(s1 + s2 + bias) & guard``.  A kept key never carries
+    between fields: a field holds twice its cap, and A is bounded by the
+    degree (``for_walls``).
 
     The coefficient c of x^A y^B E_s is stored as c G / F(s), F(s) = prod
     k_c! and G = F(caps): G times the coefficient on the power t^s of the
@@ -361,16 +362,16 @@ class _Packing:
         self.y_shift = self.x_shift + x_max.bit_length()
 
     @classmethod
-    def for_walls(cls, walls, classes=(), x_max=1):
-        """The layout for walls, extra classes and x exponents up to x_max.
+    def for_walls(cls, walls):
+        """The layout for the classes and x exponents of walls.
 
         An x exponent never exceeds 1 + D max A over the wall terms, D the
         sum of the caps: every nonconstant wall term has degree >= 1, and a
         product of terms adds degrees and exponents alike."""
         terms = [key for wall in walls for key in wall.f.terms]
-        classes = {c for _, _, s in terms for c, _ in s} | set(classes)
+        classes = {c for _, _, s in terms for c, _ in s}
         top = max((A for A, _, _ in terms), default=0)
-        return cls(classes, max(x_max, 1 + sum(map(_cap, classes)) * top))
+        return cls(classes, 1 + sum(map(_cap, classes)) * top)
 
     def key(self, A, B, counts=()):
         """The key of x^A y^B E_s, for s given as (class, count) pairs."""
@@ -378,10 +379,6 @@ class _Packing:
         for cls, k in counts:
             key += (k << self.shifts[cls]) + (k << self.degree_shift)
         return key
-
-    def bias_at(self, level):
-        """The bias that also drops products of degree above level."""
-        return self.bias + (max(self.degree_bound - level, 0) << self.degree_shift)
 
     def degree(self, key):
         return key >> self.degree_shift & self.degree_mask
@@ -418,20 +415,19 @@ class _Packing:
                 if not t & guard:
                     acc[t] = get(t, 0) + c1 * c2
 
-    def _plus(self, terms, acc, bias):
+    def _plus(self, terms, acc):
         """terms + acc / G, acc keyed as ``_products`` leaves it."""
-        out, scale = dict(terms), self.scale
+        out, bias, scale = dict(terms), self.bias, self.scale
         _add(out, ((t - bias, _exact(v, scale)) for t, v in acc.items()))
         return out
 
     def powers(self, terms):
-        """[eps, eps^2, ...] as dicts, up to the last nonzero power, for eps =
-        terms; a constant term (key 0) is skipped, so the stored f = 1 + eps
-        gives the powers of eps."""
+        """The powers of eps = terms by degree, as ``grow`` stores them; a
+        constant term (key 0) is skipped, so the stored f = 1 + eps gives
+        the powers of eps."""
         graded, terms = {}, [(key, c) for key, c in terms if key]
-        if terms:
-            self.grow(graded, terms, min(self.degree(key) for key, _ in terms))
-        return _flat(graded)
+        self.grow(graded, terms, min((self.degree(key) for key, _ in terms), default=0))
+        return graded
 
     def grow(self, graded, terms, level):
         """Add terms, of degree level or more, to eps, its powers stored by
@@ -455,16 +451,17 @@ class _Packing:
             acc = {}
             self._products(acc, change, [term for e, term in old if e + level + j <= top])
             self._products(acc, power, terms)
-            change = list(self._plus({}, acc, self.bias).items())
+            change = list(self._plus({}, acc).items())
             j += 1
 
-    def _act(self, acc, direction, terms, powers, bias):
+    def _act(self, acc, direction, terms, powers):
         """acc[key + bias] += C(k, j) c c2, not yet over G, for each term c at
         key = x^A y^B E_s, k = aB - bA, and each term c2 of eps^j, the j-th
         dict of powers, under the caps: x^A y^B E_s picks up f^k =
         sum_j C(k, j) eps^j."""
         a, b = direction
-        xs, xm, ys, guard, get = self.x_shift, self.x_mask, self.y_shift, self.guard, acc.get
+        xs, xm, ys, get = self.x_shift, self.x_mask, self.y_shift, acc.get
+        bias, guard = self.bias, self.guard
         for key, c in terms:
             k = a * (key >> ys) - b * (key >> xs & xm)
             key += bias
@@ -479,44 +476,30 @@ class _Packing:
                     if not t & guard:
                         acc[t] = get(t, 0) + c1 * c2
 
-    def apply(self, direction, eps, element, level):
-        """``WallAutomorphism.apply`` on stored terms, up to degree level."""
-        acc, bias = {}, self.bias_at(level)
-        self._act(acc, direction, element.items(), eps, bias)
-        return self._plus(element, acc, bias)
-
     def apply_piece(self, direction, graded, pieces, level):
-        """The degree-level piece of ``apply`` on an element stored by degree,
-        ``pieces[d]`` its terms of degree d for d <= level, for eps powers by
-        degree (``grow``): a term of degree d pairs only with the eps-power
-        terms of degree level - d."""
+        """The degree-level piece of ``WallAutomorphism.apply`` on an element
+        stored by degree, ``pieces[d]`` its terms of degree d for d <= level,
+        for eps powers by degree (``grow``): a term of degree d pairs only
+        with the eps-power terms of degree level - d."""
         acc = {}
         for e, by_j in graded.items():
-            if e <= level:
-                self._act(acc, direction, pieces[level - e].items(), by_j, self.bias)
-        return self._plus(pieces[level], acc, self.bias)
+            if e <= level and (piece := pieces[level - e]):
+                self._act(acc, direction, piece.items(), by_j)
+        return self._plus(pieces[level], acc) if acc else dict(pieces[level])
 
-    def compose_apply(self, walls, element, level):
-        """``compose_apply`` on stored terms up to degree level, for
-        (direction, eps powers) walls."""
-        for direction, eps in reversed(walls):
-            element = self.apply(direction, eps, element, level)
-        return element
+    def extend(self, walls, images, level):
+        """Append the degree-level pieces to a chain E_(k+1) = s, E_i =
+        W_i(E_(i+1)) stored by degree, right to left, for the (direction,
+        eps powers by degree) walls W_1 .. W_k; s has no positive degree."""
+        images[-1].append({})
+        for i in range(len(walls) - 1, -1, -1):
+            images[i].append(self.apply_piece(*walls[i], images[i + 1], level))
 
 
 def _exact(v, n):
     """v / n, an int where it divides."""
     q, rem = divmod(v, n)
     return Fraction(v, n) if rem else q
-
-
-def _flat(graded):
-    """The eps powers as ``_Packing.powers`` gives them, of powers by degree."""
-    powers = [{} for _ in range(max(map(len, graded.values()), default=0))]
-    for by_j in graded.values():
-        for power, piece in zip(powers, by_j):
-            power.update(piece)
-    return [power for power in powers if power]
 
 
 def _add(out, terms):
@@ -531,44 +514,40 @@ def _add(out, terms):
 
 def _factorize_packed(ops):
     """The slope-ordered walls of a product of wall automorphisms, on packed
-    keys: (layout, [(direction, stored f, eps powers)]).
+    keys: (layout, [(direction, stored f, eps powers by degree)]).
 
-    A graded, incremental composite.  For s in {x, y} and the walls W_1 ..
-    W_k so far, in slope order, it keeps E_(k+1) = s and E_i = W_i(E_(i+1))
-    by nilpotent degree (total class count).  Round L takes the degree-L
-    piece of each E_i from the pieces of E_(i+1) of degree d < L and the
-    eps-power terms of W_i of degree L - d (``apply_piece``).  The walls'
-    degree-L terms, still missing there, are solved from the discrepancy of
-    E_1 with the input on x and y: a monomial gamma t on the primitive
-    direction (a, b) of its exponents moves E_1 by k gamma at s + t, k =
-    -b on x and a on y.  A wall at position p that gains gamma t moves E_i,
-    i <= p, by that much at degree L, and nothing else: a product with it has
-    degree above L.  A new wall starts from its right neighbour's image,
-    sharing the lower pieces.  E_1 must then match the input at degree L on
-    both starts, else ArithmeticError.  Degrees stop at the sum of the caps.
+    A graded, incremental composite.  For s in {x, y} it keeps the images
+    of s under every suffix of the input's walls and of the walls W_1 ..
+    W_k found so far, in slope order: E_(k+1) = s and E_i = W_i(E_(i+1)),
+    stored by nilpotent degree (total class count); round L appends their
+    degree-L pieces (``_Packing.extend``).  The walls' degree-L terms, still
+    missing there, are solved from the discrepancy of E_1 with the input's
+    image of s: a monomial gamma t on the primitive direction (a, b) of its
+    exponents moves E_1 by k gamma at s + t, k = -b on x and a on y.  A wall
+    at position p that gains gamma t moves E_i, i <= p, by that much at
+    degree L, and nothing else: a product with it has degree above L.  A new
+    wall starts from its right neighbour's image, sharing the lower pieces.
+    E_1 must then match the input at degree L on both starts, else
+    ArithmeticError.  Degrees stop at the sum of the caps.
     """
     ops = list(ops)
     layout = _Packing.for_walls(ops)
     top, one = layout.degree_bound, layout.scale
-    stored = [(op.direction, layout.powers(layout.pack(op.f).items())) for op in ops]
-    starts = []  # (key of s, its exponents, the input's image of s by degree, E_1 .. E_(k+1))
+    inputs = [(op.direction, layout.powers(layout.pack(op.f).items())) for op in ops]
+    starts = []  # (key of s, its exponents, the input's images of s, E_1 .. E_(k+1))
     for start in ((1, 0), (0, 1)):
         s = layout.key(*start)
-        target = [{} for _ in range(top + 1)]
-        for key, c in layout.compose_apply(stored, {s: one}, top).items():
-            target[layout.degree(key)][key] = c
-        starts.append((s, start, target, [[{s: one}]]))
+        starts.append((s, start, [[{s: one}] for _ in range(len(ops) + 1)], [[{s: one}]]))
 
     walls, graded = {}, {}  # direction -> stored f, its eps powers by degree
     order, slopes = [], []  # the directions in slope order, their slope keys
     for level in range(1, top + 1):
         grown = {}  # direction -> {key of t: gamma}
-        for s, (dx, dy), target, images in starts:
-            images[-1].append({})  # s has no terms of positive degree
-            for i in range(len(order) - 1, -1, -1):
-                images[i].append(layout.apply_piece(order[i], graded[order[i]],
-                                                    images[i + 1], level))
-            diff = dict(target[level])
+        found = [(d, graded[d]) for d in order]
+        for s, (dx, dy), targets, images in starts:
+            layout.extend(inputs, targets, level)
+            layout.extend(found, images, level)
+            diff = dict(targets[0][level])
             _add(diff, ((key, -c) for key, c in images[0][level].items()))
             for key, c in diff.items():  # the other start checks an x/y overlap below
                 A, B, counts = layout.decode(key)
@@ -587,7 +566,7 @@ def _factorize_packed(ops):
                 order.insert(i, direction)
                 for *_, images in starts:
                     images.insert(i, images[i][:level] + [dict(images[i][level])])
-        for s, (dx, dy), target, images in starts:
+        for s, (dx, dy), targets, images in starts:
             moved = {}  # how the walls from position i on move E_i
             for i in range(len(order) - 1, -1, -1):
                 a, b = order[i]
@@ -596,13 +575,13 @@ def _factorize_packed(ops):
                                  for t, gamma in grown[order[i]].items()))
                 if moved:
                     _add(images[i][level], moved.items())
-            if images[0][level] != target[level]:
+            if images[0][level] != targets[0][level]:
                 raise ArithmeticError("the walls miss the input on %s at degree %d"
                                       % ("xy"[dy], level))
         for direction, terms in grown.items():
             _add(walls[direction], terms.items())
             layout.grow(graded[direction], terms.items(), level)
-    return layout, [(d, walls[d], _flat(graded[d])) for d in order]
+    return layout, [(d, walls[d], graded[d]) for d in order]
 
 
 def factorize(ops):
@@ -634,22 +613,24 @@ def extract_n_trop(fact, r):
     wall = fact.wall((e, d))
     if wall is None:
         return 0
-    layout = _Packing.for_walls([wall], token_classes(r), e)
+    layout = _Packing.for_walls([wall, *ks_operators(r)])
     f = layout.pack(wall.f)
     return _framed_count(layout, r, (e, d), f, layout.powers(f.items()))
 
 
 def _framed_count(layout, r, direction, f, eps):
-    """The count on the packed wall function f, with eps powers, of the
-    direction (e, d) of the coprime type (d, e) of r, checked on the framed
-    action."""
+    """The count on the packed wall function f, with eps powers by degree,
+    of the direction (e, d) of the coprime type (d, e) of r, checked on the
+    framed action: the wall's image of y^w_min at the degree of the top
+    monomial."""
     e, d = direction
     w_min = weight_vector_of(r.k1)[0]
     top = layout.key(e, d, [(cls, cls[2]) for cls in token_classes(r)])
     count = layout.unscaled(top, f.get(top, 0))
 
-    acted = layout.apply(direction, eps, {layout.key(0, w_min): layout.scale},
-                         layout.degree_bound)
+    level = layout.degree(top)
+    pieces = [{layout.key(0, w_min): layout.scale}] + [{} for _ in range(level)]
+    acted = layout.apply_piece(direction, eps, pieces, level)
     framed = top + layout.key(0, w_min)
     expected = e * w_min * count
     got = layout.unscaled(framed, acted.get(framed, 0))

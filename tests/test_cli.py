@@ -101,9 +101,15 @@ def test_verify_eulgw_small(capsys):
 
 
 def test_verify_troprec_convention(capsys):
-    code, out = run(capsys, "verify", "troprec-convention", "--max-size", "5")
+    code, out = run(capsys, "verify", "troprec-convention")
     assert code == 0
-    assert "8 raw vs 6" in out
+    assert out == ("%-58s pass\nall checks passed\n"
+                   % "troprec-convention (1,1)|(1,1,1): 8 raw vs 6")
+    # the eulgw scan is ``verify eulgw``'s; this suite takes no size bound
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "troprec-convention", "--max-size", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-size 5" in capsys.readouterr().err
 
 
 def test_motive_poincare(tmp_path, capsys):
@@ -365,7 +371,6 @@ def test_verify_unknown_vertex_is_usage_error(k3_file, capsys, suite):
     (["verify", "lemma3", "--max-n", "0"], 1),
     (["verify", "lemma3", "--max-n", "-1"], 1),
     (["verify", "eulgw", "--max-size", "1"], 2),
-    (["verify", "troprec-convention", "--max-size", "1"], 2),
     (["table", "--max-n", "0"], 1),
 ])
 def test_empty_runs_are_usage_errors(capsys, argv, low):

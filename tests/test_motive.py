@@ -429,15 +429,15 @@ def test_quiver_and_its_level_one_splittings_at_i1_share_one_solver():
 
 
 def test_class_data_that_differ_only_in_kappa_keep_their_own_tables():
-    # with c at level 2, kappa from the levels and kappa = 1 order the
-    # slopes of (1, 1, 0) and (1, 0, 1) differently, and d gets two classes
-    Q = Quiver((("a", 1), ("b", 1), ("c", 2)),
-               (("a", "b"), ("a", "c"), ("a", "c"), ("b", "c")))
+    # c at level 2 or 1 gives the same classes, theta, arrows and loops; the
+    # two kappas order the slopes of (1, 1, 0) and (1, 0, 1) differently
     d = {"a": 2, "b": 1, "c": 1}
+    stab = Stability.of({"a": 1, "b": 0, "c": 0})
     motive_mod._solver.cache_clear()
     values = []
-    for from_levels in (True, False):
-        stab = Stability.of({"a": 1, "b": 0, "c": 0}, from_levels)
+    for level in (2, 1):
+        Q = Quiver((("a", 1), ("b", 1), ("c", level)),
+                   (("a", "b"), ("a", "c"), ("a", "c"), ("b", "c")))
         values.append(hn_sst_class(Q, stab, d))
         assert values[-1] == LabelledHNSolver(Q, stab).sst_class((2, 1, 1))
     assert values[0] != values[1]

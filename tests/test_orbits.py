@@ -100,8 +100,7 @@ class LabelledHNSolver:
         index = {v: k for k, v in enumerate(Q.ids)}
         th = stab.theta_map()
         self.theta = tuple(th.get(v, 0) for v in Q.ids)
-        levels = tuple(l for _, l in Q.vertices)
-        self.kappa = levels if stab.kappa_from_levels else (1,) * len(levels)
+        self.kappa = tuple(l for _, l in Q.vertices)
         self.arrows = tuple((index[s], index[t]) for s, t in Q.arrows)
         self._sst = {}
         self._below = {}

@@ -253,6 +253,4 @@ def test_kappa_flag():
     Q = Quiver((("a", 2), ("b", 3)))
     d = {"a": 1, "b": 1}
     level_weighted = Stability.of({"a": 1, "b": 0})
-    plain = Stability.of({"a": 1, "b": 0}, kappa_from_levels=False)
     assert slope(level_weighted, Q, d) == Fraction(1, 5)
-    assert slope(plain, Q, d) == Fraction(1, 2)

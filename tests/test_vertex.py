@@ -198,6 +198,14 @@ def test_extract_missing_wall_is_zero():
     assert extract_n_trop(OrderedFactorization(()), r) == 0
 
 
+def test_extract_off_a_wall_without_token_classes_is_zero():
+    # "1+1|1,1,1": the (3, 2) wall f = 1 carries none of the refinement's
+    # classes, so the read-out takes them from the refinement's own walls
+    r = Refinement.of([((1, 2),)], [((1, 1),), ((1, 1),), ((1, 1),)])
+    fact = OrderedFactorization([WallAutomorphism((3, 2), TruncatedElement.one())])
+    assert extract_n_trop(fact, r) == 0
+
+
 def test_extract_refuses_non_coprime_types():
     # refused before the wall is read: an empty factorization would give 0
     for r in (Refinement.of([((1, 2),)], [((1, 2), (2, 1))]),
