@@ -26,6 +26,7 @@ from .quiver import (
     Quiver,
     Refinement,
     Stability,
+    _id_str,
     bipartite_setup,
     fraction_to_str,
     n_support,
@@ -284,7 +285,7 @@ def cmd_localize(args):
             "refinement": _refinement_payload(r),
             "trees": [
                 {
-                    "arrows": [[_tok(s), _tok(t)] for s, t in T.arrow_pairs()],
+                    "arrows": [[_id_str(s), _id_str(t)] for s, t in T.arrow_pairs()],
                     "stable": bool(localization.stability_weight(T)),
                 }
                 for T in trees
@@ -292,10 +293,6 @@ def cmd_localize(args):
         }
     _emit(payload, args.emit)
     return 0
-
-
-def _tok(v):
-    return v if isinstance(v, str) else ":".join(str(x) for x in v)
 
 
 def _refinement_payload(r):
@@ -315,7 +312,7 @@ def cmd_vertex(args):
         for (a, b, s), c in sorted(wall.f.terms.items(),
                                    key=lambda kv: (sum(k for _, k in kv[0][2]),) + kv[0]):
             terms.append({"x_exp": a, "y_exp": b,
-                          "counts": {_tok(cls): k for cls, k in s},
+                          "counts": {_id_str(cls): k for cls, k in s},
                           "coefficient": c})
         walls.append({"direction": list(wall.direction), "function": terms})
     payload = {
@@ -344,7 +341,7 @@ def _family_rows(max_n, with_trees=False, with_walls=False):
             }
             if with_trees:
                 entry["stable_trees"] = [
-                    [[_tok(s), _tok(t)] for s, t in T.arrow_pairs()]
+                    [[_id_str(s), _id_str(t)] for s, t in T.arrow_pairs()]
                     for T in localization.spanning_trees(r)
                     if localization.stability_weight(T)
                 ]

@@ -359,6 +359,12 @@ def admissible_decompositions(d, e, w):
     """
     if d < 1 or w < 1 or e < w:
         raise ValueError("need d >= 1 and e >= w >= 1")
+    return list(_admissible_decompositions(d, e, w))
+
+
+@cache
+def _admissible_decompositions(d, e, w):
+    """:func:`admissible_decompositions` of valid (d, e, w), as a tuple."""
     out = []
 
     def rec(d_rem, e_rem, prev, big_d, big_e, acc):
@@ -380,7 +386,7 @@ def admissible_decompositions(d, e, w):
                     acc + [(di, ei)])
 
     rec(d, e - w, None, 0, 0, [])
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -241,11 +241,6 @@ class _HNSolver:
                     cyc[k] = cyc.get(k, 0) + g
         return dim, binoms, cyc
 
-    def top_class(self, key):
-        """[R_D]/[G_D] = L^(dim R_D) / prod_v [GL_(d_v)]."""
-        dim, binoms, cyc = self._top(key)
-        return MotiveClass(Poly.x_pow(dim), binoms, cyc)
-
     # -- the recursion -------------------------------------------------------
 
     def sst_class(self, key):

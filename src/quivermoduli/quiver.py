@@ -63,25 +63,16 @@ class Quiver:
     def levels(self):
         return dict(self.vertices)
 
-    def arrow_counts(self):
-        """Multiplicity map (source, target) -> number of parallel arrows."""
-        counts = {}
-        for a in self.arrows:
-            counts[a] = counts.get(a, 0) + 1
-        return counts
-
     def sources(self):
         """Vertices no arrow terminates at."""
         targets = {t for _, t in self.arrows}
         return tuple(v for v, _ in self.vertices if v not in targets)
 
     @classmethod
-    def complete_bipartite(cls, l1, l2, source_levels=None, sink_levels=None):
+    def complete_bipartite(cls, l1, l2):
         """K(l1, l2): sources i1..i_l1, sinks j1..j_l2, one arrow per pair."""
-        source_levels = source_levels or [1] * l1
-        sink_levels = sink_levels or [1] * l2
-        verts = [("i%d" % (k + 1), source_levels[k]) for k in range(l1)]
-        verts += [("j%d" % (k + 1), sink_levels[k]) for k in range(l2)]
+        verts = [("i%d" % (k + 1), 1) for k in range(l1)]
+        verts += [("j%d" % (k + 1), 1) for k in range(l2)]
         arrows = [("i%d" % (k + 1), "j%d" % (m + 1)) for k in range(l1) for m in range(l2)]
         return cls(tuple(verts), tuple(arrows))
 

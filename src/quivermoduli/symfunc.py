@@ -89,23 +89,18 @@ class Partition:
         return "Partition(%r)" % (self.parts,)
 
 
-def weighted_splits(g, k, caps=None):
+def weighted_splits(g, k):
     """Every split of g interchangeable items among k >= 1 ordered slots.
 
-    Yields ``(c, g!/prod c_i!)`` for each count vector c with sum g (and
-    c_i <= caps[i] when ``caps`` is given); the weight is the number of
-    labelled assignments of the items with those counts, so the weights of
-    the uncapped splits sum to k^g.
+    Yields ``(c, g!/prod c_i!)`` for each count vector c with sum g; the
+    weight is the number of labelled assignments of the items with those
+    counts, so the weights sum to k^g.
     """
-    if caps is None:
-        caps = (g,) * k
-
     def rec(i, left, weight, acc):
         if i == k - 1:
-            if left <= caps[i]:
-                yield acc + (left,), weight
+            yield acc + (left,), weight
             return
-        for c in range(min(left, caps[i]) + 1):
+        for c in range(left + 1):
             yield from rec(i + 1, left - c, weight * comb(left, c), acc + (c,))
 
     yield from rec(0, g, 1, ())

@@ -22,13 +22,16 @@ from functools import cache
 from itertools import groupby, product
 from math import comb, factorial, gcd, prod
 
-from .localization import admissible_decompositions, chi_trees
+from .localization import _admissible_decompositions, chi_trees
 from .quiver import Refinement, as_int, partition_pair
-from .symfunc import mps_weight, multiplicity_vectors, partitions, weighted_splits
+from .symfunc import mps_weight, multiplicity_vectors, partitions
 
 
 def as_weight_vector(entries):
-    w = tuple(as_int(x, "weight vector entry") for x in entries)
+    # tuple() of a tuple is the tuple itself, so a memo key shares it
+    w = tuple(entries)
+    for x in w:
+        as_int(x, "weight vector entry")
     if any(x < 1 for x in w) or list(w) != sorted(w):
         raise ValueError("weight vector entries must be positive and weakly increasing")
     return w
@@ -50,42 +53,38 @@ def ramification_factor(P, w):
     w = as_weight_vector(w)
     if sum(P) != sum(w):
         raise ValueError("|P| = %d and |w| = %d differ" % (sum(P), sum(w)))
-    count = sum(mult for _, mult in _compatible_assignments(w, P))
+
+    def maps(runs, parts):
+        if not parts:
+            return 1
+        return sum(ways * maps(left, parts[1:]) for _, left, ways in _run_splits(runs, parts[0]))
+
     factor = Fraction(1)
     for x in w:
         factor *= Fraction((-1) ** (x - 1), x * x)
-    return count * factor
+    return maps(_runs(w), P) * factor
 
 
-def _compatible_assignments(weights, targets):
-    """Maps index -> part with per-part weight sums equal to targets, one per
-    orbit under permutations of equal entries of the weakly increasing
-    ``weights``.
+def _runs(w):
+    """The runs of equal entries of a weakly increasing weight vector, as
+    (weight, count) pairs."""
+    return tuple((x, len(list(run))) for x, run in groupby(w))
 
-    Returns ``(groups, multiplicity)`` pairs: ``groups[p]`` is the weakly
-    increasing weight vector sent to part p, and ``multiplicity`` is the
-    number of labelled maps with those groups.  Each run of g equal weights
-    is split among the parts, which gives g!/prod c_p! labelled maps.
-    """
-    runs = [(x, len(list(run))) for x, run in groupby(weights)]
-    n = len(targets)
-    results = []
 
-    def rec(r, remaining, groups, mult):
-        if r == len(runs):
-            if not any(remaining):
-                results.append((tuple(groups), mult))
-            return
-        x, g = runs[r]
-        caps = [left // x for left in remaining]
-        for counts, weight in weighted_splits(g, n, caps):
-            rec(r + 1,
-                [left - x * c for left, c in zip(remaining, counts)],
-                [grp + (x,) * c for grp, c in zip(groups, counts)],
-                mult * weight)
-
-    rec(0, list(targets), [()] * n, 1)
-    return results
+@cache
+def _run_splits(runs, target):
+    """Every way to take entries of weight sum ``target`` from ``runs``:
+    (taken, left, ways) triples, with ``taken`` the weight vector taken,
+    ``left`` the runs that remain (emptied ones dropped) and ``ways`` =
+    prod C(c, k) the number of labelled choices, k entries from each run of
+    c.  Over the parts of a map, these products give the orbit size
+    g!/prod c_p! of each run of g equal weights."""
+    out = [((), (), 1, target)]
+    for x, c in runs:
+        out = [(taken + (x,) * k, left + ((x, c - k),) if k < c else left, ways * comb(c, k),
+                rem - k * x)
+               for taken, left, ways, rem in out for k in range(min(c, rem // x) + 1)]
+    return tuple((taken, left, ways) for taken, left, ways, rem in out if not rem)
 
 
 def n_trop(w1, w2, normalize_repeats=True):
@@ -99,9 +98,9 @@ def n_trop(w1, w2, normalize_repeats=True):
     compatible set partitions of the remaining indices, of the product of
     the piece counts times the glueing multiplicities
     |e_k sum_{i<k} d_i - d_k (sum_{i<k} e_i + w)|, divided by prod c! over
-    repeated pieces.  Set partitions that differ only by permuting equal
-    weights give the same piece counts, so they are enumerated once per
-    orbit and weighted by the orbit size, never listed one by one.
+    repeated pieces.  Set partitions are summed piece by piece: each piece
+    takes its entries from the runs of equal weights left over, weighted by
+    the number of labelled choices, so they are never listed one by one.
     ``normalize_repeats=False`` skips the division by prod c! at this level
     (sub-counts stay on the validated convention): the over-counting guard
     exercised by the negative-control tests.
@@ -124,41 +123,19 @@ def _n_trop(w1, w2, normalize_repeats):
     if len(w1) == 1 and len(w2) == 1:
         return w1[0] * w2[0]
     w = w2[-1]
-    rest2 = w2[:-1]
-    d, e = sum(w1), sum(w2)
+    runs1, runs2 = _runs(w1), _runs(w2[:-1])
     total = Fraction(0)
-    for decomp in admissible_decompositions(d, e, w):
-        n = len(decomp)
-        d_targets = tuple(di for di, _ in decomp)
-        e_targets = tuple(ei for _, ei in decomp)
-        assigns1 = _compatible_assignments(w1, d_targets)
-        if not assigns1:
-            continue
-        assigns2 = _compatible_assignments(rest2, e_targets)
-        if not assigns2:
-            continue
-
-        # glueing multiplicities; admissibility makes every factor nonzero
-        run_d = run_e = 0
-        mult = 1
-        for dk, ek in decomp:
-            mult *= abs(ek * run_d - dk * (run_e + w))
-            run_d += dk
-            run_e += ek
-
-        sub = 0
-        for groups1, mult1 in assigns1:
-            for groups2, mult2 in assigns2:
-                term = mult1 * mult2
-                for p in range(n):
-                    term *= n_trop(groups1[p], groups2[p])
-                    if not term:
-                        break
-                sub += term
+    for decomp in _admissible_decompositions(sum(w1), sum(w2), w):
+        sub = _piece_sum(decomp, runs1, runs2)
         if not sub:
             continue
-
-        contribution = Fraction(sub * mult)
+        # glueing multiplicities; admissibility makes every factor nonzero
+        run_d = run_e = 0
+        for dk, ek in decomp:
+            sub *= abs(ek * run_d - dk * (run_e + w))
+            run_d += dk
+            run_e += ek
+        contribution = Fraction(sub)
         if normalize_repeats:
             for piece in set(decomp):
                 contribution /= factorial(decomp.count(piece))
@@ -166,6 +143,22 @@ def _n_trop(w1, w2, normalize_repeats):
     if total.denominator != 1:
         raise ArithmeticError("tropical recursion produced a non-integer: %r" % total)
     return int(total)
+
+
+def _piece_sum(pieces, runs1, runs2):
+    """Sum over the maps of the entries of ``runs1`` and ``runs2`` onto the
+    (d_p, e_p) ``pieces`` with those weight sums, of the product of the
+    piece counts, each map weighted by its number of labelled maps."""
+    if not pieces:
+        return 1
+    (dp, ep), rest = pieces[0], pieces[1:]
+    total = 0
+    for taken1, left1, ways1 in _run_splits(runs1, dp):
+        for taken2, left2, ways2 in _run_splits(runs2, ep):
+            count = n_trop(taken1, taken2)
+            if count:
+                total += ways1 * ways2 * count * _piece_sum(rest, left1, left2)
+    return total
 
 
 def refinements(P1, P2):

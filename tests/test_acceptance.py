@@ -255,10 +255,10 @@ def test_hn_matches_tropical_on_heavy_pairs():
     # ladder over one large symmetry class
     t0 = time.monotonic()
     for p1, p2 in (((3, 2), (1, 1, 1, 1, 1, 1)), ((3, 3), (2, 2, 3)),
-                   ((4, 3), (3, 3, 2)), ((4, 4), (3, 3, 3))):
+                   ((4, 3), (3, 3, 2)), ((4, 4), (3, 3, 3)), ((5, 4), (2, 2, 2, 2, 2))):
         Q, d, stab = bipartite_setup(p1, p2)
         assert euler_char(Q, stab, d) == degeneration_total(p1, p2), (p1, p2)
-    _report("heavy pairs: hn = tropical on 3,2|1^6 .. 4,4|3,3,3", t0, 10)
+    _report("heavy pairs: hn = tropical on 3,2|1^6 .. 5,4|2^5", t0, 10)
 
 
 def test_mps_matches_hn_on_heavy_pairs():

@@ -34,7 +34,10 @@ MEMOS = [
     (motive._solver, lambda: motive.hn_sst_class(K3, S10, {"i1": 2, "j1": 3})),
     (motive._class_splits, _hn_from_a_new_solver),
     (localization._count_stable_trees, lambda: localization.chi_trees(R_3_4)),
+    (localization._admissible_decompositions,
+     lambda: localization.admissible_decompositions(4, 5, 1)),
     (tropical._n_trop, lambda: tropical.n_trop((1, 1), (1, 1, 1))),
+    (tropical._run_splits, lambda: tropical.ramification_factor((2, 1), (1, 1, 1))),
     (tropical._side_coefficients, lambda: tropical.degeneration_total((2, 1), (1, 1))),
     (vertex._via_factorization, lambda: vertex.n_trop_via_factorization((1, 1), (1, 2))),
     (ratfunc.cyclotomic, lambda: ratfunc.cyclotomic(6)),

@@ -1,9 +1,9 @@
 """Orbit enumeration against the labelled enumerations it replaces.
 
-The HN stratum tables, the theta-coprime check and the tropical compatible
-assignments enumerate one representative per orbit of interchangeable items,
-weighted by the orbit size.  The box scans, labelled maps and the labelled
-HN recursion kept here are the reference: on random small inputs, the orbit
+The HN stratum tables, the theta-coprime check and the tropical run splits
+enumerate one representative per orbit of interchangeable items, weighted
+by the orbit size.  The box scans, labelled maps and the labelled HN
+recursion kept here are the reference: on random small inputs, the orbit
 forms must reproduce their counts and values exactly.
 """
 
@@ -29,7 +29,7 @@ from quivermoduli.motive import (
 from quivermoduli.quiver import Quiver, Stability
 from quivermoduli.ratfunc import Poly
 from quivermoduli.symfunc import weighted_splits
-from quivermoduli.tropical import _compatible_assignments, ramification_factor
+from quivermoduli.tropical import _run_splits, _runs, ramification_factor
 
 ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -38,15 +38,12 @@ ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 @ORACLE
-@given(st.integers(0, 6), st.integers(1, 4), st.data())
-def test_weighted_splits_match_labelled_assignments(g, k, data):
-    caps = data.draw(st.none() | st.lists(st.integers(0, 6), min_size=k, max_size=k))
+@given(st.integers(0, 6), st.integers(1, 4))
+def test_weighted_splits_match_labelled_assignments(g, k):
     labelled = Counter()
     for slots in product(range(k), repeat=g):
-        counts = tuple(slots.count(i) for i in range(k))
-        if caps is None or all(c <= cap for c, cap in zip(counts, caps)):
-            labelled[counts] += 1
-    splits = list(weighted_splits(g, k, caps))
+        labelled[tuple(slots.count(i) for i in range(k))] += 1
+    splits = list(weighted_splits(g, k))
     assert len({c for c, _ in splits}) == len(splits)
     assert dict(splits) == dict(labelled)
 
@@ -183,7 +180,8 @@ def test_stratum_orbits_match_box_scan(data):
     assert rows == box
     assert table.slopes == sorted(table.slopes)
     assert table.mu == _key(oracle.mu(dv))
-    assert solver.top_class(key) == oracle.top_class(dv)
+    dim, binoms, cyc = solver._top(key)
+    assert MotiveClass(Poly.x_pow(dim), binoms, cyc) == oracle.top_class(dv)
 
 
 def _den(key):
@@ -357,7 +355,7 @@ def test_fraction_theta_is_scaled_to_integers():
         assert is_theta_coprime(K3, scaled, d) == is_theta_coprime(K3, whole, d)
 
 
-# -- tropical compatible assignments ------------------------------------------
+# -- tropical run splits -------------------------------------------------------
 
 
 def _labelled_assignments(weights, targets):
@@ -372,25 +370,66 @@ def _labelled_assignments(weights, targets):
     return out
 
 
-@ORACLE
-@given(st.lists(st.integers(1, 3), max_size=6).map(sorted).map(tuple),
-       st.integers(1, 3), st.data())
-def test_compatible_assignments_match_labelled_maps(weights, n, data):
-    total = sum(weights)
-    cuts = sorted(data.draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
-    targets = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
-    if data.draw(st.booleans()):  # sometimes an unreachable target
-        targets = targets[:-1] + (targets[-1] + 1,)
+def _labelled_groups(weights, targets):
+    """Counter of the groups (weights sent to each part) over the labelled maps."""
+    return Counter(tuple(tuple(sorted(w for w, p in zip(weights, a) if p == q))
+                         for q in range(len(targets)))
+                   for a in _labelled_assignments(weights, targets))
 
-    labelled = Counter()
-    for a in _labelled_assignments(weights, targets):
-        groups = tuple(tuple(sorted(w for w, p in zip(weights, a) if p == q))
-                       for q in range(n))
-        labelled[groups] += 1
+
+def _split_part_by_part(weights, targets):
+    """Counter of the groups over the maps onto ``targets``, each weighted by
+    its number of labelled maps, taking one part at a time through
+    ``_run_splits``."""
+    out = Counter()
+
+    def rec(runs, groups, ways):
+        if len(groups) == len(targets):
+            if not runs:
+                out[groups] += ways
+            return
+        for taken, left, more in _run_splits(runs, targets[len(groups)]):
+            rec(left, groups + (taken,), ways * more)
+
+    rec(_runs(weights), (), 1)
+    return out
+
+
+@st.composite
+def weights_and_targets(draw):
+    """A weakly increasing weight vector and 1-3 targets with the same sum,
+    or sometimes one more (no compatible map)."""
+    weights = tuple(sorted(draw(st.lists(st.integers(1, 3), max_size=6))))
+    n, total = draw(st.integers(1, 3)), sum(weights)
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    targets = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+    if draw(st.booleans()):
+        targets = targets[:-1] + (targets[-1] + 1,)
+    return weights, targets
+
+
+@ORACLE
+@given(weights_and_targets())
+def test_compatible_assignments_match_labelled_maps(case):
+    # the assignment orbits of the recursion that the piece sum replaced
+    # (imported here: test_tropical imports this module through test_motive)
+    from test_tropical import _compatible_assignments
+
+    weights, targets = case
+    labelled = _labelled_groups(weights, targets)
     orbits = _compatible_assignments(weights, targets)
     assert Counter(groups for groups, _ in orbits) == Counter(set(labelled))
     assert dict(orbits) == dict(labelled)
     assert sum(m for _, m in orbits) == len(_labelled_assignments(weights, targets))
+
+
+@ORACLE
+@given(weights_and_targets())
+def test_run_splits_part_by_part_count_the_labelled_maps(case):
+    weights, targets = case
+    split = _split_part_by_part(weights, targets)
+    assert split == _labelled_groups(weights, targets)
+    assert sum(split.values()) == len(_labelled_assignments(weights, targets))
 
 
 def test_ramification_factor_counts_labelled_maps():

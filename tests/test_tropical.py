@@ -1,16 +1,17 @@
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from functools import cache
+from itertools import groupby, product
 from math import factorial, gcd, prod
 
 import pytest
 from test_motive import _coprime_pairs
 
-from quivermoduli.localization import chi_trees
+from quivermoduli.localization import admissible_decompositions, chi_trees
 from quivermoduli.motive import euler_char
 from quivermoduli.quiver import Refinement, bipartite_setup, partition_pair
-from quivermoduli.symfunc import partitions
+from quivermoduli.symfunc import partitions, weighted_splits
 from quivermoduli.tropical import (
     _side_coefficients,
     degeneration_total,
@@ -104,8 +105,6 @@ def test_n_trop_normalization_guard():
 
 def test_n_trop_decomposition_breakdown():
     # ((1,1),(1,1,1)): 4 from the (2,2) piece, 2 from two (1,1) pieces
-    from quivermoduli.localization import admissible_decompositions
-
     assert set(admissible_decompositions(2, 3, 1)) == {((2, 2),), ((1, 1), (1, 1))}
     piece_22 = 2 * n_trop((1, 1), (1, 1))        # multiplicity 2 x sub-count
     assert piece_22 == 4
@@ -380,3 +379,94 @@ def test_side_coefficients_are_ramification_factors_over_automorphisms():
                 aut = prod(factorial(c) for c in Counter(w).values())
                 assert coefficients.get(w, 0) == ramification_factor(P, w) / aut, (P, w)
             assert set(coefficients) <= {tuple(sorted(lam)) for lam in partitions(n)}
+
+
+# -- the recursion that the piece-by-piece sum replaced ------------------------
+#
+# Kept as the reference: for each decomposition it lists the assignment
+# orbits of each side, with the groups sent to each piece, and multiplies the
+# two lists out.
+
+
+def _compatible_assignments(weights, targets):
+    """Maps index -> part with per-part weight sums equal to targets, one per
+    orbit under permutations of equal entries of the weakly increasing
+    ``weights``.
+
+    Returns ``(groups, multiplicity)`` pairs: ``groups[p]`` is the weakly
+    increasing weight vector sent to part p, and ``multiplicity`` is the
+    number of labelled maps with those groups.  Each run of g equal weights
+    is split among the parts, which gives g!/prod c_p! labelled maps.
+    """
+    runs = [(x, len(list(run))) for x, run in groupby(weights)]
+    n = len(targets)
+    results = []
+
+    def rec(r, remaining, groups, mult):
+        if r == len(runs):
+            if not any(remaining):
+                results.append((tuple(groups), mult))
+            return
+        x, g = runs[r]
+        for counts, weight in weighted_splits(g, n):
+            if any(x * c > left for c, left in zip(counts, remaining)):
+                continue
+            rec(r + 1,
+                [left - x * c for left, c in zip(remaining, counts)],
+                [grp + (x,) * c for grp, c in zip(groups, counts)],
+                mult * weight)
+
+    rec(0, list(targets), [()] * n, 1)
+    return results
+
+
+@cache
+def n_trop_by_assignments(w1, w2, normalize_repeats=True):
+    """N(w1, w2) by the recursion on the last entry of w2, with the
+    compatible assignments of both sides listed and multiplied out."""
+    if not w2:
+        return 1 if len(w1) == 1 else 0
+    if not w1:
+        return 1 if len(w2) == 1 else 0
+    if len(w1) == 1 and len(w2) == 1:
+        return w1[0] * w2[0]
+    w = w2[-1]
+    total = Fraction(0)
+    for decomp in admissible_decompositions(sum(w1), sum(w2), w):
+        assigns1 = _compatible_assignments(w1, [di for di, _ in decomp])
+        assigns2 = _compatible_assignments(w2[:-1], [ei for _, ei in decomp])
+        run_d = run_e = 0
+        mult = 1
+        for dk, ek in decomp:
+            mult *= abs(ek * run_d - dk * (run_e + w))
+            run_d += dk
+            run_e += ek
+        sub = 0
+        for (groups1, mult1), (groups2, mult2) in product(assigns1, assigns2):
+            sub += mult1 * mult2 * prod(n_trop_by_assignments(g1, g2)
+                                        for g1, g2 in zip(groups1, groups2))
+        contribution = Fraction(sub * mult)
+        if normalize_repeats:
+            for piece in set(decomp):
+                contribution /= factorial(decomp.count(piece))
+        total += contribution
+    assert total.denominator == 1, (w1, w2, total)
+    return int(total)
+
+
+def _weight_vector_pairs(max_total):
+    """Every pair of nonempty weight vectors with total size <= max_total."""
+    return [(tuple(sorted(lam1)), tuple(sorted(lam2)))
+            for total in range(2, max_total + 1) for d in range(1, total)
+            for lam1 in partitions(d) for lam2 in partitions(total - d)]
+
+
+def test_n_trop_matches_the_assignment_recursion():
+    pairs = _weight_vector_pairs(10)
+    for w1, w2 in pairs:
+        assert n_trop(w1, w2) == n_trop_by_assignments(w1, w2), (w1, w2)
+    for w1, w2 in _weight_vector_pairs(8):
+        assert (n_trop(w1, w2, normalize_repeats=False)
+                == n_trop_by_assignments(w1, w2, normalize_repeats=False)), (w1, w2)
+    assert n_trop((1, 1), (1, 1, 1)) == n_trop_by_assignments((1, 1), (1, 1, 1)) == 6
+    assert n_trop_by_assignments((1, 1), (1, 1, 1), normalize_repeats=False) == 8
