@@ -5,12 +5,12 @@ recursion and realized inside the rational function field Q(L): every class
 reached by the recursion is a polynomial in L divided by powers of L and of
 factors (L^n - 1).  The recursion runs on class-count coordinates (per
 class of interchangeable vertices, how many vertices carry each value),
-and keeps one table per dimension vector of its strata sorted by integer
-slope keys; every bounded stratum sum is a prefix of that table.  The
-tables depend on the per-class data alone, so every quiver with the same
-class data shares them.  The recursion runs in Z[L], on the classes
-[R_D^sst] themselves, which count F_q-points: with
-the Gaussian binomials G_e = prod_v [d_v choose e_v]_L and the arrow count
+sums the strata of each dimension vector in the order of their integer
+slope keys, keeping one prefix sum per slope run; every bounded stratum sum
+is one of them.  The tables depend on the per-class data alone, so every
+quiver with the same class data shares them.  The recursion runs in Z[L],
+on the classes [R_D^sst] themselves, which count F_q-points: with the
+Gaussian binomials G_e = prod_v [d_v choose e_v]_L and the arrow count
 ext(r, e) = sum over the arrows i -> j of r_i e_j, the two recursion
 equations read
 
@@ -117,24 +117,20 @@ def _slope_key(theta, kappa):
 
 
 class _Table:
-    """The nontrivial strata of one dimension vector D, by increasing slope:
-    ``rows`` holds ``(mu(e), e, D - e, ext(D - e, e), orbit size)`` for one
-    0 < e < D per orbit of the relabelings fixing D, with the slopes as
-    integer keys, and ``gauss`` the matching Gaussian factors
-    prod_v [d_v choose e_v]_L.  ``cum[k]`` is the sum of the first k terms
-    in Z[L], extended on demand; ``num`` caches [R_D^sst] and ``sst`` the
+    """The summed strata of one dimension vector D: ``slopes``, the distinct
+    slope keys of its nontrivial strata, increasing (its slope runs), and
+    ``cum[j]``, the sum in Z[L] of the strata with slope < ``slopes[j]``,
+    ``cum[-1]`` the sum of all; ``num`` caches [R_D^sst] and ``sst`` the
     reduced class [R_D^sst]/[G_D].  D is a class-count key of one class
     data, so the table serves every quiver with that class data.
     """
 
-    __slots__ = ("mu", "slopes", "rows", "gauss", "cum", "num", "sst")
+    __slots__ = ("mu", "slopes", "cum", "num", "sst")
 
-    def __init__(self, mu, rows, gauss):
+    def __init__(self, mu, slopes, cum):
         self.mu = mu
-        self.slopes = [row[0] for row in rows]
-        self.rows = rows
-        self.gauss = gauss
-        self.cum = {0: Poly()}
+        self.slopes = slopes
+        self.cum = cum
         self.num = None
         self.sst = None
 
@@ -204,7 +200,7 @@ class _HNSolver:
     G_e = prod_v [d_v choose e_v]_L and B(D, b) the class of the
     representations of D whose HN slopes are all < b.  The term does not
     depend on the bound it is summed under, so each D has one
-    :class:`_Table` and
+    :class:`_Table`, summed in full before it is memoized, and
 
         B(D, b) = (its rows with slope < b) + [mu(D) < b] R(D),
         R(D)    = L^(dim R_D) - (all its rows).
@@ -255,47 +251,52 @@ class _HNSolver:
         """R(D) = [R_D^sst] in Z[L]."""
         table = self._table(key)
         if table.num is None:
-            table.num = Poly.x_pow(self._top(key)[0]) - self._prefix(table, len(table.rows))
+            table.num = Poly.x_pow(self._top(key)[0]) - table.cum[-1]
         return table.num
 
     def _below(self, key, bound):
         """B(D, bound): the class of the representations of D whose HN
         slopes are all < bound."""
         table = self._table(key)
-        value = self._prefix(table, bisect_left(table.slopes, bound))
+        value = table.cum[bisect_left(table.slopes, bound)]
         if table.mu < bound:
             value = value + self._sst_num(key)
         return value
 
-    def _prefix(self, table, k):
-        # the terms are added in slope order.  Racing threads may compute
-        # the same entry; setdefault stores only the first, and the two are
-        # equal.
-        cum = table.cum
-        while len(cum) <= k:
-            i = len(cum) - 1
-            mu_e, e, rest, ext, mult = table.rows[i]
-            value = cum[i]
+    def _table(self, key):
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables.setdefault(key, self._summed(key))
+        return table
+
+    def _summed(self, key):
+        # the rows and Gaussian factors live only while they are summed;
+        # racing threads may sum one key twice, and _table keeps the first
+        mu, rows, gauss = self._build(key)
+        slopes, cum = [], []
+        total = Poly()
+        for (mu_e, e, rest, ext, mult), factor in zip(rows, gauss):
+            if not slopes or slopes[-1] != mu_e:
+                slopes.append(mu_e)
+                cum.append(total)
             sst_e = self._sst_num(e)
             if sst_e:  # an empty stratum needs no below-sum
                 below = self._below(rest, mu_e)
                 if below:
                     term = sst_e * below
-                    factor = table.gauss[i] if mult == 1 else table.gauss[i] * mult
+                    if mult != 1:
+                        factor = factor * mult
                     if factor.c != (1,):
                         term = term * factor
-                    value = value + term.shifted(ext)
-            cum.setdefault(i + 1, value)
-        return cum[k]
-
-    def _table(self, key):
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables.setdefault(key, self._build(key))
-        return table
+                    total = total + term.shifted(ext)
+        cum.append(total)
+        return _Table(mu, slopes, cum)
 
     def _build(self, key):
-        """The rows of D in one depth-first walk over the classes.  Descending
+        """(mu(D), rows, Gaussian factors prod_v [d_v choose e_v]_L), the rows
+        ``(mu(e), e, D - e, ext(D - e, e), orbit size)`` by increasing slope,
+        one 0 < e < D per orbit of the relabelings fixing D, found in one
+        depth-first walk over the classes.  Descending
         into class a with split (e_a, r_a) adds its terms to running sums:
         theta.e and kappa.e for the slope key, ext(rest, e), the Gaussian
         factor and the number of labelled ways.  With x_a = sum_v e_v and s_a
@@ -344,8 +345,11 @@ class _HNSolver:
                                  rest + (r_a,), ext_e, weight * w, g))
 
         walk(0, (), (), 0, 0, 0, 1, ONE)
+        # walk holds itself through its closure, and so the rows: break the
+        # cycle to free them when they are summed, not at a later gc pass
+        del walk
         rows.sort(key=lambda row: row[0])
-        return _Table(mu, [row[:5] for row in rows], [row[5] for row in rows])
+        return mu, [row[:5] for row in rows], [row[5] for row in rows]
 
 
 def _gaussian_binomials(x):
@@ -462,15 +466,18 @@ def hn_sst_class(Q, s, d):
 
 
 def is_theta_coprime(Q, s, d):
-    """No proper nonzero subvector e <= d shares the slope of d: no row of
-    the slope-sorted stratum table of d has slope mu(d)."""
+    """No proper nonzero subvector e <= d shares the slope of d: no stratum
+    of d has slope mu(d)."""
     return _is_coprime(*_solver_and_key(Q, s, d))
 
 
 def _is_coprime(sol, key):
-    table = sol._table(key)
-    k = bisect_left(table.slopes, table.mu)
-    return k == len(table.slopes) or table.slopes[k] != table.mu
+    # mu(e) depends on the class sums x of e alone, and every x other than
+    # 0 and those of D is met by some 0 < e < D: no strata are needed
+    sums = [sum(x * g for x, g in groups) for groups in key]
+    mu = sol.slope(sums)
+    return all(sol.slope(xs) != mu for xs in product(*[range(s + 1) for s in sums])
+               if any(xs) and list(xs) != sums)
 
 
 def poincare(Q, s, d):

@@ -346,11 +346,13 @@ def test_symmetry_collapse_is_sound():
 
 
 def test_threaded_tables_match_serial_values():
-    # racing threads extend the same lazy prefix sums; with the interpreter
-    # switching threads as often as it can, every value must equal the
-    # serial one
+    # racing threads build, sum and publish the same tables; with the
+    # interpreter switching threads as often as it can, every value must
+    # equal the serial one.  (3, 2) | (2, 2, 1) puts two values on each
+    # class, so its tables have several slope runs of several rows.
     ladder = [bipartite_setup((2,), (1,) * (2 * n + 1)) for n in range(1, 5)]
     ladder += [(K3, {"i1": a, "j1": a + 1}, S10) for a in range(1, 4)]
+    ladder.append(bipartite_setup((3, 2), (2, 2, 1)))
     motive_mod._solver.cache_clear()
     serial = [hn_sst_class(Q, s, d) for Q, d, s in ladder]
     motive_mod._solver.cache_clear()
@@ -375,6 +377,19 @@ def test_threaded_tables_match_serial_values():
     for got in results:
         for k, value in got:
             assert value == serial[k], k
+
+
+def test_theta_coprime_check_sums_no_table():
+    # the check needs no table and runs no recursion; a non-coprime
+    # poincare is refused before it sums anything
+    for d, coprime in (({"i1": 2, "j1": 2}, False), ({"i1": 2, "j1": 3}, True)):
+        motive_mod._solver.cache_clear()
+        solver = motive_mod._solver(*motive_mod._class_data(K3, S10)[1])
+        assert is_theta_coprime(K3, S10, d) is coprime
+        assert not solver._tables
+    with pytest.raises(ValueError, match="not theta-coprime"):
+        poincare(K3, S10, {"i1": 2, "j1": 2})
+    assert not solver._tables
 
 
 # -- one solver per class data --------------------------------------------------

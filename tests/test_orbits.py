@@ -7,6 +7,7 @@ recursion kept here are the reference: on random small inputs, the orbit
 forms must reproduce their counts and values exactly.
 """
 
+import gc
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -167,9 +168,9 @@ def test_stratum_orbits_match_box_scan(data):
     oracle = LabelledHNSolver(Q, stab)
     dv = tuple(d[v] for v in Q.ids)
     key = coords(dv)
-    table = solver._table(key)
+    mu, built, _ = solver._build(key)
     rows = Counter()
-    for mu_e, e, rest, ext, mult in table.rows:
+    for mu_e, e, rest, ext, mult in built:
         rows[(e, rest, ext, mu_e)] += mult
     box = Counter()
     for e in _box(dv):
@@ -178,8 +179,9 @@ def test_stratum_orbits_match_box_scan(data):
             box[(coords(e), coords(rest), oracle.ext(rest, e),
                  _key(oracle.mu(e)))] += 1
     assert rows == box
-    assert table.slopes == sorted(table.slopes)
-    assert table.mu == _key(oracle.mu(dv))
+    slopes = [row[0] for row in built]
+    assert slopes == sorted(slopes)
+    assert mu == _key(oracle.mu(dv))
     dim, binoms, cyc = solver._top(key)
     assert MotiveClass(Poly.x_pow(dim), binoms, cyc) == oracle.top_class(dv)
 
@@ -201,16 +203,17 @@ def test_gaussian_factors_carry_each_row_to_the_common_denominator(case):
     Q, stab, d = case
     solver, coords = _fresh_solver(Q, stab)
     key = coords(tuple(d[v] for v in Q.ids))
-    table = solver._table(key)
-    assert len(table.gauss) == len(table.rows)
-    for (_, e, rest, _, _), gauss in zip(table.rows, table.gauss):
+    _, built, gaussians = solver._build(key)
+    assert len(gaussians) == len(built)
+    for (_, e, rest, _, _), gauss in zip(built, gaussians):
         assert _den(e) * _den(rest) * gauss == _den(key)
 
 
-def test_stratum_table_with_three_classes_matches_box_scan():
-    # three symmetry classes: A = {a1, a2} with loops and arrows both ways
-    # inside it, B = {b1, b2} with arrows to and from A, and C = {c} at level
-    # 2 with a loop.  Every cross term of the walk's running ext is nonzero.
+def _three_class_quiver():
+    """Three symmetry classes: A = {a1, a2} with loops and arrows both ways
+    inside it, B = {b1, b2} with arrows to and from A, and C = {c} at level
+    2 with a loop; with a stability and three dimension vectors.  Every
+    cross term of the walk's running ext is nonzero."""
     ids = ("a1", "a2", "b1", "b2", "c")
     A, B = ("a1", "a2"), ("b1", "b2")
     arrows = [("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a2", "a2"), ("c", "c")]
@@ -219,15 +222,20 @@ def test_stratum_table_with_three_classes_matches_box_scan():
     arrows += [(b, "c") for b in B] + [("c", a) for a in A]
     Q = Quiver(tuple((v, 2 if v == "c" else 1) for v in ids), tuple(arrows))
     stab = Stability.of({"a1": 2, "a2": 2, "b1": 0, "b2": 0, "c": -1})
+    return Q, stab, ((2, 1, 1, 2, 2), (2, 2, 1, 1, 1), (1, 3, 0, 2, 1))
+
+
+def test_stratum_table_with_three_classes_matches_box_scan():
+    Q, stab, dims = _three_class_quiver()
     solver, coords = _fresh_solver(Q, stab)
     # classes in the order of their data: theta -1 (C), 0 (B), 2 (A)
     assert motive_mod._class_data(Q, stab)[0] == ((4,), (2, 3), (0, 1))
     oracle = LabelledHNSolver(Q, stab)
-    for dv in ((2, 1, 1, 2, 2), (2, 2, 1, 1, 1), (1, 3, 0, 2, 1)):
+    for dv in dims:
         key = coords(dv)
-        table = solver._table(key)
+        mu, built, gaussians = solver._build(key)
         rows = {}
-        for (mu_e, e, rest, ext, mult), gauss in zip(table.rows, table.gauss):
+        for (mu_e, e, rest, ext, mult), gauss in zip(built, gaussians):
             assert (e, rest) not in rows, (e, rest)
             rows[(e, rest)] = (ext, mu_e, mult)
             assert _den(e) * _den(rest) * gauss == _den(key), (e, rest)
@@ -240,9 +248,82 @@ def test_stratum_table_with_three_classes_matches_box_scan():
                 assert (ext, mu_e) == (oracle.ext(rest, e), _key(oracle.mu(e)))
                 box[row] = (ext, mu_e, mult + 1)
         assert rows == box, dv
-        assert table.slopes == sorted(table.slopes)
-        assert table.mu == _key(oracle.mu(dv))
+        slopes = [row[0] for row in built]
+        assert slopes == sorted(slopes)
+        assert mu == _key(oracle.mu(dv))
         assert solver.sst_class(key) == oracle.sst_class(dv), dv
+
+
+def _check_run_sums_against_rows(solver, key):
+    # B(D, b) for every slope b of the built rows, for mu(D) and for one
+    # bound above both, against the sum of G_e L^ext R(e) B(D - e, mu(e))
+    # over the rows below b, plus R(D) when mu(D) < b
+    mu, rows, gaussians = solver._build(key)
+    top = max([row[0] for row in rows] + [mu]) + 1
+    for bound in sorted({row[0] for row in rows} | {mu, top}):
+        total = Poly()
+        for (mu_e, e, rest, ext, mult), gauss in zip(rows, gaussians):
+            if mu_e < bound:
+                term = gauss * mult * solver._sst_num(e) * solver._below(rest, mu_e)
+                total = total + term.shifted(ext)
+        if mu < bound:
+            total = total + solver._sst_num(key)
+        assert solver._below(key, bound) == total, (key, bound)
+    # every stratum lies below the top bound: B(D, top) = L^(dim R_D)
+    assert solver._below(key, top) == Poly.x_pow(solver._top(key)[0])
+
+
+@ORACLE
+@given(small_quivers())
+def test_run_sums_match_the_row_wise_sums(case):
+    Q, stab, d = case
+    solver, coords = _fresh_solver(Q, stab)
+    _check_run_sums_against_rows(solver, coords(tuple(d[v] for v in Q.ids)))
+
+
+def test_run_sums_match_the_row_wise_sums_with_three_classes():
+    Q, stab, dims = _three_class_quiver()
+    solver, coords = _fresh_solver(Q, stab)
+    for dv in dims:
+        _check_run_sums_against_rows(solver, coords(dv))
+
+
+def test_memoized_tables_hold_no_rows_or_gaussian_factors():
+    # a table keeps its slope key, its run slopes and one prefix sum per run
+    # (the total last), and the values once asked for; never the strata rows
+    # or their Gaussian factors
+    assert set(motive_mod._Table.__slots__) == {"mu", "slopes", "cum", "num", "sst"}
+    Q, stab, dims = _three_class_quiver()
+    solver, coords = _fresh_solver(Q, stab)
+    for dv in dims:
+        solver.sst_class(coords(dv))
+    assert len(solver._tables) > 20
+    for table in solver._tables.values():
+        assert type(table.mu) is int
+        assert all(type(b) is int for b in table.slopes)
+        assert all(a < b for a, b in zip(table.slopes, table.slopes[1:]))
+        assert len(table.cum) == len(table.slopes) + 1
+        assert all(type(c) is Poly for c in table.cum)
+        assert table.num is None or type(table.num) is Poly
+        assert table.sst is None or type(table.sst) is MotiveClass
+
+
+def test_summed_rows_are_freed_without_the_cycle_collector():
+    # the rows of a table are freed by reference counting once it is summed,
+    # so a fresh solver leaves no cyclic garbage (a warm-up fills the shared
+    # module caches first)
+    Q, stab, dims = _three_class_quiver()
+    for _ in range(2):
+        solver, coords = _fresh_solver(Q, stab)
+        gc.collect()
+        gc.disable()
+        try:
+            for dv in dims:
+                solver.sst_class(coords(dv))
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+    assert garbage == 0
 
 
 def _box_theta_coprime(Q, s, d):
