@@ -344,7 +344,12 @@ def _count_by_subtrees(sources, sinks):
         return total
 
     counts = tuple(c for _, c in sources + sinks)
-    return kids(0, (counts[0] - 1,) + counts[1:])
+    try:
+        return kids(0, (counts[0] - 1,) + counts[1:])
+    finally:
+        # the three caches refer to each other through their closure cells:
+        # empty the cells, so reference counting frees the caches now
+        del tree, child, kids
 
 
 def admissible_decompositions(d, e, w):

@@ -1,26 +1,23 @@
 """Motivic classes of semistable loci and the identities between them.
 
-Classes of stacks [R_d^sst]/[G_d] are computed by the Harder-Narasimhan
-recursion and realized inside the rational function field Q(L): every class
-reached by the recursion is a polynomial in L divided by powers of L and of
-factors (L^n - 1).  The recursion runs on class-count coordinates (per
-class of interchangeable vertices, how many vertices carry each value),
-sums the strata of each dimension vector in the order of their integer
-slope keys, keeping one prefix sum per slope run; every bounded stratum sum
-is one of them.  The tables depend on the per-class data alone, so every
-quiver with the same class data shares them.  The recursion runs in Z[L],
-on the classes [R_D^sst] themselves, which count F_q-points: with the
-Gaussian binomials G_e = prod_v [d_v choose e_v]_L and the arrow count
-ext(r, e) = sum over the arrows i -> j of r_i e_j, the two recursion
-equations read
+Classes of stacks [R_d^sst]/[G_d] are computed by Reineke's resolution of
+the Harder-Narasimhan recursion (arXiv:math/0204059) and realized inside
+the rational function field Q(L): every class reached by the recursion is
+a polynomial in L divided by powers of L and of factors (L^n - 1).  The
+recursion runs on class-count coordinates (per class of interchangeable
+vertices, how many vertices carry each value), and depends on the
+per-class data alone, so every quiver with the same class data shares it.
+It runs in Z[L], on the classes [R_D^sst] themselves, which count
+F_q-points: with the Gaussian binomials G_e = prod_v [d_v choose e_v]_L
+and the arrow count ext(r, e) = sum over the arrows i -> j of r_i e_j,
 
-    R(D)    = L^(dim R_D)
-              - sum_(0 < e < D) G_e L^ext(D-e, e) R(e) B(D-e, mu(e)),
-    B(D, b) = sum_(0 < e < D, mu(e) < b) G_e L^ext(D-e, e) R(e) B(D-e, mu(e))
-              + [mu(D) < b] R(D),
+    Phi_b(E) = L^(dim R_E)
+               - sum_(0 < e < E, mu(e) > b) G_e L^ext(E-e, E) Phi_b(e),
+    R(D)     = Phi_mu(D)(D),
 
-for R(D) = [R_D^sst] and B(D, b), the class of the representations of D
-whose HN type has every slope below b.  Then [R_D^sst]/[G_D] is
+for R(D) = [R_D^sst]: a signed sum over the chains 0 < e_1 < ... < D whose
+members have slope above mu(D), each step carrying the class of all
+representations of its difference.  Then [R_D^sst]/[G_D] is
 R(D) / (L^(sum_v binom(d_v, 2)) den(D)) with den(D) = prod_v prod_(k <= d_v)
 (L^k - 1).  ``MotiveClass`` is another name for
 :class:`ratfunc.RationalFunction`, which keeps exactly that shape in a
@@ -34,7 +31,7 @@ form).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -116,32 +113,13 @@ def _slope_key(theta, kappa):
     return (theta << 64) // kappa
 
 
-class _Table:
-    """The summed strata of one dimension vector D: ``slopes``, the distinct
-    slope keys of its nontrivial strata, increasing (its slope runs), and
-    ``cum[j]``, the sum in Z[L] of the strata with slope < ``slopes[j]``,
-    ``cum[-1]`` the sum of all; ``num`` caches [R_D^sst] and ``sst`` the
-    reduced class [R_D^sst]/[G_D].  D is a class-count key of one class
-    data, so the table serves every quiver with that class data.
-    """
-
-    __slots__ = ("mu", "slopes", "cum", "num", "sst")
-
-    def __init__(self, mu, slopes, cum):
-        self.mu = mu
-        self.slopes = slopes
-        self.cum = cum
-        self.num = None
-        self.sst = None
-
-
 def _class_data(Q, stab):
     """The vertex classes of (Q, stab) and their class data
     ``(theta, kappa, arrows, loops)``, all int tuples: per class, theta
     scaled to an integer (a positive scale keeps the order of the slopes)
     and kappa, the level; ``arrows[a][b]``, the arrows from one vertex of
     class a to one other vertex of class b; ``loops[a]``, the loops at one
-    vertex of class a.  The class data alone determine every HN table, so
+    vertex of class a.  The class data alone determine every HN class, so
     quivers that differ only in the sizes of their classes share one
     solver."""
     index = {v: k for k, v in enumerate(Q.ids)}
@@ -181,6 +159,23 @@ def _coords(classes, dv):
     return tuple(out)
 
 
+class _Record:
+    """What one dimension vector D keeps: ``mu``, its slope key; ``dim``,
+    dim R_D; ``slopes``, the distinct slope keys of its class-sum vectors
+    0 < x < sums, increasing; ``phi``, Phi_b(D) by the gap
+    ``bisect_right(slopes, b)`` of the bound; and ``sst``, the reduced
+    class [R_D^sst]/[G_D] once asked for.  Every row of D and of each of
+    its sub-vectors has one of these slopes, so Phi_b(D) depends on b only
+    through its gap, and every bound in one gap shares one entry."""
+
+    __slots__ = ("mu", "dim", "slopes", "phi", "sst")
+
+    def __init__(self, mu, dim, slopes):
+        self.mu, self.dim, self.slopes = mu, dim, slopes
+        self.phi = {}
+        self.sst = None
+
+
 class _HNSolver:
     """Memoized semistable-class computation for one class data
     ``(theta, kappa, arrows, loops)`` (see :func:`_class_data`), shared by
@@ -191,27 +186,26 @@ class _HNSolver:
     constant between two symmetry classes and within one, so dim R_D,
     slopes and the arrow count ext(r, e) = sum over the arrows i -> j of
     r_i e_j follow from per-class sums, class-level arrow counts and the
-    per-class pairing sum_v r_v e_v; no class size enters.  Slopes are
+    per-class pairing sum_v r_v d_v; no class size enters.  Slopes are
     integer keys (:func:`_slope_key`) of the integer theta.
 
-    The recursion runs in Z[L] on R(D) = [R_D^sst], so it does no gcd or
-    cyclotomic reduction.  A stratum with first HN block e has the class
-    G_e L^ext(D-e, e) R(e) B(D-e, mu(e)), with the Gaussian factor
-    G_e = prod_v [d_v choose e_v]_L and B(D, b) the class of the
-    representations of D whose HN slopes are all < b.  The term does not
-    depend on the bound it is summed under, so each D has one
-    :class:`_Table`, summed in full before it is memoized, and
+    The recursion runs in Z[L] on Reineke's resolution of the HN system,
+    so it does no gcd or cyclotomic reduction and sums no strata:
 
-        B(D, b) = (its rows with slope < b) + [mu(D) < b] R(D),
-        R(D)    = L^(dim R_D) - (all its rows).
+        Phi_b(E) = L^(dim R_E)
+                   - sum_(0 < e < E, mu(e) > b) G_e L^ext(E-e, E) Phi_b(e),
+        R(D)     = Phi_mu(D)(D) = [R_D^sst],
 
-    :meth:`sst_class` reduces R(D) / [G_D] once per D, with
-    [G_D] = L^(sum_v binom(d_v, 2)) prod_v prod_(k <= d_v) (L^k - 1).
+    with G_e = prod_v [d_v choose e_v]_L the subspaces of dimension e, and
+    L^ext(E-e, E) = L^(ext(E-e, e) + dim R_(E-e)) the ways to complete a
+    representation on one of them to all of E.  Each D has one
+    :class:`_Record`.  :meth:`sst_class` reduces R(D) / [G_D] once per D,
+    with [G_D] = L^(sum_v binom(d_v, 2)) prod_v prod_(k <= d_v) (L^k - 1).
     """
 
     def __init__(self, theta, kappa, arrows, loops):
         self.theta, self.kappa, self.arrows, self.loops = theta, kappa, arrows, loops
-        self._tables = {}
+        self._records = {}
 
     # -- slopes and the top class -------------------------------------------
 
@@ -237,119 +231,99 @@ class _HNSolver:
                     cyc[k] = cyc.get(k, 0) + g
         return dim, binoms, cyc
 
+    def _record(self, key):
+        """The :class:`_Record` of D, made on first use."""
+        record = self._records.get(key)
+        if record is None:
+            sums = [sum(x * g for x, g in groups) for groups in key]
+            mu = self.slope(sums)  # rejects a denominator too large for the keys
+            # (theta.x, kappa.x) over the box 0 <= x <= sums; every kappa is
+            # positive, so kappa.x is 0 only at x = 0 and kappa.D only at sums
+            points = {(0, 0)}
+            for t, k, s in zip(self.theta, self.kappa, sums):
+                points = {(th + t * x, ka + k * x) for th, ka in points for x in range(s + 1)}
+            kappa_d = sum(k * s for k, s in zip(self.kappa, sums))
+            slopes = sorted({_slope_key(th, ka) for th, ka in points if 0 < ka < kappa_d})
+            record = self._records.setdefault(
+                key, _Record(mu, self._top(key)[0], slopes))
+        return record
+
     # -- the recursion -------------------------------------------------------
 
     def sst_class(self, key):
         """[R_D^sst]/[G_D] as a reduced class."""
-        table = self._table(key)
-        if table.sst is None:
+        record = self._record(key)
+        if record.sst is None:
             _, binoms, cyc = self._top(key)
-            table.sst = MotiveClass(self._sst_num(key), binoms, cyc)
-        return table.sst
+            record.sst = MotiveClass(self._phi(key, record.mu), binoms, cyc)
+        return record.sst
 
-    def _sst_num(self, key):
-        """R(D) = [R_D^sst] in Z[L]."""
-        table = self._table(key)
-        if table.num is None:
-            table.num = Poly.x_pow(self._top(key)[0]) - table.cum[-1]
-        return table.num
-
-    def _below(self, key, bound):
-        """B(D, bound): the class of the representations of D whose HN
-        slopes are all < bound."""
-        table = self._table(key)
-        value = table.cum[bisect_left(table.slopes, bound)]
-        if table.mu < bound:
-            value = value + self._sst_num(key)
+    def _phi(self, key, bound):
+        """Phi_bound(D) in Z[L]; racing threads may compute one gap twice,
+        and the record keeps the first."""
+        record = self._record(key)
+        gap = bisect_right(record.slopes, bound)
+        value = record.phi.get(gap)
+        if value is None:
+            total = Poly()
+            for _, e, _, ext, mult, gauss in self._build(key, bound):
+                term = self._phi(e, bound)
+                if term:
+                    if mult != 1:
+                        gauss = gauss * mult
+                    if gauss.c != (1,):
+                        term = term * gauss
+                    total = total + term.shifted(ext)
+            value = record.phi.setdefault(gap, Poly.x_pow(record.dim) - total)
         return value
 
-    def _table(self, key):
-        table = self._tables.get(key)
-        if table is None:
-            table = self._tables.setdefault(key, self._summed(key))
-        return table
+    def _build(self, key, bound):
+        """The rows ``(mu(e), e, D - e, ext(D - e, D), orbit size, G_e)`` of
+        D with mu(e) > bound, one 0 < e < D per orbit of the relabelings
+        fixing D, found in one depth-first walk over the classes.  With r =
+        D - e, x_a = sum_v e_v and s_a the class sums of D, ext(r, D) is a
+        sum of one term per class,
 
-    def _summed(self, key):
-        # the rows and Gaussian factors live only while they are summed;
-        # racing threads may sum one key twice, and _table keeps the first
-        mu, rows, gauss = self._build(key)
-        slopes, cum = [], []
-        total = Poly()
-        for (mu_e, e, rest, ext, mult), factor in zip(rows, gauss):
-            if not slopes or slopes[-1] != mu_e:
-                slopes.append(mu_e)
-                cum.append(total)
-            sst_e = self._sst_num(e)
-            if sst_e:  # an empty stratum needs no below-sum
-                below = self._below(rest, mu_e)
-                if below:
-                    term = sst_e * below
-                    if mult != 1:
-                        factor = factor * mult
-                    if factor.c != (1,):
-                        term = term * factor
-                    total = total + term.shifted(ext)
-        cum.append(total)
-        return _Table(mu, slopes, cum)
+            (loops_a - m_aa) sum_v r_v d_v + (s_a - x_a) sum_b m_ab s_b,
 
-    def _build(self, key):
-        """(mu(D), rows, Gaussian factors prod_v [d_v choose e_v]_L), the rows
-        ``(mu(e), e, D - e, ext(D - e, e), orbit size)`` by increasing slope,
-        one 0 < e < D per orbit of the relabelings fixing D, found in one
-        depth-first walk over the classes.  Descending
-        into class a with split (e_a, r_a) adds its terms to running sums:
-        theta.e and kappa.e for the slope key, ext(rest, e), the Gaussian
-        factor and the number of labelled ways.  With x_a = sum_v e_v and s_a
-        the class sum of D, ext(rest, e) gains
-
-            (loops_a - m_aa) sum_v r_v e_v + (s_a - x_a) m_aa x_a
-            + sum_(b < a) ((s_a - x_a) m_ab x_b + (s_b - x_b) m_ba x_a),
-
-        where the sum over the earlier classes is s_a A + x_a (C - A) with
-        A = sum_b m_ab x_b and C = sum_b (s_b - x_b) m_ba, both fixed before
-        the splits of a are visited.  Every kappa is positive, so e and
-        D - e are nonzero iff 0 < kappa.e < kappa.D.  The walk visits the
-        splits in product order, which the stable sort by slope keeps among
-        equal slopes."""
+        so descending into class a with split (e_a, r_a) adds its terms to
+        running sums: theta.e and kappa.e for the slope key, ext(r, D), the
+        Gaussian factor and the number of labelled ways.  Every kappa is
+        positive, so e and D - e are nonzero iff 0 < kappa.e < kappa.D.  A
+        row below the bound is dropped at its leaf, before its last
+        Gaussian product."""
         sums = [sum(x * g for x, g in groups) for groups in key]
-        mu = self.slope(sums)
         kappa_d = sum(k * s for k, s in zip(self.kappa, sums))
-        arrows, last = self.arrows, len(key) - 1
+        last = len(key) - 1
         splits = []
         for a, groups in enumerate(key):
-            s, m, t, k = sums[a], arrows[a][a], self.theta[a], self.kappa[a]
-            own = self.loops[a] - m
-            splits.append([(e, r, x, t * x, k * x, own * pairing + (s - x) * m * x, w, g)
-                           for e, r, x, pairing, w, g in _class_splits(groups)])
+            t, k, own = self.theta[a], self.kappa[a], self.loops[a] - self.arrows[a][a]
+            out = sum(m * s for m, s in zip(self.arrows[a], sums))
+            splits.append([(e, r, t * x, k * x, own * rd + (sums[a] - x) * out, w, g)
+                           for e, r, x, rd, w, g in _class_splits(groups)])
         rows = []
-        xs = [0] * len(key)
 
         def walk(a, e, rest, th, ka, ext, weight, gauss):
-            A = C = 0
-            for b in range(a):
-                A += arrows[a][b] * xs[b]
-                C += (sums[b] - xs[b]) * arrows[b][a]
-            cross_s, cross_x = sums[a] * A, C - A
-            for e_a, r_a, x, th_a, ka_a, ext_a, w, g in splits[a]:
-                ext_e = ext + ext_a + cross_s + x * cross_x
-                if g is ONE:
-                    g = gauss
-                elif gauss is not ONE:
-                    g = gauss * g
+            for e_a, r_a, th_a, ka_a, ext_a, w, g in splits[a]:
                 if a < last:
-                    xs[a] = x
-                    walk(a + 1, e + (e_a,), rest + (r_a,), th + th_a, ka + ka_a, ext_e,
-                         weight * w, g)
+                    walk(a + 1, e + (e_a,), rest + (r_a,), th + th_a, ka + ka_a, ext + ext_a,
+                         weight * w, _times(gauss, g))
                 elif 0 < ka + ka_a < kappa_d:
-                    rows.append((_slope_key(th + th_a, ka + ka_a), e + (e_a,),
-                                 rest + (r_a,), ext_e, weight * w, g))
+                    mu_e = _slope_key(th + th_a, ka + ka_a)
+                    if mu_e > bound:
+                        rows.append((mu_e, e + (e_a,), rest + (r_a,), ext + ext_a, weight * w,
+                                     _times(gauss, g)))
 
         walk(0, (), (), 0, 0, 0, 1, ONE)
         # walk holds itself through its closure, and so the rows: break the
         # cycle to free them when they are summed, not at a later gc pass
         del walk
-        rows.sort(key=lambda row: row[0])
-        return mu, [row[:5] for row in rows], [row[5] for row in rows]
+        return rows
+
+
+def _times(a, b):
+    """a * b for Gaussian factors, skipping a factor ONE."""
+    return b if a is ONE else a if b is ONE else a * b
 
 
 def _gaussian_binomials(x):
@@ -364,15 +338,15 @@ def _gaussian_binomials(x):
 @cache
 def _class_splits(groups):
     """The ways to put 0 <= e_v <= d_v on one class, up to relabelings that
-    fix d: ``(e, rest, sum_v e_v, sum_v r_v e_v, number of labelled ways,
+    fix d: ``(e, rest, sum_v e_v, sum_v r_v d_v, number of labelled ways,
     prod_v [d_v choose e_v]_L)``.  A group of g vertices carrying x splits
     over the values 0..x.  The splits depend on the groups alone, so every
-    table of every solver shares them."""
+    record of every solver shares them."""
     binomials = {x: _gaussian_binomials(x) for x, _ in groups}
     out = []
     for choice in product(*[weighted_splits(g, x + 1) for x, g in groups]):
         e, rest = {}, {}
-        total = pairing = 0
+        total = rd = 0
         weight = 1
         gauss = ONE
         for (x, _), (counts, w) in zip(groups, choice):
@@ -387,14 +361,14 @@ def _class_splits(groups):
                         for _ in range(c):
                             gauss = binomials[x][j] if gauss is ONE else gauss * binomials[x][j]
                     total += c * j
-                    pairing += c * j * (x - j)
+                    rd += c * (x - j) * x
         out.append((tuple(sorted(e.items(), reverse=True)),
-                    tuple(sorted(rest.items(), reverse=True)), total, pairing, weight, gauss))
+                    tuple(sorted(rest.items(), reverse=True)), total, rd, weight, gauss))
     return tuple(out)
 
 
 # keyed by the class data, not by the quiver: every quiver and stability
-# with the same class data share one solver and its tables
+# with the same class data share one solver and its records
 _solver = cache(_HNSolver)
 
 
@@ -458,9 +432,8 @@ def hn_types(Q, s, d):
 
 
 def hn_sst_class(Q, s, d):
-    """[R_d^sst]/[G_d]: the class of all representations minus the strata of
-    nontrivial filtration types, summed from the slope-sorted stratum table
-    of d (grouped by first block and memoized)."""
+    """[R_d^sst]/[G_d], from the resolved HN recursion on the class-count
+    key of d (memoized per key and slope gap)."""
     sol, key = _solver_and_key(Q, s, d)
     return sol.sst_class(key)
 
@@ -473,11 +446,10 @@ def is_theta_coprime(Q, s, d):
 
 def _is_coprime(sol, key):
     # mu(e) depends on the class sums x of e alone, and every x other than
-    # 0 and those of D is met by some 0 < e < D: no strata are needed
-    sums = [sum(x * g for x, g in groups) for groups in key]
-    mu = sol.slope(sums)
-    return all(sol.slope(xs) != mu for xs in product(*[range(s + 1) for s in sums])
-               if any(xs) and list(xs) != sums)
+    # 0 and those of D is met by some 0 < e < D: D is coprime iff mu(D) is
+    # none of the slopes its record keeps
+    record = sol._record(key)
+    return record.mu not in record.slopes
 
 
 def poincare(Q, s, d):

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import combinations
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import quivermoduli
 import quivermoduli.localization as localization_mod
 from quivermoduli.localization import (
     SpanningTree,
@@ -24,6 +26,7 @@ from quivermoduli.localization import (
 )
 from quivermoduli.quiver import Quiver, Refinement, n_support
 from quivermoduli.symfunc import partitions
+from quivermoduli.tropical import mps_euler
 
 R_2_111 = Refinement.of([((2, 1),)], [((1, 1),), ((1, 1),), ((1, 1),)])
 R_11_111 = Refinement.of([((1, 2),)], [((1, 1),), ((1, 1),), ((1, 1),)])
@@ -424,3 +427,18 @@ def test_chi_trees_equals_hn_on_the_support():
         Q, ones, stab = n_support(r)
         assert is_theta_coprime(Q, stab, ones)
         assert euler_char(Q, stab, ones) == chi_trees(r), (d, e)
+
+
+def test_subtree_counts_are_freed_without_the_cycle_collector():
+    # the subtree-count caches of each support refer to each other; they are
+    # freed by reference counting when the count returns, so one cold
+    # mps_euler leaves no cyclic garbage
+    quivermoduli.clear_memos()
+    gc.collect()
+    gc.disable()
+    try:
+        assert mps_euler((3, 3), (2, 2, 3)) == 130
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

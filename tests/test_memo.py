@@ -18,7 +18,7 @@ S10 = Stability.of({"i1": 1, "j1": 0})
 
 
 def _hn_from_a_new_solver():
-    # a new solver builds its tables again, so it asks for the class splits
+    # a new solver builds its records again, so it asks for the class splits
     # again: a repeated call hits the splits memo
     motive._solver.cache_clear()
     return motive.hn_sst_class(K3, S10, {"i1": 2, "j1": 3})

@@ -346,10 +346,10 @@ def test_symmetry_collapse_is_sound():
 
 
 def test_threaded_tables_match_serial_values():
-    # racing threads build, sum and publish the same tables; with the
+    # racing threads build the same records and Phi entries; with the
     # interpreter switching threads as often as it can, every value must
     # equal the serial one.  (3, 2) | (2, 2, 1) puts two values on each
-    # class, so its tables have several slope runs of several rows.
+    # class, so its rows have several slopes.
     ladder = [bipartite_setup((2,), (1,) * (2 * n + 1)) for n in range(1, 5)]
     ladder += [(K3, {"i1": a, "j1": a + 1}, S10) for a in range(1, 4)]
     ladder.append(bipartite_setup((3, 2), (2, 2, 1)))
@@ -380,16 +380,21 @@ def test_threaded_tables_match_serial_values():
 
 
 def test_theta_coprime_check_sums_no_table():
-    # the check needs no table and runs no recursion; a non-coprime
-    # poincare is refused before it sums anything
+    # the check reads the slopes of one record and runs no recursion; a
+    # non-coprime poincare is refused before it computes any Phi
+    def untouched(solver):
+        return len(solver._records) == 1 and all(
+            not record.phi and record.sst is None for record in solver._records.values())
+
     for d, coprime in (({"i1": 2, "j1": 2}, False), ({"i1": 2, "j1": 3}, True)):
         motive_mod._solver.cache_clear()
         solver = motive_mod._solver(*motive_mod._class_data(K3, S10)[1])
         assert is_theta_coprime(K3, S10, d) is coprime
-        assert not solver._tables
+        assert untouched(solver)
+    motive_mod._solver.cache_clear()
     with pytest.raises(ValueError, match="not theta-coprime"):
         poincare(K3, S10, {"i1": 2, "j1": 2})
-    assert not solver._tables
+    assert untouched(motive_mod._solver(*motive_mod._class_data(K3, S10)[1]))
 
 
 # -- one solver per class data --------------------------------------------------
@@ -484,18 +489,18 @@ def test_shared_keys_match_the_labelled_recursion():
         euler_char(Q, stab, d)
     solver = motive_mod._solver(*motive_mod._class_data(Q, stab)[1])
     oracles = {}
-    for key in list(solver._tables):
+    for key in list(solver._records):
         sides = [[x for x, g in groups for _ in range(g)] or [0] for groups in key]
         shape = tuple(map(len, sides))
         if shape not in oracles:
             _, _, stab = bipartite_setup((1,) * shape[0], (1,) * shape[1])
             oracles[shape] = LabelledHNSolver(Quiver.complete_bipartite(*shape), stab)
         assert solver.sst_class(key) == oracles[shape].sst_class(tuple(sides[0] + sides[1])), key
-    assert len(solver._tables) > 50
+    assert len(solver._records) > 50
 
 
 def test_threads_on_quivers_with_one_class_data_agree():
-    # racing threads build and extend the tables of the one shared solver
+    # racing threads build and extend the records of the one shared solver
     # from different quivers; every value must equal the serial cold one
     pairs = [((2,), (1, 1, 1)), ((1, 1), (1, 1, 1)), ((2, 1), (2, 1, 1)),
              ((3,), (1, 1, 1, 1)), ((1, 1, 1), (1, 1, 1, 1, 1)), ((2, 2, 1), (1, 1, 1))]

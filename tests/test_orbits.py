@@ -1,13 +1,16 @@
 """Orbit enumeration against the labelled enumerations it replaces.
 
-The HN stratum tables, the theta-coprime check and the tropical run splits
+The HN rows, the theta-coprime check and the tropical run splits
 enumerate one representative per orbit of interchangeable items, weighted
-by the orbit size.  The box scans, labelled maps and the labelled HN
-recursion kept here are the reference: on random small inputs, the orbit
-forms must reproduce their counts and values exactly.
+by the orbit size.  The box scans, labelled maps, the labelled HN recursion
+and the summed-table HN recursion kept here are the reference: on random
+small inputs, the orbit forms and the resolved recursion must reproduce
+their counts and values exactly.
 """
 
 import gc
+import math
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -53,16 +56,17 @@ def test_weighted_splits_match_labelled_assignments(g, k):
 
 
 @st.composite
-def small_quivers(draw, max_vertices=4, max_dim=3, acyclic=False):
-    """A quiver on up to ``max_vertices`` vertices, a stability and a
-    dimension vector with entries <= ``max_dim``.  Vertices come in blocks
-    that share level, theta and arrow pattern, so symmetry classes occur.
-    With ``acyclic``, arrows only go from a vertex to a later one."""
+def small_quivers(draw, max_vertices=4, max_dim=3, acyclic=False, thetas=st.integers(-1, 2)):
+    """A quiver on up to ``max_vertices`` vertices, a stability with theta
+    drawn from ``thetas`` and a dimension vector with entries <=
+    ``max_dim``.  Vertices come in blocks that share level, theta and arrow
+    pattern, so symmetry classes occur.  With ``acyclic``, arrows only go
+    from a vertex to a later one."""
     blocks = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
                   .filter(lambda b: sum(b) <= max_vertices))
     ids, levels, theta, block_of = [], {}, {}, {}
     for b, size in enumerate(blocks):
-        level, th = draw(st.integers(1, 2)), draw(st.integers(-1, 2))
+        level, th = draw(st.integers(1, 2)), draw(thetas)
         for k in range(size):
             v = "v%d_%d" % (b, k)
             ids.append(v)
@@ -158,30 +162,93 @@ def _key(mu):
     return (mu.numerator << 64) // mu.denominator
 
 
+def _all_rows(solver, key):
+    """Every row of D: no slope is below minus infinity."""
+    return solver._build(key, -math.inf)
+
+
+class TableOracle:
+    """The HN recursion that the resolved one replaced, on the solver's own
+    rows: each D has one table of its strata sorted by slope, summed in
+    full, with one prefix sum per slope run (``cum[j]`` the sum of the
+    rows with slope < ``slopes[j]``, the total last), and
+
+        R(D)    = L^(dim R_D)
+                  - sum_(0 < e < D) G_e L^ext(D-e, e) R(e) B(D-e, mu(e)),
+        B(D, b) = sum_(0 < e < D, mu(e) < b) G_e L^ext(D-e, e) R(e) B(D-e, mu(e))
+                  + [mu(D) < b] R(D),
+
+    with B(D, b) the class of the representations of D whose HN slopes are
+    all < b.  The rows carry ext(D-e, D) = ext(D-e, e) + dim R_(D-e)."""
+
+    def __init__(self, solver):
+        self.solver = solver
+        self._tables = {}
+
+    def rows(self, key):
+        """(mu(e), e, D - e, ext(D - e, e), orbit size, G_e) by slope."""
+        top = self.solver._top
+        return sorted(((mu_e, e, rest, ext - top(rest)[0], mult, gauss)
+                       for mu_e, e, rest, ext, mult, gauss in _all_rows(self.solver, key)),
+                      key=lambda row: row[0])
+
+    def _table(self, key):
+        if key not in self._tables:
+            slopes, cum, total = [], [], Poly()
+            for mu_e, e, rest, ext, mult, gauss in self.rows(key):
+                if not slopes or slopes[-1] != mu_e:
+                    slopes.append(mu_e)
+                    cum.append(total)
+                term = gauss * mult * self.num(e) * self.below(rest, mu_e)
+                total = total + term.shifted(ext)
+            cum.append(total)
+            sums = [sum(x * g for x, g in groups) for groups in key]
+            num = Poly.x_pow(self.solver._top(key)[0]) - total
+            self._tables[key] = (self.solver.slope(sums), slopes, cum, num)
+        return self._tables[key]
+
+    def num(self, key):
+        """R(D) = [R_D^sst] in Z[L]."""
+        return self._table(key)[3]
+
+    def below(self, key, bound):
+        """B(D, bound), from the prefix sum of the runs below the bound."""
+        mu, slopes, cum, num = self._table(key)
+        value = cum[bisect_left(slopes, bound)]
+        return value + num if mu < bound else value
+
+
+def _resolved(solver, key):
+    """R(D) from the resolved recursion: Phi at the slope of D."""
+    return solver._phi(key, solver._record(key).mu)
+
+
 @ORACLE
 @given(st.data())
 def test_stratum_orbits_match_box_scan(data):
-    # the rows of one table, grouped by the coordinates of (e, rest), their
-    # arrow count ext(rest, e) and slope key, against the labelled box points
+    # the rows of D, grouped by the coordinates of (e, rest), their arrow
+    # count ext(rest, D) and slope key, against the labelled box points;
+    # a bound keeps exactly the rows above it
     Q, stab, d = data.draw(small_quivers())
     solver, coords = _fresh_solver(Q, stab)
     oracle = LabelledHNSolver(Q, stab)
     dv = tuple(d[v] for v in Q.ids)
     key = coords(dv)
-    mu, built, _ = solver._build(key)
+    built = _all_rows(solver, key)
     rows = Counter()
-    for mu_e, e, rest, ext, mult in built:
+    for mu_e, e, rest, ext, mult, _ in built:
         rows[(e, rest, ext, mu_e)] += mult
     box = Counter()
     for e in _box(dv):
         rest = tuple(a - b for a, b in zip(dv, e))
         if any(e) and any(rest):
-            box[(coords(e), coords(rest), oracle.ext(rest, e),
+            box[(coords(e), coords(rest), oracle.ext(rest, dv),
                  _key(oracle.mu(e)))] += 1
     assert rows == box
-    slopes = [row[0] for row in built]
-    assert slopes == sorted(slopes)
-    assert mu == _key(oracle.mu(dv))
+    mu = _key(oracle.mu(dv))
+    assert solver._record(key).mu == mu
+    for bound in {row[0] for row in built} | {mu}:
+        assert solver._build(key, bound) == [row for row in built if row[0] > bound]
     dim, binoms, cyc = solver._top(key)
     assert MotiveClass(Poly.x_pow(dim), binoms, cyc) == oracle.top_class(dv)
 
@@ -203,9 +270,7 @@ def test_gaussian_factors_carry_each_row_to_the_common_denominator(case):
     Q, stab, d = case
     solver, coords = _fresh_solver(Q, stab)
     key = coords(tuple(d[v] for v in Q.ids))
-    _, built, gaussians = solver._build(key)
-    assert len(gaussians) == len(built)
-    for (_, e, rest, _, _), gauss in zip(built, gaussians):
+    for _, e, rest, _, _, gauss in _all_rows(solver, key):
         assert _den(e) * _den(rest) * gauss == _den(key)
 
 
@@ -213,7 +278,7 @@ def _three_class_quiver():
     """Three symmetry classes: A = {a1, a2} with loops and arrows both ways
     inside it, B = {b1, b2} with arrows to and from A, and C = {c} at level
     2 with a loop; with a stability and three dimension vectors.  Every
-    cross term of the walk's running ext is nonzero."""
+    term of the walk's running ext is nonzero."""
     ids = ("a1", "a2", "b1", "b2", "c")
     A, B = ("a1", "a2"), ("b1", "b2")
     arrows = [("a1", "a2"), ("a2", "a1"), ("a1", "a1"), ("a2", "a2"), ("c", "c")]
@@ -233,9 +298,8 @@ def test_stratum_table_with_three_classes_matches_box_scan():
     oracle = LabelledHNSolver(Q, stab)
     for dv in dims:
         key = coords(dv)
-        mu, built, gaussians = solver._build(key)
         rows = {}
-        for (mu_e, e, rest, ext, mult), gauss in zip(built, gaussians):
+        for mu_e, e, rest, ext, mult, gauss in _all_rows(solver, key):
             assert (e, rest) not in rows, (e, rest)
             rows[(e, rest)] = (ext, mu_e, mult)
             assert _den(e) * _den(rest) * gauss == _den(key), (e, rest)
@@ -244,33 +308,32 @@ def test_stratum_table_with_three_classes_matches_box_scan():
             rest = tuple(a - b for a, b in zip(dv, e))
             if any(e) and any(rest):
                 row = (coords(e), coords(rest))
-                ext, mu_e, mult = box.get(row, (oracle.ext(rest, e), _key(oracle.mu(e)), 0))
-                assert (ext, mu_e) == (oracle.ext(rest, e), _key(oracle.mu(e)))
+                ext, mu_e, mult = box.get(row, (oracle.ext(rest, dv), _key(oracle.mu(e)), 0))
+                assert (ext, mu_e) == (oracle.ext(rest, dv), _key(oracle.mu(e)))
                 box[row] = (ext, mu_e, mult + 1)
         assert rows == box, dv
-        slopes = [row[0] for row in built]
-        assert slopes == sorted(slopes)
-        assert mu == _key(oracle.mu(dv))
+        assert solver._record(key).mu == _key(oracle.mu(dv))
         assert solver.sst_class(key) == oracle.sst_class(dv), dv
 
 
-def _check_run_sums_against_rows(solver, key):
-    # B(D, b) for every slope b of the built rows, for mu(D) and for one
-    # bound above both, against the sum of G_e L^ext R(e) B(D - e, mu(e))
+def _check_run_sums_against_rows(oracle, key):
+    # the oracle's B(D, b) for every slope b of the rows, for mu(D) and for
+    # one bound above both, against the sum of G_e L^ext R(e) B(D - e, mu(e))
     # over the rows below b, plus R(D) when mu(D) < b
-    mu, rows, gaussians = solver._build(key)
+    rows = oracle.rows(key)
+    mu = oracle.solver.slope([sum(x * g for x, g in groups) for groups in key])
     top = max([row[0] for row in rows] + [mu]) + 1
     for bound in sorted({row[0] for row in rows} | {mu, top}):
         total = Poly()
-        for (mu_e, e, rest, ext, mult), gauss in zip(rows, gaussians):
+        for mu_e, e, rest, ext, mult, gauss in rows:
             if mu_e < bound:
-                term = gauss * mult * solver._sst_num(e) * solver._below(rest, mu_e)
+                term = gauss * mult * oracle.num(e) * oracle.below(rest, mu_e)
                 total = total + term.shifted(ext)
         if mu < bound:
-            total = total + solver._sst_num(key)
-        assert solver._below(key, bound) == total, (key, bound)
+            total = total + oracle.num(key)
+        assert oracle.below(key, bound) == total, (key, bound)
     # every stratum lies below the top bound: B(D, top) = L^(dim R_D)
-    assert solver._below(key, top) == Poly.x_pow(solver._top(key)[0])
+    assert oracle.below(key, top) == Poly.x_pow(oracle.solver._top(key)[0])
 
 
 @ORACLE
@@ -278,38 +341,96 @@ def _check_run_sums_against_rows(solver, key):
 def test_run_sums_match_the_row_wise_sums(case):
     Q, stab, d = case
     solver, coords = _fresh_solver(Q, stab)
-    _check_run_sums_against_rows(solver, coords(tuple(d[v] for v in Q.ids)))
+    _check_run_sums_against_rows(TableOracle(solver), coords(tuple(d[v] for v in Q.ids)))
 
 
 def test_run_sums_match_the_row_wise_sums_with_three_classes():
     Q, stab, dims = _three_class_quiver()
     solver, coords = _fresh_solver(Q, stab)
     for dv in dims:
-        _check_run_sums_against_rows(solver, coords(dv))
+        _check_run_sums_against_rows(TableOracle(solver), coords(dv))
+
+
+@ORACLE
+@given(st.one_of(small_quivers(), small_quivers(thetas=st.fractions(-1, 2, max_denominator=3))))
+def test_resolved_recursion_matches_the_table_oracle(case):
+    # R(D) for D and every nonzero e <= D, each at its own slope, from one
+    # solver (so the Phi of different bounds share its records), against the
+    # summed-table recursion of a second solver; loops, levels and Fraction
+    # theta come from the strategy
+    Q, stab, d = case
+    solver, coords = _fresh_solver(Q, stab)
+    oracle = TableOracle(_fresh_solver(Q, stab)[0])
+    for e in _box(tuple(d[v] for v in Q.ids)):
+        if any(e):
+            assert _resolved(solver, coords(e)) == oracle.num(coords(e)), e
+
+
+def test_resolved_recursion_matches_the_table_oracle_with_three_classes():
+    Q, stab, dims = _three_class_quiver()
+    solver, coords = _fresh_solver(Q, stab)
+    oracle = TableOracle(_fresh_solver(Q, stab)[0])
+    for dv in dims:
+        assert _resolved(solver, coords(dv)) == oracle.num(coords(dv)), dv
 
 
 def test_memoized_tables_hold_no_rows_or_gaussian_factors():
-    # a table keeps its slope key, its run slopes and one prefix sum per run
-    # (the total last), and the values once asked for; never the strata rows
-    # or their Gaussian factors
-    assert set(motive_mod._Table.__slots__) == {"mu", "slopes", "cum", "num", "sst"}
+    # a record keeps the slope key, dim R_D, the sorted slopes of the
+    # class-sum vectors, Phi by slope gap and the reduced class once asked
+    # for; never the rows, their Gaussian factors or a stratum sum
+    assert set(motive_mod._Record.__slots__) == {"mu", "dim", "slopes", "phi", "sst"}
     Q, stab, dims = _three_class_quiver()
     solver, coords = _fresh_solver(Q, stab)
     for dv in dims:
         solver.sst_class(coords(dv))
-    assert len(solver._tables) > 20
-    for table in solver._tables.values():
-        assert type(table.mu) is int
-        assert all(type(b) is int for b in table.slopes)
-        assert all(a < b for a, b in zip(table.slopes, table.slopes[1:]))
-        assert len(table.cum) == len(table.slopes) + 1
-        assert all(type(c) is Poly for c in table.cum)
-        assert table.num is None or type(table.num) is Poly
-        assert table.sst is None or type(table.sst) is MotiveClass
+    assert len(solver._records) > 20
+    for record in solver._records.values():
+        assert type(record.mu) is int and type(record.dim) is int
+        assert all(type(b) is int for b in record.slopes)
+        assert all(a < b for a, b in zip(record.slopes, record.slopes[1:]))
+        assert record.phi and all(0 <= gap <= len(record.slopes) for gap in record.phi)
+        assert all(type(value) is Poly for value in record.phi.values())
+        assert record.sst is None or type(record.sst) is MotiveClass
+
+
+@ORACLE
+@given(small_quivers())
+def test_record_slopes_are_the_slopes_of_the_box(case):
+    # the slopes a record keeps are those of the labelled 0 < e < d
+    Q, stab, d = case
+    solver, coords = _fresh_solver(Q, stab)
+    oracle = LabelledHNSolver(Q, stab)
+    dv = tuple(d[v] for v in Q.ids)
+    record = solver._record(coords(dv))
+    assert record.slopes == sorted({_key(oracle.mu(e)) for e in _box(dv) if any(e) and e != dv})
+    assert record.dim == sum(dv[u] * dv[v] for u, v in oracle.arrows)
+
+
+def test_bounds_in_one_slope_gap_share_one_phi_entry():
+    # Phi_b(D) depends on b only through bisect_right(slopes, b): two bounds
+    # in one gap read one entry, a bound in the next gap adds one, and each
+    # value is the one a fresh solver gives at that bound
+    Q, stab, dims = _three_class_quiver()
+    solver, coords = _fresh_solver(Q, stab)
+    key = coords(dims[0])
+    slopes = solver._record(key).slopes
+    j = len(slopes) // 2
+    assert 0 < j and slopes[j - 1] + 1 < slopes[j]
+    low, high = slopes[j - 1], slopes[j] - 1
+    value = solver._phi(key, low)
+    assert solver._phi(key, high) is value
+    assert list(solver._record(key).phi) == [j]
+    above = solver._phi(key, slopes[j])
+    assert sorted(solver._record(key).phi) == [j, j + 1]
+    for bound, got in ((high, value), (slopes[j], above)):
+        fresh = _fresh_solver(Q, stab)[0]
+        assert fresh._phi(key, bound) == got, bound
+    # the top gap drops every row: Phi = L^(dim R_D)
+    assert solver._phi(key, slopes[-1]) == Poly.x_pow(solver._record(key).dim)
 
 
 def test_summed_rows_are_freed_without_the_cycle_collector():
-    # the rows of a table are freed by reference counting once it is summed,
+    # the rows of D are freed by reference counting once they are summed,
     # so a fresh solver leaves no cyclic garbage (a warm-up fills the shared
     # module caches first)
     Q, stab, dims = _three_class_quiver()
