@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
 
@@ -126,14 +125,14 @@ def _load_quiver_setup(args):
     return Q, d, Stability.of(theta)
 
 
-@dataclass
 class AgreementReport:
     """Per-method values for one input, with timing; agreement holds iff all
     computed values are equal (absent methods stay absent, never defaulted)."""
 
-    descriptor: dict
-    values: dict = field(default_factory=dict)
-    seconds: dict = field(default_factory=dict)
+    def __init__(self, descriptor):
+        self.descriptor = descriptor
+        self.values = {}
+        self.seconds = {}
 
     def agreement(self):
         vals = list(self.values.values())

@@ -18,38 +18,37 @@ The per-tree sum is kept as a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import comb, prod
 
-from .quiver import Quiver, Refinement, n_support
+from .quiver import Quiver, Refinement, _Frozen, n_support
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(_Frozen):
     """A spanning tree of a support quiver, as a set of arrow indices.
 
     Parallel arrows are distinct choices, so trees are indexed into
     ``quiver.arrows`` rather than stored as vertex pairs.
     """
 
-    quiver: Quiver
-    arrow_indices: tuple
+    __slots__ = ("quiver", "arrow_indices")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arrow_indices", tuple(sorted(self.arrow_indices)))
-        n = len(self.quiver.vertices)
-        if len(self.arrow_indices) != n - 1:
+    def __init__(self, quiver, arrow_indices):
+        arrow_indices = tuple(sorted(arrow_indices))
+        n = len(quiver.vertices)
+        if len(arrow_indices) != n - 1:
             raise ValueError("a spanning tree on %d vertices needs %d arrows" % (n, n - 1))
-        parent = {v: v for v in self.quiver.ids}
-        for idx in self.arrow_indices:
-            s, t = self.quiver.arrows[idx]
+        parent = {v: v for v in quiver.ids}
+        for idx in arrow_indices:
+            s, t = quiver.arrows[idx]
             rs, rt = _find(parent, s), _find(parent, t)
             if rs == rt:
                 raise ValueError("arrow subset contains a cycle")
             parent[rs] = rt
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "arrow_indices", arrow_indices)
 
     def arrow_pairs(self):
         return tuple(self.quiver.arrows[i] for i in self.arrow_indices)
@@ -394,14 +393,16 @@ def _admissible_decompositions(d, e, w):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GluedTuple:
+class GluedTuple(_Frozen):
     """Disjoint components joined at a fresh level-w sink that receives one
     arrow from every component source."""
 
-    quiver: Quiver
-    new_sink: object
-    components: tuple
+    __slots__ = ("quiver", "new_sink", "components")
+
+    def __init__(self, quiver, new_sink, components):
+        object.__setattr__(self, "quiver", quiver)
+        object.__setattr__(self, "new_sink", new_sink)
+        object.__setattr__(self, "components", components)
 
     def dim(self):
         return {v: 1 for v in self.quiver.ids}

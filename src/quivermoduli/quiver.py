@@ -11,7 +11,6 @@ quivers so that set-partition bookkeeping stays deterministic).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -23,8 +22,40 @@ def as_int(x, what):
     return x
 
 
-@dataclass(frozen=True)
-class Quiver:
+class _Frozen:
+    """Base of the immutable records: the fields are the subclass's
+    ``__slots__``, set once by ``object.__setattr__`` in its ``__init__``.
+    Equality, hash and repr are those of the tuple of fields, and ``==``
+    with an instance of another class is NotImplemented.  Pickle and copy
+    rebuild a record through its ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+    def _fields(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Quiver(_Frozen):
     """Directed multigraph with a positive integer level on each vertex.
 
     ``vertices`` is a tuple of ``(id, level)`` pairs, ``arrows`` a tuple of
@@ -32,23 +63,23 @@ class Quiver:
     and the arrow order is stable (tree enumeration relies on it).
     """
 
-    vertices: tuple
-    arrows: tuple = ()
+    __slots__ = ("vertices", "arrows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices",
-                           tuple((v, as_int(l, "level")) for v, l in self.vertices))
-        object.__setattr__(self, "arrows", tuple((s, t) for s, t in self.arrows))
-        ids = [v for v, _ in self.vertices]
+    def __init__(self, vertices, arrows=()):
+        vertices = tuple((v, as_int(l, "level")) for v, l in vertices)
+        arrows = tuple((s, t) for s, t in arrows)
+        ids = [v for v, _ in vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
-        for _, l in self.vertices:
+        for _, l in vertices:
             if l < 1:
                 raise ValueError("levels must be >= 1")
         idset = set(ids)
-        for s, t in self.arrows:
+        for s, t in arrows:
             if s not in idset or t not in idset:
                 raise ValueError("arrow endpoint %r not a declared vertex" % ((s, t),))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
 
     @property
     def ids(self):
@@ -123,20 +154,20 @@ def _id_str(v):
     return str(v)
 
 
-@dataclass(frozen=True)
-class Stability:
+class Stability(_Frozen):
     """Linear form theta together with the normalization kappa(d) =
     sum l(q) d_q, the level-weighted dimension."""
 
-    theta: tuple
+    __slots__ = ("theta",)
 
-    def __post_init__(self):
+    def __init__(self, theta):
         # a float theta would be scaled to its binary value, so slopes that
         # are equal in exact arithmetic could compare unequal
-        for v, t in self.theta:
+        for v, t in theta:
             if type(t) is not int and not isinstance(t, Fraction):
                 raise ValueError("theta at vertex %r must be an int or a Fraction, not %s"
                                  % (v, type(t).__name__))
+        object.__setattr__(self, "theta", theta)
 
     @classmethod
     def of(cls, theta_map):
@@ -306,16 +337,18 @@ def check_quiver(Q, i, lam, d, stab=None):
     return _split_vertex(Q, i, copies, d, stab)
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(_Frozen):
     """Weighted splitting (k^1, k^2) of a pair of ordered partitions.
 
     Each side is a tuple with one entry per part p_ij, the entry being a
     sorted tuple of ``(weight, count)`` pairs with sum w*count = p_ij.
     """
 
-    k1: tuple
-    k2: tuple
+    __slots__ = ("k1", "k2")
+
+    def __init__(self, k1, k2):
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
 
     @classmethod
     def of(cls, k1, k2):
