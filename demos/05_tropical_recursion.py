@@ -32,12 +32,10 @@ print("  from the (2,2) piece: 2 * N((1,1),(1,1)) =", 2 * n_trop((1, 1), (1, 1))
 print("  from the two (1,1) pieces:", n_trop((1, 1), (1, 1, 1)) - 2 * n_trop((1, 1), (1, 1)))
 
 # -- the repeated-piece convention -------------------------------------------------
-# Ordered set partitions double-count identical pieces; dividing by the
-# multiplicity factorials is what matches the tree count.
+# Ordered set partitions double-count identical pieces (8 here); dividing by
+# the multiplicity factorials is what matches the tree count.
 
-print("\nwithout the repeated-piece division:",
-      n_trop((1, 1), (1, 1, 1), normalize_repeats=False), "(over-counts)")
-print("with it:", n_trop((1, 1), (1, 1, 1)), "= stable tree count",
+print("\nN((1,1),(1,1,1)) =", n_trop((1, 1), (1, 1, 1)), "= stable tree count",
       chi_trees(Refinement.of([((1, 2),)], [((1, 1),)] * 3)))
 
 # -- ramification factors -----------------------------------------------------------

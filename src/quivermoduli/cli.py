@@ -1,6 +1,9 @@
 """Command-line front end: cross-method agreement driver, identity
 verification batches, and table/tree/wall emission.
 
+``chi`` compares the four methods on a pair of ordered partitions; the
+Harder-Narasimhan chi of a quiver read from a JSON file is ``motive chi``.
+
 Exact rationals are serialized as "p/q" strings; integers stay JSON numbers
 while they fit in 53 bits.  Exit status: 0 on agreement / all checks passed,
 1 on disagreement or a failed check, 2 on usage errors: argparse's own, and
@@ -28,7 +31,6 @@ from .quiver import (
     _id_str,
     bipartite_setup,
     fraction_to_str,
-    n_support,
 )
 from .symfunc import lemma3_identity
 
@@ -165,32 +167,16 @@ def _chi_by_method(method, p1, p2):
 
 
 def cmd_chi(args):
-    if args.quiver:
-        if args.p1 or args.p2:
-            raise ValueError("--quiver does not take --p1/--p2")
-        if args.method not in ("hn", "all"):
-            raise ValueError("--quiver computes hn only, not --method %s" % args.method)
-        if not args.dim:
-            raise ValueError("--quiver needs --dim")
-        Q, d, stab = _load_quiver_setup(args)
-        report = AgreementReport({"quiver": args.quiver, "dim": d,
-                                  "theta": stab.theta_map()})
+    p1, p2 = args.p1, args.p2
+    if gcd(sum(p1), sum(p2)) != 1:
+        raise ValueError("sizes %d, %d must be coprime" % (sum(p1), sum(p2)))
+    methods = _METHODS if args.method == "all" else (args.method,)
+    report = AgreementReport({"p1": list(p1), "p2": list(p2)})
+    for m in methods:
+        clear_memos()
         t0 = time.monotonic()
-        report.values["hn"] = motive.euler_char(Q, stab, d)
-        report.seconds["hn"] = time.monotonic() - t0
-    else:
-        if args.dim or args.theta:
-            raise ValueError("--dim/--theta go with --quiver, not --p1/--p2")
-        p1, p2 = args.p1, args.p2
-        if gcd(sum(p1), sum(p2)) != 1:
-            raise ValueError("sizes %d, %d must be coprime" % (sum(p1), sum(p2)))
-        methods = _METHODS if args.method == "all" else (args.method,)
-        report = AgreementReport({"p1": list(p1), "p2": list(p2)})
-        for m in methods:
-            clear_memos()
-            t0 = time.monotonic()
-            report.values[m] = _chi_by_method(m, p1, p2)
-            report.seconds[m] = time.monotonic() - t0
+        report.values[m] = _chi_by_method(m, p1, p2)
+        report.seconds[m] = time.monotonic() - t0
     _emit(report.payload(), args.emit)
     return 0 if report.agreement() else 1
 
@@ -230,13 +216,6 @@ def cmd_verify(args):
                ok, failures)
     elif args.suite == "eulgw":
         _check_eulgw(args.max_size, failures)
-    elif args.suite == "troprec-convention":
-        # the normalization guard: with repeated-piece division disabled the
-        # recursion must over-count, and the flagship case must show 8 vs 6
-        raw = tropical.n_trop((1, 1), (1, 1, 1), normalize_repeats=False)
-        norm = tropical.n_trop((1, 1), (1, 1, 1))
-        _check("troprec-convention (1,1)|(1,1,1): %d raw vs %d" % (raw, norm),
-               raw == 8 and norm == 6, failures)
     if failures:
         print("%d check(s) FAILED" % len(failures))
         return 1
@@ -275,10 +254,9 @@ def cmd_localize(args):
         payload = {
             "refinement": _refinement_payload(r),
             "chi": localization.chi_trees(r),
-            "spanning_trees": localization.spanning_tree_count(n_support(r)[0]),
+            "spanning_trees": localization._labelled_tree_count(*localization._support_key(r)),
         }
     else:
-        Q, _, _ = n_support(r)
         trees = localization.spanning_trees(r)
         payload = {
             "refinement": _refinement_payload(r),
@@ -396,12 +374,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_chi = sub.add_parser("chi", help="cross-method agreement for a bipartite pair")
-    p_chi.add_argument("--p1", type=_parse_parts, help="ordered partition, e.g. 2 or 1,1")
-    p_chi.add_argument("--p2", type=_parse_parts)
+    p_chi.add_argument("--p1", type=_parse_parts, required=True,
+                       help="ordered partition, e.g. 2 or 1,1")
+    p_chi.add_argument("--p2", type=_parse_parts, required=True)
     p_chi.add_argument("--method", choices=_METHODS + ("all",), default="all")
-    p_chi.add_argument("--quiver", help="quiver JSON file (hn only, without --p1/--p2)")
-    p_chi.add_argument("--dim", help="comma list in vertex order")
-    p_chi.add_argument("--theta", help="comma list in vertex order")
     p_chi.add_argument("--emit", help="also write the JSON report to a file")
     p_chi.set_defaults(func=cmd_chi)
 
@@ -417,7 +393,6 @@ def build_parser():
         v_m.add_argument("--theta")
     v_e = v_sub.add_parser("eulgw")
     v_e.add_argument("--max-size", type=_int_at_least(2), default=9)
-    v_sub.add_parser("troprec-convention")
     p_verify.set_defaults(func=cmd_verify)
 
     p_motive = sub.add_parser("motive", help="chi / Poincare polynomial for a quiver file")
@@ -458,8 +433,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "chi" and not args.quiver and (not args.p1 or not args.p2):
-        build_parser().error("chi needs either --p1/--p2 or --quiver/--dim")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

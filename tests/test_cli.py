@@ -3,7 +3,7 @@ import json
 import pytest
 
 from quivermoduli.cli import main
-from quivermoduli.quiver import Quiver
+from quivermoduli.quiver import Quiver, bipartite_setup
 
 
 def run(capsys, *argv):
@@ -55,17 +55,19 @@ def test_chi_rejects_non_coprime(capsys):
 
 
 def test_chi_requires_input(capsys):
-    with pytest.raises(SystemExit):
-        main(["chi"])
+    for argv, missing in ((["chi"], "--p1, --p2"), (["chi", "--p1", "2"], "--p2"),
+                          (["chi", "--p2", "1,1,1"], "--p1")):
+        err = _refused(capsys, argv)
+        assert err == "quivermoduli chi: error: the following arguments are required: " + missing
 
 
 def test_chi_quiver_file(tmp_path, capsys):
     path = tmp_path / "kronecker3.json"
     path.write_text(json.dumps(Quiver.kronecker(3).to_json()))
-    code, out = run(capsys, "chi", "--quiver", str(path), "--dim", "2,3",
+    code, out = run(capsys, "motive", "chi", "--quiver", str(path), "--dim", "2,3",
                     "--theta", "1,0")
     assert code == 0
-    assert json.loads(out)["methods"]["hn"] == 13
+    assert json.loads(out)["chi"] == 13
 
 
 def test_verify_lemma3(capsys):
@@ -98,18 +100,6 @@ def test_verify_eulgw_small(capsys):
     code, out = run(capsys, "verify", "eulgw", "--max-size", "5")
     assert code == 0
     assert "FAIL" not in out
-
-
-def test_verify_troprec_convention(capsys):
-    code, out = run(capsys, "verify", "troprec-convention")
-    assert code == 0
-    assert out == ("%-58s pass\nall checks passed\n"
-                   % "troprec-convention (1,1)|(1,1,1): 8 raw vs 6")
-    # the eulgw scan is ``verify eulgw``'s; this suite takes no size bound
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "troprec-convention", "--max-size", "5"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --max-size 5" in capsys.readouterr().err
 
 
 def test_motive_poincare(tmp_path, capsys):
@@ -277,6 +267,16 @@ def test_chi_disagreement_exit_code(monkeypatch, capsys):
     assert json.loads(out)["agreement"] is False
 
 
+def _refused(capsys, argv):
+    """The last line of argparse's own usage error: exit status 2, nothing
+    on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    return captured.err.splitlines()[-1]
+
+
 def _usage_exit(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -294,29 +294,36 @@ def k3_file(tmp_path):
 
 
 def test_chi_quiver_not_coprime_is_usage_error(k3_file, capsys):
-    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim", "2,2", "--theta", "1,0"])
+    err = _usage_exit(capsys, ["motive", "chi", "--quiver", k3_file, "--dim", "2,2",
+                               "--theta", "1,0"])
     assert "not theta-coprime" in err
 
 
 def test_slope_denominator_beyond_the_keys_is_usage_error(k3_file, capsys):
-    for argv in (["chi"], ["motive", "chi"], ["motive", "poincare"]):
+    for argv in (["motive", "chi"], ["motive", "poincare"]):
         err = _usage_exit(capsys, argv + ["--quiver", k3_file, "--dim", "%d,1" % 2 ** 32])
         assert "below 2^32" in err
 
 
 def test_chi_quiver_zero_dim_is_usage_error(k3_file, capsys):
-    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim", "0,0"])
+    err = _usage_exit(capsys, ["motive", "chi", "--quiver", k3_file, "--dim", "0,0"])
     assert "nonzero" in err
 
 
 def test_chi_quiver_negative_dim_is_usage_error(k3_file, capsys):
-    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim=-1,2"])
+    err = _usage_exit(capsys, ["motive", "chi", "--quiver", k3_file, "--dim=-1,2"])
     assert "nonnegative" in err
+
+
+def test_chi_quiver_wrong_length_is_usage_error(k3_file, capsys):
+    for extra in (["--dim", "2,3,1"], ["--dim", "2,3", "--theta", "1"]):
+        err = _usage_exit(capsys, ["motive", "chi", "--quiver", k3_file] + extra)
+        assert "needs 2 entries for this quiver" in err
 
 
 def test_chi_missing_quiver_file_is_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
-    err = _usage_exit(capsys, ["chi", "--quiver", missing, "--dim", "2,3"])
+    err = _usage_exit(capsys, ["motive", "chi", "--quiver", missing, "--dim", "2,3"])
     assert "absent.json" in err
 
 
@@ -328,9 +335,8 @@ def test_chi_missing_quiver_file_is_usage_error(tmp_path, capsys):
 def test_malformed_quiver_file_is_usage_error(tmp_path, capsys, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    for argv in (["chi"], ["motive", "chi"]):
-        err = _usage_exit(capsys, argv + ["--quiver", str(path), "--dim", "1,1"])
-        assert message in err
+    err = _usage_exit(capsys, ["motive", "chi", "--quiver", str(path), "--dim", "1,1"])
+    assert message in err
 
 
 @pytest.mark.parametrize("refinement", ["1+1|1+1+2", "1+1|1,1"])
@@ -339,25 +345,43 @@ def test_vertex_factorize_non_coprime_is_usage_error(capsys, refinement):
     assert "coprime" in err
 
 
+# ``chi`` reads ordered partitions only, and a quiver file goes to
+# ``motive chi``: the quiver-file flags are refused by ``chi``, never ignored
+
 @pytest.mark.parametrize("method", ["mps", "tropical", "vertex"])
 def test_chi_quiver_with_another_method_is_usage_error(k3_file, capsys, method):
-    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim", "2,3",
-                               "--method", method])
-    assert "hn only" in err and method in err
+    err = _refused(capsys, ["chi", "--quiver", k3_file, "--dim", "2,3", "--method", method])
+    assert err == "quivermoduli chi: error: the following arguments are required: --p1, --p2"
 
 
 @pytest.mark.parametrize("method", ["hn", "all"])
-def test_chi_quiver_with_hn_or_all(k3_file, capsys, method):
-    code, out = run(capsys, "chi", "--quiver", k3_file, "--dim", "2,3", "--method", method)
+def test_chi_quiver_with_hn_or_all(tmp_path, capsys, method):
+    # the quiver-file path and the partition path agree on a bipartite setup
+    p1, p2 = (2, 1), (1, 1, 1, 1)
+    Q, d, stab = bipartite_setup(p1, p2)
+    path = tmp_path / "bipartite.json"
+    path.write_text(json.dumps(Q.to_json()))
+    theta = stab.theta_map()
+    code, out = run(capsys, "motive", "chi", "--quiver", str(path),
+                    "--dim", ",".join(str(d[v]) for v in Q.ids),
+                    "--theta", ",".join(str(theta[v]) for v in Q.ids))
     assert code == 0
-    assert json.loads(out)["methods"] == {"hn": 13}
+    from_file = json.loads(out)["chi"]
+    code, out = run(capsys, "chi", "--p1", ",".join(map(str, p1)), "--p2", ",".join(map(str, p2)),
+                    "--method", method)
+    assert code == 0
+    assert set(json.loads(out)["methods"].values()) == {from_file}
 
 
 @pytest.mark.parametrize("extra", [["--p1", "2"], ["--p2", "1,1,1"],
                                    ["--p1", "2", "--p2", "1,1,1"]])
 def test_chi_quiver_with_partitions_is_usage_error(k3_file, capsys, extra):
-    err = _usage_exit(capsys, ["chi", "--quiver", k3_file, "--dim", "2,3"] + extra)
-    assert "--p1/--p2" in err
+    err = _refused(capsys, ["chi", "--quiver", k3_file, "--dim", "2,3"] + extra)
+    missing = [flag for flag in ("--p1", "--p2") if flag not in extra]
+    if missing:
+        assert err.endswith("the following arguments are required: " + ", ".join(missing))
+    else:
+        assert err.endswith("unrecognized arguments: --quiver %s --dim 2,3" % k3_file)
 
 
 @pytest.mark.parametrize("suite", ["mps", "partition-form", "dual-mps"])
@@ -391,14 +415,14 @@ def test_bad_integer_bound_is_usage_error(capsys):
 
 
 def test_chi_quiver_without_dim_is_usage_error(k3_file, capsys):
-    err = _usage_exit(capsys, ["chi", "--quiver", k3_file])
-    assert "--dim" in err
+    err = _refused(capsys, ["motive", "chi", "--quiver", k3_file])
+    assert err.endswith("the following arguments are required: --dim")
 
 
 @pytest.mark.parametrize("extra", [["--dim", "2,3"], ["--theta", "1,0"]])
 def test_chi_partitions_with_quiver_flags_is_usage_error(capsys, extra):
-    err = _usage_exit(capsys, ["chi", "--p1", "2", "--p2", "1,1,1"] + extra)
-    assert "--dim/--theta" in err
+    err = _refused(capsys, ["chi", "--p1", "2", "--p2", "1,1,1"] + extra)
+    assert err == "quivermoduli: error: unrecognized arguments: " + " ".join(extra)
 
 
 @pytest.mark.parametrize("argv, flag, entry", [
@@ -418,7 +442,7 @@ def test_bad_part_names_flag_and_entry(capsys, argv, flag, entry):
 @pytest.mark.parametrize("argv, flag, entry", [
     (["motive", "chi", "--dim", "1,x"], "--dim", "'x'"),
     (["motive", "chi", "--dim", "2,3", "--theta", "1,y"], "--theta", "'y'"),
-    (["chi", "--dim", "2,", "--theta", "1,0"], "--dim", "''"),
+    (["motive", "chi", "--dim", "2,", "--theta", "1,0"], "--dim", "''"),
 ])
 def test_bad_dim_or_theta_names_flag_and_entry(k3_file, capsys, argv, flag, entry):
     err = _usage_exit(capsys, argv + ["--quiver", k3_file])
