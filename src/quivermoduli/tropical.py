@@ -236,7 +236,9 @@ def _side_coefficients(P):
 
 def mps_euler(P1, P2):
     """Euler characteristic of the bipartite moduli space as the degeneration
-    sum with N(w1, w2) the stable-tree count of the one-part refinement."""
+    sum with N(w1, w2) the stable-tree count of the one-part refinement.
+    It relies on that count being symmetric, as :func:`degeneration_total`
+    asks each pair once, in one orientation."""
     return degeneration_total(P1, P2, trop_count=lambda w1, w2: chi_trees(
         Refinement.of((Counter(w1),), (Counter(w2),))))
 
@@ -245,7 +247,15 @@ def degeneration_total(P1, P2, trop_count=None):
     """Euler characteristic as the degeneration sum over pairs of weight
     vectors, sum N(w1, w2) R_(P1|w1) R_(P2|w2) / (|Aut w1| |Aut w2|).
     N is the recursion :func:`n_trop` unless ``trop_count(w1, w2)`` gives
-    another source of tropical counts (e.g. wall-function extraction)."""
+    another source of tropical counts (e.g. wall-function extraction).
+
+    ``trop_count`` must be symmetric, N(w1, w2) = N(w2, w1): the reflection
+    (x, y) -> (y, x) swaps the two toric divisors.  Each pair is asked once,
+    shorter vector first and ties broken by tuple order, so a pair and its
+    mirror image share one memo entry.  The shorter-first rule keeps the
+    family (2, 1^(2n+1)) in its own orientation, where the recursion splits
+    the long side.  ``hn`` does not go through this sum, so it still checks
+    the symmetry the other three methods rely on."""
     P1, P2 = partition_pair(P1, P2)
     if gcd(sum(P1), sum(P2)) != 1:
         raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
@@ -253,7 +263,9 @@ def degeneration_total(P1, P2, trop_count=None):
     side2 = _side_coefficients(P2)
     total = Fraction(0)
     for w1, c1 in _side_coefficients(P1):
-        total += c1 * sum(c2 * count(w1, w2) for w2, c2 in side2)
+        total += c1 * sum(c2 * (count(w1, w2) if (len(w1), w1) <= (len(w2), w2)
+                                else count(w2, w1))
+                          for w2, c2 in side2)
     if total.denominator != 1:
         raise ArithmeticError("degeneration total is not an integer: %r" % total)
     return int(total)

@@ -112,10 +112,77 @@ def test_n_trop_decomposition_breakdown():
 
 
 def test_n_trop_side_swap_symmetry():
-    cases = [((1,), (1, 1)), ((2,), (1, 1, 1)), ((1, 1), (1, 1, 1)),
-             ((1, 2), (1, 1)), ((1, 1, 1), (2,))]
-    for w1, w2 in cases:
-        assert n_trop(w1, w2) == n_trop(w2, w1)
+    """Reflecting the plane in the diagonal swaps the two directions of the
+    unbounded ends, so it maps the tropical curves counted by N(w1, w2) one
+    to one onto those counted by N(w2, w1)."""
+    pairs = _weight_vector_pairs(10)
+    assert len(pairs) == 938
+    for w1, w2 in pairs:
+        assert n_trop(w1, w2) == n_trop(w2, w1), (w1, w2)
+
+
+def test_stable_tree_count_side_swap_symmetry():
+    """The dual quiver, arrows reversed, has the sources and sinks swapped and
+    the opposite stability, and a tree is stable for one exactly when it is
+    stable for the other; so the one-part refinement counts the same trees
+    in both orientations."""
+    def trees(w1, w2):
+        return chi_trees(Refinement.of((Counter(w1),), (Counter(w2),)))
+
+    for w1, w2 in _weight_vector_pairs(10):
+        assert trees(w1, w2) == trees(w2, w1), (w1, w2)
+
+
+def test_factorization_count_side_swap_symmetry():
+    """Conjugating by x <-> y inverts the ordered product of walls and
+    reverses their slope order, so the factorization with the sides swapped
+    has the same wall functions, and the same read-out, on the mirror
+    direction."""
+    from quivermoduli.vertex import n_trop_via_factorization
+
+    pairs = [(w1, w2) for w1, w2 in _weight_vector_pairs(8) if gcd(sum(w1), sum(w2)) == 1]
+    assert len(pairs) == 199
+    for w1, w2 in pairs:
+        assert n_trop_via_factorization(w1, w2) == n_trop_via_factorization(w2, w1), (w1, w2)
+
+
+def _oriented(w1, w2):
+    return (w1, w2) if (len(w1), w1) <= (len(w2), w2) else (w2, w1)
+
+
+def _recorded_keys(pairs, total=degeneration_total):
+    """The (w1, w2) keys that ``total`` asks its count for."""
+    keys = []
+
+    def record(w1, w2):
+        keys.append((w1, w2))
+        return 0
+
+    for p1, p2 in pairs:
+        total(p1, p2, trop_count=record)
+    return keys
+
+
+def test_degeneration_total_asks_each_unordered_pair_once():
+    pairs = _coprime_pairs(8)
+    keys = set(_recorded_keys(pairs))
+    assert len(keys) == 100
+    assert all(_oriented(*key) == key for key in keys)
+    assert not any((w2, w1) in keys for w1, w2 in keys if w1 != w2)
+    # the refinement sum asks every pair as it comes, both orientations of
+    # each unordered pair among them
+    unoriented = set(_recorded_keys(pairs, degeneration_total_by_refinement))
+    assert len(unoriented) == 199
+    assert {_oriented(*key) for key in unoriented} == keys
+
+
+def test_degeneration_total_keeps_the_family_orientation():
+    # the short side (2) or (1, 1) stays first, so the recursion keeps
+    # splitting the long side 1^(2n+1)
+    for n in range(1, 31):
+        keys = _recorded_keys([((2,), (1,) * (2 * n + 1))])
+        assert {w1 for w1, _ in keys} == {(2,), (1, 1)}, n
+        assert {w2 for _, w2 in keys} == {(1,) * (2 * n + 1)}, n
 
 
 def test_refinements_enumeration():
@@ -302,7 +369,9 @@ def degeneration_total_by_refinement(P1, P2, trop_count=None):
     """Euler characteristic as a degeneration sum over refinements: the
     relative count n_trop / prod w_{ij} times ramification weights
     1/(k! w^k).  ``trop_count(w1, w2)`` may replace the recursion by another
-    source of tropical counts (e.g. wall-function extraction)."""
+    source of tropical counts (e.g. wall-function extraction).  Unlike
+    ``degeneration_total`` it asks each pair in its own orientation, so it
+    checks the orientation there."""
     P1, P2 = partition_pair(P1, P2)
     if gcd(sum(P1), sum(P2)) != 1:
         raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
