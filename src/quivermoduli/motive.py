@@ -38,7 +38,7 @@ from itertools import product
 from math import comb, factorial, lcm
 
 from .quiver import as_int, check_quiver, hat_quiver
-from .ratfunc import ONE, Poly, RationalFunction, linear_sum
+from .ratfunc import ONE, Poly, RationalFunction, _add_into, _poly, linear_sum
 from .symfunc import Partition, mps_weight, multiplicity_vectors, partitions, weighted_splits
 
 MotiveClass = RationalFunction
@@ -259,22 +259,20 @@ class _HNSolver:
         return record.sst
 
     def _phi(self, key, bound):
-        """Phi_bound(D) in Z[L]; racing threads may compute one gap twice,
-        and the record keeps the first."""
+        """Phi_bound(D) in Z[L], summed in one coefficient list: it starts
+        at L^(dim R_D), and each row subtracts its orbit size times G_e
+        Phi_bound(e) at offset ext in place.  A row can reach above
+        dim R_D, so the list grows as needed; the sum cancels back.  Racing
+        threads may compute one gap twice, and the record keeps the
+        first."""
         record = self._record(key)
         gap = bisect_right(record.slopes, bound)
         value = record.phi.get(gap)
         if value is None:
-            total = Poly()
+            acc = [0] * record.dim + [1]
             for _, e, _, ext, mult, gauss in self._build(key, bound):
-                term = self._phi(e, bound)
-                if term:
-                    if mult != 1:
-                        gauss = gauss * mult
-                    if gauss.c != (1,):
-                        term = term * gauss
-                    total = total + term.shifted(ext)
-            value = record.phi.setdefault(gap, Poly.x_pow(record.dim) - total)
+                _add_into(acc, -mult, ext, self._phi(e, bound).c, gauss.c)
+            value = record.phi.setdefault(gap, _poly(acc))
         return value
 
     def _build(self, key, bound):

@@ -195,6 +195,35 @@ class Poly:
 ONE = Poly((1,))
 
 
+def _add_into(acc, a, shift, p, q=(1,)):
+    """acc += a L^shift p q in place, and return acc: ``acc`` is a list of
+    ints, grown on demand, and ``p``, ``q`` are coefficient sequences, left
+    as they are.  Only pairs of nonzero coefficients are multiplied, the
+    shorter factor in the outer loop."""
+    if len(p) < len(q):
+        p, q = q, p
+    if not q:
+        return acc
+    grow = shift + len(p) + len(q) - 1 - len(acc)
+    if grow > 0:
+        acc.extend([0] * grow)
+    nonzero = [(i, y) for i, y in enumerate(p) if y]
+    for j, v in enumerate(q, shift):
+        if v:
+            c = a * v
+            for i, y in nonzero:
+                acc[i + j] += c * y
+    return acc
+
+
+def _poly(acc):
+    """The Poly of a list of int coefficients, trailing zeros stripped in
+    place."""
+    while acc and not acc[-1]:
+        acc.pop()
+    return Poly._raw(acc)
+
+
 @cache
 def cyclotomic(k):
     """Phi_k: L^k - 1 divided by Phi_d for every proper divisor d of k."""
@@ -416,8 +445,10 @@ def linear_sum(pairs):
     are added with integer coefficients, and it becomes the ``scale`` of
     the total.  Every summand is reduced, so Phi_k can divide the total
     only if at least two summands carry its top exponent: a lone carrier
-    is the one term not divisible by it.  A scalar that is not an int or a
-    Fraction, or a value of another type, is a TypeError.
+    is the one term not divisible by it.  The numerators are summed and
+    lifted in int coefficient lists (:func:`_add_into`), and the total
+    becomes a Poly once.  A scalar that is not an int or a Fraction, or a
+    value of another type, is a TypeError.
     """
     terms = []
     for c, f in pairs:
@@ -439,30 +470,31 @@ def linear_sum(pairs):
     # term i is c_i / scale_i times an integer numerator
     den = lcm(*(c.denominator * f.scale for c, f in terms))
     # the numerators of the terms that miss the same powers of the Phi_k
-    # from the common denominator are added first
+    # from the common denominator are added first, into one list each
     order = sorted(phi)
     sums = {}
     for c, f in terms:
         a = c.numerator * (den // (c.denominator * f.scale))
         own = dict(f.cyc)
         key = tuple(phi[k] - own.get(k, 0) for k in order)
-        num = Poly._raw([a * x for x in f.num.c]).shifted(lpow - f.lpow)
-        sums[key] = sums[key] + num if key in sums else num
+        _add_into(sums.setdefault(key, []), a, lpow - f.lpow, f.num.c)
     # then the sums are lifted one factor at a time, by Horner's rule in
     # Phi_k: the sums that miss the same powers of every later factor share
     # each multiplication by Phi_k.  The largest powers are those of the
     # smallest k, so they go first, while the numerators are short.
     layer = sums
     for k in order:
+        cyc_k = cyclotomic(k).c
         groups = {}
         for key, num in layer.items():
             groups.setdefault(key[1:], {})[key[0]] = num
         layer = {}
         for tail, by_missing in groups.items():
-            acc = Poly()
+            acc = []
             for e in range(max(by_missing), -1, -1):
-                acc = acc * cyclotomic(k)
+                if acc:
+                    acc = _add_into([], 1, 0, acc, cyc_k)
                 if e in by_missing:
-                    acc = acc + by_missing[e]
+                    _add_into(acc, 1, 0, by_missing[e])
             layer[tail] = acc
-    return _reduced(layer[()], den, lpow, phi, [k for k, n in carriers.items() if n > 1])
+    return _reduced(_poly(layer[()]), den, lpow, phi, [k for k, n in carriers.items() if n > 1])

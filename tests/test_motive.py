@@ -2,7 +2,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, inf
 
 import pytest
 
@@ -497,6 +497,52 @@ def test_shared_keys_match_the_labelled_recursion():
             oracles[shape] = LabelledHNSolver(Quiver.complete_bipartite(*shape), stab)
         assert solver.sst_class(key) == oracles[shape].sst_class(tuple(sides[0] + sides[1])), key
     assert len(solver._records) > 50
+
+
+def _poly_phi(solver, key, bound, memo, over):
+    """Phi_bound(D) with Poly ``*``, ``shifted`` and ``+`` over the solver's
+    rows, memoized per (key, bound); adds D to ``over`` when some row of D
+    has degree above dim R_D."""
+    if (key, bound) not in memo:
+        dim = solver._top(key)[0]
+        total = Poly()
+        for _, e, _, ext, mult, gauss in solver._build(key, bound):
+            row = (gauss * mult * _poly_phi(solver, e, bound, memo, over)).shifted(ext)
+            if row.degree() > dim:
+                over.add(key)
+            total = total + row
+        memo[key, bound] = Poly.x_pow(dim) - total
+    return memo[key, bound]
+
+
+def test_phi_matches_poly_arithmetic_on_the_scan_and_the_kronecker_ladders():
+    # every Phi that the 199 scan pairs and the K3, K4, K5 ladders (d, d + 1),
+    # d <= 6, leave in their solvers, at a bound in its slope gap
+    quivermoduli.clear_memos()
+    setups = [bipartite_setup(p1, p2) for p1, p2 in _coprime_pairs(8)]
+    setups += [(Quiver.kronecker(m), {"i1": d, "j1": d + 1}, S10)
+               for m in (3, 4, 5) for d in range(1, 7)]
+    solvers = {}
+    for Q, d, stab in setups:
+        euler_char(Q, stab, d)
+        data = motive_mod._class_data(Q, stab)[1]
+        solvers[data] = motive_mod._solver(*data)
+    assert len(solvers) == 4
+    checked = 0
+    for data, solver in solvers.items():
+        memo, over = {}, set()
+        for key, record in list(solver._records.items()):
+            for gap, value in list(record.phi.items()):
+                bound = record.slopes[gap - 1] if gap else -inf
+                assert value == _poly_phi(solver, key, bound, memo, over), (data, key, gap)
+                checked += 1
+        # a row can reach above dim R_D, and only the sum cancels down to
+        # it: D = (0 | 2) has dim R_D = 0, and its row e = (0 | 1) at any
+        # bound below mu(e) is G_e = [2 choose 1]_L = 1 + L
+        assert ((), ((2, 1),)) in over, data
+    assert checked == 471
+    solver = solvers[motive_mod._class_data(K3, S10)[1]]
+    assert solver._phi(((), ((2, 1),)), -inf) == Poly((0, -1))
 
 
 def test_threads_on_quivers_with_one_class_data_agree():

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivermoduli.motive import MotiveClass
-from quivermoduli.ratfunc import ONE, Poly, RationalFunction, _reduced, cyclotomic, linear_sum
+from quivermoduli.ratfunc import (
+    ONE,
+    Poly,
+    RationalFunction,
+    _add_into,
+    _poly,
+    _reduced,
+    cyclotomic,
+    linear_sum,
+)
 
 ORACLE = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -229,6 +238,51 @@ def test_equal_values_have_equal_fields_and_hashes(a, b, i, n, j):
         assert _fields(r) == _fields(t)
         assert r == t and hash(r) == hash(t)
     assert (A == B) == (A - B).is_zero()
+
+
+# -- the in-place kernel against Poly arithmetic --------------------------------
+
+# zeros are common, trailing ones included
+KERNEL_COEFFS = st.lists(st.integers(-3, 3), max_size=6)
+KERNEL_SCALARS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**20, 10**20))
+
+
+@ORACLE
+@given(KERNEL_COEFFS, KERNEL_SCALARS, st.integers(0, 4), KERNEL_COEFFS,
+       st.one_of(st.none(), KERNEL_COEFFS), st.booleans())
+def test_add_into_matches_poly_arithmetic(acc, a, shift, p, q, cancel):
+    factors = (p,) if q is None else (p, q)
+    added = (Poly(p) * Poly(q if q is not None else (1,)) * a).shifted(shift)
+    if cancel:
+        # acc holds minus the product, padded with trailing zeros
+        acc = list((-added).c) + [0] * len(acc)
+    before = Poly(acc)
+    start, inputs = len(acc), [list(f) for f in factors]
+    out = _add_into(acc, a, shift, *factors)
+    assert out is acc
+    assert [list(f) for f in factors] == inputs
+    # the list grows only as far as the product reaches
+    q = q if q is not None else [1]
+    reach = shift + len(p) + len(q) - 1 if p and q else 0
+    assert len(acc) == max(start, reach)
+    total = _poly(acc)
+    assert total.c == (before + added).c and (not total.c or total.c[-1])
+    if cancel:
+        assert total.is_zero() and acc == []
+
+
+def test_add_into_grows_past_the_starting_degree():
+    # a row may reach above dim R_D, the degree Phi starts at, and a later
+    # row may cancel it: L - (1 + L)^2 + L^2 = -1 - L
+    acc = [0, 1]
+    _add_into(acc, -1, 0, (1, 1), (1, 1))
+    assert acc == [-1, -1, -1]
+    _add_into(acc, 1, 2, (1,))
+    assert acc == [-1, -1, 0] and _poly(acc).c == (-1, -1)
+    acc = [1]
+    _add_into(acc, 1, 3, (1, 2))
+    assert acc == [1, 0, 0, 1, 2]
+    assert _poly([0, 3, 0, 0]).c == (0, 3)
 
 
 # -- linear_sum against the pairwise fold ---------------------------------------
