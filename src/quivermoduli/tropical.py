@@ -16,11 +16,10 @@ or the stable-tree count of the support quiver (``mps``).
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, product
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .localization import _admissible_decompositions, chi_trees
 from .quiver import Refinement, as_int, partition_pair
@@ -28,12 +27,24 @@ from .symfunc import mps_weight, multiplicity_vectors, partitions
 
 
 def as_weight_vector(entries):
-    # tuple() of a tuple is the tuple itself, so a memo key shares it
-    w = tuple(entries)
+    """The tuple of ``entries`` if each is an int (a bool is not) and they
+    are positive and weakly increasing, else a ValueError; a string or a
+    value that is not iterable is a ValueError too, not an empty vector.
+    A tuple is returned as it is, so a memo key shares it."""
+    w = entries
+    if type(w) is not tuple:
+        if isinstance(w, (str, bytes)):
+            raise ValueError("weight vector %r is not a sequence of ints" % (w,))
+        try:
+            w = tuple(w)
+        except TypeError:
+            raise ValueError("weight vector %r is not a sequence of ints" % (w,)) from None
+    previous = 1
     for x in w:
-        as_int(x, "weight vector entry")
-    if any(x < 1 for x in w) or list(w) != sorted(w):
-        raise ValueError("weight vector entries must be positive and weakly increasing")
+        if type(x) is not int or x < previous:
+            as_int(x, "weight vector entry")
+            raise ValueError("weight vector entries must be positive and weakly increasing")
+        previous = x
     return w
 
 
@@ -106,8 +117,7 @@ def n_trop(w1, w2):
     freely on the labelled maps.  Without it, ((1,1),(1,1,1)) would count 8
     instead of the 6 stable trees.
     """
-    w1 = as_weight_vector(w1) if w1 else ()
-    w2 = as_weight_vector(w2) if w2 else ()
+    w1, w2 = as_weight_vector(w1), as_weight_vector(w2)
     if not w1 and not w2:
         raise ValueError("at least one side must be nonempty")
     return _n_trop(w1, w2)
@@ -209,8 +219,9 @@ def _refinement_factor(r):
 
 @cache
 def _side_coefficients(P):
-    """(w, R_(P|w) / |Aut w|) pairs over the weight vectors w refining the
-    tuple P, where w has m_x entries of weight x and |Aut w| = prod_x m_x!.
+    """(den, ((w, n), ...)) over the weight vectors w refining the tuple P,
+    where n / den = R_(P|w) / |Aut w|, w has m_x entries of weight x,
+    |Aut w| = prod_x m_x! and den is the least common denominator.
     Part by part, in integers: a part adds one multiplicity vector of
     itself, and k more entries of weight x multiply the number of compatible
     maps (entry -> part) by C(m_x + k, k); that number times mps_weight(m) /
@@ -229,18 +240,20 @@ def _side_coefficients(P):
                 key_out = tuple(sorted(m.items()))
                 step[key_out] = step.get(key_out, 0) + labelled
         counts = step
-    return tuple((weight_vector_of((key,)),
-                  n * mps_weight(dict(key)) / prod(x ** m for x, m in key))
-                 for key, n in counts.items())
+    values = [(weight_vector_of((key,)), n * mps_weight(dict(key)) / prod(x ** m for x, m in key))
+              for key, n in counts.items()]
+    den = lcm(*(c.denominator for _, c in values))
+    return den, tuple((w, c.numerator * (den // c.denominator)) for w, c in values)
 
 
 def mps_euler(P1, P2):
     """Euler characteristic of the bipartite moduli space as the degeneration
-    sum with N(w1, w2) the stable-tree count of the one-part refinement.
-    It relies on that count being symmetric, as :func:`degeneration_total`
+    sum with N(w1, w2) the stable-tree count of the one-part refinement,
+    built straight from the runs of the weight vectors the sum made.  It
+    relies on that count being symmetric, as :func:`degeneration_total`
     asks each pair once, in one orientation."""
     return degeneration_total(P1, P2, trop_count=lambda w1, w2: chi_trees(
-        Refinement.of((Counter(w1),), (Counter(w2),))))
+        Refinement((_runs(w1),), (_runs(w2),))))
 
 
 def degeneration_total(P1, P2, trop_count=None):
@@ -248,6 +261,12 @@ def degeneration_total(P1, P2, trop_count=None):
     vectors, sum N(w1, w2) R_(P1|w1) R_(P2|w2) / (|Aut w1| |Aut w2|).
     N is the recursion :func:`n_trop` unless ``trop_count(w1, w2)`` gives
     another source of tropical counts (e.g. wall-function extraction).
+
+    The count sees only the tuples that :func:`_side_coefficients` built
+    from the checked partitions, so they are weight vectors already and the
+    default count skips the check in ``n_trop``.  The sum runs in integers,
+    over one common denominator per side, and divides exactly once at the
+    end; a remainder is an ArithmeticError.
 
     ``trop_count`` must be symmetric, N(w1, w2) = N(w2, w1): the reflection
     (x, y) -> (y, x) swaps the two toric divisors.  Each pair is asked once,
@@ -259,13 +278,16 @@ def degeneration_total(P1, P2, trop_count=None):
     P1, P2 = partition_pair(P1, P2)
     if gcd(sum(P1), sum(P2)) != 1:
         raise ValueError("sizes %d, %d are not coprime" % (sum(P1), sum(P2)))
-    count = trop_count if trop_count is not None else n_trop
-    side2 = _side_coefficients(P2)
-    total = Fraction(0)
-    for w1, c1 in _side_coefficients(P1):
-        total += c1 * sum(c2 * (count(w1, w2) if (len(w1), w1) <= (len(w2), w2)
+    count = trop_count if trop_count is not None else _n_trop
+    den1, side1 = _side_coefficients(P1)
+    den2, side2 = _side_coefficients(P2)
+    total = 0
+    for w1, n1 in side1:
+        total += n1 * sum(n2 * (count(w1, w2) if (len(w1), w1) <= (len(w2), w2)
                                 else count(w2, w1))
-                          for w2, c2 in side2)
-    if total.denominator != 1:
-        raise ArithmeticError("degeneration total is not an integer: %r" % total)
-    return int(total)
+                          for w2, n2 in side2)
+    chi, rem = divmod(total, den1 * den2)
+    if rem:
+        raise ArithmeticError("degeneration total is not an integer: %r"
+                              % Fraction(total, den1 * den2))
+    return chi

@@ -3,17 +3,20 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import groupby, product
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_motive import _coprime_pairs
 
 from quivermoduli.localization import admissible_decompositions, chi_trees
 from quivermoduli.motive import euler_char
-from quivermoduli.quiver import Refinement, bipartite_setup, partition_pair
+from quivermoduli.quiver import Refinement, as_int, bipartite_setup, partition_pair
 from quivermoduli.symfunc import partitions, weighted_splits
 from quivermoduli.tropical import (
     _side_coefficients,
+    as_weight_vector,
     degeneration_total,
     mps_euler,
     n_trop,
@@ -39,6 +42,58 @@ def test_weights_must_be_ints(bad):
         n_trop((bad,), (1,))
     with pytest.raises(ValueError, match="part"):
         ramification_factor((bad,), (1,))
+
+
+@pytest.mark.parametrize("bad", [None, 0, "", b"", 3], ids=repr)
+def test_falsy_or_non_sequence_sides_are_rejected(bad):
+    # none of these is the empty side: a falsy value used to count as one
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        as_weight_vector(bad)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        n_trop(bad, (1,))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        n_trop((3,), bad)
+    assert n_trop([], (2,)) == n_trop((), (2,)) == 1
+
+
+def _as_weight_vector_two_pass(entries):
+    """The weight-vector check as it was before the one-pass loop: every
+    entry's type first, then positivity and order over the whole tuple."""
+    w = tuple(entries)
+    for x in w:
+        as_int(x, "weight vector entry")
+    if any(x < 1 for x in w) or list(w) != sorted(w):
+        raise ValueError("weight vector entries must be positive and weakly increasing")
+    return w
+
+
+def _checked(check, entries):
+    try:
+        return check(entries)
+    except ValueError:
+        return ValueError
+
+
+_entries = st.one_of(
+    st.lists(st.one_of(st.integers(-2, 6), st.booleans(), st.floats(-2, 6), st.just(0)),
+             max_size=6),
+    st.lists(st.integers(1, 6), max_size=6).map(sorted),
+    st.lists(st.integers(-1, 6), max_size=6).map(sorted),
+)
+
+
+def _generator(entries):
+    return (x for x in entries)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_entries, st.sampled_from([tuple, list, _generator]))
+def test_one_pass_weight_vector_check_matches_the_two_pass_check(entries, container):
+    expected = _checked(_as_weight_vector_two_pass, container(entries))
+    got = _checked(as_weight_vector, container(entries))
+    assert got == expected, entries
+    if got is not ValueError:
+        assert type(got) is tuple and all(type(x) is int for x in got)
 
 
 def test_ramification_factor_examples():
@@ -224,6 +279,22 @@ def test_mps_euler_contributions():
     for r in refinements((2,), (1, 1, 1)):
         contributions[weight_vector_of(r.k1)] = chi_trees(r)
     assert contributions == {(2,): 8, (1, 1): 6}
+
+
+def test_degeneration_total_rejects_a_non_integer_total():
+    # N = 1 everywhere gives R_(2|2)/1 + R_(2|1,1)/2 = -1/4 + 1/2 on (2) | (1)
+    with pytest.raises(ArithmeticError, match=re.escape("Fraction(1, 4)")):
+        degeneration_total((2,), (1,), trop_count=lambda w1, w2: 1)
+
+
+def test_degeneration_total_asks_only_for_checked_weight_vectors():
+    # the default count skips the check in n_trop, so what the sum asks for
+    # must already be what as_weight_vector returns
+    keys = _recorded_keys(_coprime_pairs(8))
+    assert keys
+    for w1, w2 in keys:
+        assert type(w1) is tuple and as_weight_vector(w1) is w1, w1
+        assert type(w2) is tuple and as_weight_vector(w2) is w2, w2
 
 
 def test_coprime_required():
@@ -442,12 +513,18 @@ def test_side_coefficients_are_ramification_factors_over_automorphisms():
                     part = 0
                 part += 1
             P.append(part)
-            coefficients = dict(_side_coefficients(tuple(P)))
+            den, numerators = _side_coefficients(tuple(P))
+            coefficients = dict(numerators)
+            expected = {}
             for lam in partitions(n):
                 w = tuple(sorted(lam))
                 aut = prod(factorial(c) for c in Counter(w).values())
-                assert coefficients.get(w, 0) == ramification_factor(P, w) / aut, (P, w)
+                expected[w] = ramification_factor(P, w) / aut
+                assert Fraction(coefficients.get(w, 0), den) == expected[w], (P, w)
             assert set(coefficients) <= {tuple(sorted(lam)) for lam in partitions(n)}
+            assert all(type(c) is int for c in coefficients.values()), P
+            # den is the least common denominator of R_(P|w) / |Aut w|
+            assert den == lcm(*(c.denominator for c in expected.values() if c)), P
 
 
 # -- the recursion that the piece-by-piece sum replaced ------------------------
