@@ -259,46 +259,75 @@ class _HNSolver:
         return record.sst
 
     def _phi(self, key, bound):
-        """Phi_bound(D) in Z[L], summed in one coefficient list: it starts
-        at L^(dim R_D), and each row subtracts its orbit size times G_e
-        Phi_bound(e) at offset ext in place.  A row can reach above
-        dim R_D, so the list grows as needed; the sum cancels back.  Racing
-        threads may compute one gap twice, and the record keeps the
-        first."""
+        """Phi_bound(D) in Z[L], summed in one coefficient list that starts
+        at L^(dim R_D), by a depth-first walk over the class splits.  A row
+        is a product of per-class factors (its weight, its ext share and
+        G_a), so the rows that share a prefix of splits share the prefix's
+        factors: a split with G_a = 1 passes its weight and ext share on
+        to its completions; any other split sums its completions in a list
+        of their own, folded into the prefix's list once, times its factors
+        and G_a.  At the last class, each row above the bound adds minus its
+        factors times Phi_bound(e).  A row can reach above dim R_D, so the
+        lists grow as needed; the sum cancels back.  Racing threads may
+        compute one gap twice, and the record keeps the first."""
         record = self._record(key)
         gap = bisect_right(record.slopes, bound)
         value = record.phi.get(gap)
         if value is None:
-            acc = [0] * record.dim + [1]
-            for _, e, _, ext, mult, gauss in self._build(key, bound):
-                _add_into(acc, -mult, ext, self._phi(e, bound).c, gauss.c)
+            kappa_d, splits = self._splits(key)
+            last = len(splits) - 1
+            phi = self._phi
+
+            def walk(a, e, th, ka, ext, weight, acc):
+                for e_a, _, th_a, ka_a, ext_a, w, g in splits[a]:
+                    if a < last:
+                        if g is ONE:
+                            walk(a + 1, e + (e_a,), th + th_a, ka + ka_a, ext + ext_a,
+                                 weight * w, acc)
+                        else:
+                            inner = walk(a + 1, e + (e_a,), th + th_a, ka + ka_a, 0, 1, [])
+                            _add_into(acc, weight * w, ext + ext_a, inner, g.c)
+                    elif 0 < ka + ka_a < kappa_d and _slope_key(th + th_a, ka + ka_a) > bound:
+                        _add_into(acc, -weight * w, ext + ext_a, phi(e + (e_a,), bound).c, g.c)
+                return acc
+
+            acc = walk(0, (), 0, 0, 0, 1, [0] * record.dim + [1])
+            # walk holds itself through its closure, and so the lists: break
+            # the cycle to free them now, not at a later gc pass
+            del walk
             value = record.phi.setdefault(gap, _poly(acc))
         return value
 
-    def _build(self, key, bound):
-        """The rows ``(mu(e), e, D - e, ext(D - e, D), orbit size, G_e)`` of
-        D with mu(e) > bound, one 0 < e < D per orbit of the relabelings
-        fixing D, found in one depth-first walk over the classes.  With r =
-        D - e, x_a = sum_v e_v and s_a the class sums of D, ext(r, D) is a
-        sum of one term per class,
+    def _splits(self, key):
+        """kappa.D and, per class a, the splits of its part of D: ``(e_a,
+        r_a, theta_a x_a, kappa_a x_a, ext_a, labelled ways, G_a)``.  With r
+        = D - e, x_a = sum_v e_v and s_a the class sums of D, ext(r, D) is
+        the sum over the classes of
 
-            (loops_a - m_aa) sum_v r_v d_v + (s_a - x_a) sum_b m_ab s_b,
+            ext_a = (loops_a - m_aa) sum_v r_v d_v + (s_a - x_a) sum_b m_ab s_b,
 
-        so descending into class a with split (e_a, r_a) adds its terms to
-        running sums: theta.e and kappa.e for the slope key, ext(r, D), the
-        Gaussian factor and the number of labelled ways.  Every kappa is
-        positive, so e and D - e are nonzero iff 0 < kappa.e < kappa.D.  A
-        row below the bound is dropped at its leaf, before its last
-        Gaussian product."""
+        and the slope sums, the number of labelled ways and G_e =
+        prod_a G_a are per-class sums and products too.  Every kappa is
+        positive, so e and D - e are nonzero iff 0 < kappa.e < kappa.D."""
         sums = [sum(x * g for x, g in groups) for groups in key]
-        kappa_d = sum(k * s for k, s in zip(self.kappa, sums))
-        last = len(key) - 1
         splits = []
         for a, groups in enumerate(key):
             t, k, own = self.theta[a], self.kappa[a], self.loops[a] - self.arrows[a][a]
             out = sum(m * s for m, s in zip(self.arrows[a], sums))
             splits.append([(e, r, t * x, k * x, own * rd + (sums[a] - x) * out, w, g)
                            for e, r, x, rd, w, g in _class_splits(groups)])
+        return sum(k * s for k, s in zip(self.kappa, sums)), splits
+
+    def _build(self, key, bound):
+        """The rows ``(mu(e), e, D - e, ext(D - e, D), orbit size, G_e)`` of
+        D with mu(e) > bound, one 0 < e < D per orbit of the relabelings
+        fixing D: the row-by-row form of the sum :meth:`_phi` takes, from
+        the same splits (:meth:`_splits`), kept to check it.  Descending
+        into a class adds its split's terms to running sums and products;
+        a row below the bound is dropped at its leaf, before its last
+        Gaussian product."""
+        kappa_d, splits = self._splits(key)
+        last = len(splits) - 1
         rows = []
 
         def walk(a, e, rest, th, ka, ext, weight, gauss):
@@ -313,9 +342,7 @@ class _HNSolver:
                                      _times(gauss, g)))
 
         walk(0, (), (), 0, 0, 0, 1, ONE)
-        # walk holds itself through its closure, and so the rows: break the
-        # cycle to free them when they are summed, not at a later gc pass
-        del walk
+        del walk  # the closure's cycle, as in _phi
         return rows
 
 

@@ -268,14 +268,18 @@ def _num(value):
 def _reduced(num, scale, lpow, phi, candidates):
     """num / (scale L^lpow prod Phi_k^phi[k]) in reduced form, for a
     positive int scale, given that only the Phi_k with k in ``candidates``
-    can divide num (``phi`` is used up)."""
+    can divide num (``phi`` is used up).  A monomial c L^k is divisible by
+    no Phi_k, as Phi_k(0) = +-1, so it is tested for none."""
     if num.is_zero():
         return _new(num, 1, 0, ())
     if scale != 1:
         g = gcd(scale, *num.c)
         if g != 1:
             num, scale = Poly._raw([x // g for x in num.c]), scale // g
-    k = min(num.low_order(), lpow)
+    low = num.low_order()
+    if low == len(num.c) - 1:
+        candidates = ()
+    k = min(low, lpow)
     if k > 0:
         num, lpow = Poly._raw(num.c[k:]), lpow - k
     for k in candidates:
@@ -283,6 +287,42 @@ def _reduced(num, scale, lpow, phi, candidates):
             num = num.exact_div(cyclotomic(k))
             phi[k] -= 1
     return _new(num, scale, lpow, tuple(sorted((k, e) for k, e in phi.items() if e)))
+
+
+def _over_power_minus_one(c, n):
+    """c / (L^n - 1) as a list, or None if L^n - 1 does not divide the
+    coefficients c: one pass from the top, q_i = c_(i+n) + q_(i+n), and the
+    remainder c_j + q_j, j < n, is read off the low n coefficients."""
+    q = list(c[n:])
+    for i in range(len(q) - 1 - n, -1, -1):
+        q[i] += q[i + n]
+    if any(c[len(q):n]) or any(c[j] + q[j] for j in range(min(n, len(q)))):
+        return None
+    return q
+
+
+def _whole_factors_cancelled(num, whole):
+    """num and the Phi_k exponents of prod_n (L^n - 1)^whole[n] once every
+    whole factor L^n - 1 that divides num is cancelled (``whole`` is used
+    up).  The largest n go first: L^n - 1 is the product of the Phi_d, d |
+    n, so a smaller factor, tried later, still finds its Phi_d.  Zero and a
+    monomial c L^k, divisible by no L^n - 1, are tried for none."""
+    low = num.low_order()
+    if low < len(num.c) - 1:
+        c = num.c[low:]
+        for n in sorted(whole, reverse=True):
+            while whole[n]:
+                q = _over_power_minus_one(c, n)
+                if q is None:
+                    break
+                c, whole[n] = q, whole[n] - 1
+        num = Poly._raw((0,) * low + tuple(c))
+    phi = {}
+    for n, e in whole.items():
+        if e:
+            for d in _divisors(n):
+                phi[d] = phi.get(d, 0) + e
+    return num, phi
 
 
 class RationalFunction:
@@ -308,7 +348,7 @@ class RationalFunction:
         num, scale = _num(num)
         if type(lpow) is not int:
             raise TypeError("exponent %r of L is not an int" % (lpow,))
-        phi = {}
+        whole = {}
         for n, e in (cyc.items() if isinstance(cyc, dict) else cyc):
             if type(n) is not int:
                 raise TypeError("exponent n = %r of L^n - 1 is not an int" % (n,))
@@ -316,10 +356,12 @@ class RationalFunction:
                 raise TypeError("exponent %r of L^%d - 1 is not an int" % (e, n))
             if n < 1 or e < 0:
                 raise ValueError("denominator exponents must be nonnegative")
-            for d in _divisors(n):
-                phi[d] = phi.get(d, 0) + e
+            whole[n] = whole.get(n, 0) + e
         if lpow < 0:
             num, lpow = num.shifted(-lpow), 0
+        # whole factors L^n - 1 first, each in one two-term pass; only what
+        # is left is tried one Phi_k at a time
+        num, phi = _whole_factors_cancelled(num, whole)
         r = _reduced(num, scale, lpow, phi, list(phi))
         for name in self.__slots__:
             object.__setattr__(self, name, getattr(r, name))

@@ -33,7 +33,7 @@ from quivermoduli.quiver import (
 from quivermoduli.ratfunc import Poly, cyclotomic
 from quivermoduli.symfunc import multiplicity_vectors, partitions
 from quivermoduli.tropical import degeneration_total
-from test_orbits import LabelledHNSolver
+from test_orbits import LabelledHNSolver, _fresh_solver, _three_class_quiver
 
 K1 = Quiver.kronecker(1)
 K3 = Quiver.kronecker(3)
@@ -515,6 +515,22 @@ def _poly_phi(solver, key, bound, memo, over):
     return memo[key, bound]
 
 
+def _check_phi_against_poly(solvers):
+    """Every Phi entry of every record of the solvers, at a bound in its
+    slope gap, against the row-by-row Poly sum; returns the number checked
+    and, per solver, the keys with a row above dim R_D."""
+    checked, overs = 0, {}
+    for data, solver in solvers.items():
+        memo, over = {}, set()
+        for key, record in list(solver._records.items()):
+            for gap, value in list(record.phi.items()):
+                bound = record.slopes[gap - 1] if gap else -inf
+                assert value == _poly_phi(solver, key, bound, memo, over), (data, key, gap)
+                checked += 1
+        overs[data] = over
+    return checked, overs
+
+
 def test_phi_matches_poly_arithmetic_on_the_scan_and_the_kronecker_ladders():
     # every Phi that the 199 scan pairs and the K3, K4, K5 ladders (d, d + 1),
     # d <= 6, leave in their solvers, at a bound in its slope gap
@@ -528,21 +544,56 @@ def test_phi_matches_poly_arithmetic_on_the_scan_and_the_kronecker_ladders():
         data = motive_mod._class_data(Q, stab)[1]
         solvers[data] = motive_mod._solver(*data)
     assert len(solvers) == 4
-    checked = 0
-    for data, solver in solvers.items():
-        memo, over = {}, set()
-        for key, record in list(solver._records.items()):
-            for gap, value in list(record.phi.items()):
-                bound = record.slopes[gap - 1] if gap else -inf
-                assert value == _poly_phi(solver, key, bound, memo, over), (data, key, gap)
-                checked += 1
-        # a row can reach above dim R_D, and only the sum cancels down to
-        # it: D = (0 | 2) has dim R_D = 0, and its row e = (0 | 1) at any
-        # bound below mu(e) is G_e = [2 choose 1]_L = 1 + L
-        assert ((), ((2, 1),)) in over, data
+    checked, overs = _check_phi_against_poly(solvers)
+    # a row can reach above dim R_D, and only the sum cancels down to
+    # it: D = (0 | 2) has dim R_D = 0, and its row e = (0 | 1) at any
+    # bound below mu(e) is G_e = [2 choose 1]_L = 1 + L
+    for over in overs.values():
+        assert ((), ((2, 1),)) in over
     assert checked == 471
     solver = solvers[motive_mod._class_data(K3, S10)[1]]
     assert solver._phi(((), ((2, 1),)), -inf) == Poly((0, -1))
+
+
+def test_nested_phi_matches_poly_arithmetic_on_the_identity_quivers(monkeypatch):
+    # the hat and check quivers that the three identities build on K3 at
+    # (3, 4) and (4, 5), at both vertices: up to three classes, so the walk
+    # nests a class between the first and the last, and passes the splits
+    # with G_a = 1 through it
+    quivermoduli.clear_memos()
+    solvers = {}
+
+    def recording(Q, s, d):
+        data = motive_mod._class_data(Q, s)[1]
+        solvers[data] = motive_mod._solver(*data)
+        return hn_sst_class(Q, s, d)
+
+    monkeypatch.setattr(motive_mod, "hn_sst_class", recording)
+    for dims in ((3, 4), (4, 5)):
+        d = {"i1": dims[0], "j1": dims[1]}
+        for v in ("i1", "j1"):
+            for check in (motivic_mps_check, partition_form_check, dual_mps_check):
+                assert check(K3, S10, v, d), (check.__name__, dims, v)
+    assert sorted(len(data[0]) for data in solvers) == [2] * 7 + [3] * 6
+    checked, _ = _check_phi_against_poly(solvers)
+    assert checked == 199
+
+
+def test_nested_phi_matches_poly_arithmetic_with_three_classes():
+    # the three-class quiver, with its classes in the order C, B, A and,
+    # under a second stability, A, C, B: then a split of A with G_A = 1 and
+    # two labelled ways (a1 or a2 takes all) passes its weight on to the
+    # splits of C, which fold with G_C != 1
+    Q, stab, dims = _three_class_quiver()
+    second = Stability.of({"a1": -1, "a2": -1, "b1": 1, "b2": 1, "c": 0})
+    assert motive_mod._class_data(Q, second)[0] == ((0, 1), (4,), (2, 3))
+    checked = []
+    for s, vectors in ((stab, dims), (second, dims + ((2, 2, 1, 2, 2),))):
+        solver, coords = _fresh_solver(Q, s)
+        for dv in vectors:
+            solver.sst_class(coords(dv))
+        checked.append(_check_phi_against_poly({"three classes": solver})[0])
+    assert checked == [63, 86]
 
 
 def test_threads_on_quivers_with_one_class_data_agree():

@@ -369,3 +369,62 @@ def test_linear_sum_rejects_inexact_values(pairs, named):
     if len(pairs) == 2 and pairs[0][0] == 1 == pairs[1][0]:
         with pytest.raises(TypeError, match=named):
             RationalFunction.of(pairs[0][1]) + pairs[1][1]
+
+
+# -- whole factors L^n - 1 against the reduction one Phi_k at a time -----------
+
+
+def _phi_only_fields(num, lpow, cyc):
+    """The fields of num / (L^lpow prod (L^n - 1)^cyc[n]) reduced one Phi_k
+    at a time, with no whole-factor pass and no monomial shortcut: each
+    L^n - 1 becomes its Phi_d, d | n, and each Phi_k is divided out of num
+    while the remainder is zero."""
+    phi = {}
+    for n, e in cyc.items():
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi[d] = phi.get(d, 0) + e
+    if lpow < 0:
+        num, lpow = num.shifted(-lpow), 0
+    if num.is_zero():
+        return Poly(), 1, 0, ()
+    k = min(num.low_order(), lpow)
+    num, lpow = Poly(num.c[k:]), lpow - k
+    for k in sorted(phi):
+        while phi[k]:
+            q, r = num.divmod(cyclotomic(k))
+            if not r.is_zero():
+                break
+            num, phi[k] = q, phi[k] - 1
+    return num, 1, lpow, tuple(sorted((k, e) for k, e in phi.items() if e))
+
+
+NONZERO = st.integers(-6, 6).filter(bool)
+# zero, a constant, a monomial c L^k, a polynomial, and one with content != 1
+FACTORS = st.one_of(
+    st.just(Poly()),
+    NONZERO.map(Poly.const),
+    st.builds(lambda k, c: Poly.x_pow(k, c), st.integers(0, 4), NONZERO),
+    COEFFS.map(Poly),
+    st.builds(lambda c, coeffs: Poly(coeffs) * c, st.integers(2, 6), COEFFS),
+)
+
+
+@st.composite
+def whole_factor_cases(draw):
+    """p prod (L^n - 1)^f_n over (L^lpow prod (L^n - 1)^e_n), n <= 12,
+    e_n <= 3 and f_n <= e_n + 1, lpow of either sign."""
+    cyc = draw(st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=4))
+    num = draw(FACTORS)
+    for n, e in cyc.items():
+        num = num * (Poly.x_pow(n) - 1) ** draw(st.integers(0, e + 1))
+    return num, draw(st.integers(-3, 4)), cyc
+
+
+@ORACLE
+@given(whole_factor_cases())
+def test_whole_factor_pass_matches_the_reduction_by_phi_k(case):
+    num, lpow, cyc = case
+    r = RationalFunction(num, lpow, cyc)
+    _assert_canonical(r)
+    assert _fields(r) == _phi_only_fields(num, lpow, cyc)
