@@ -7,7 +7,10 @@ are cross-validated against each other:
 * a recursive tropical curve count, and
 * ordered factorization in the tropical vertex group.
 
-All arithmetic is exact (``fractions.Fraction``); nothing is floating point.
+All arithmetic is exact: every polynomial is in Z[L] (``int`` coefficients
+only), a rational function keeps its rational content once as an integer
+``scale``, and rational scalars are ``fractions.Fraction``; there is no
+floating point anywhere.
 """
 
 import sys

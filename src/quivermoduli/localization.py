@@ -9,11 +9,11 @@ the two recursive constructions on the quiver side: glueing semistable
 pieces at a fresh sink, and the square rule that extends a datum of
 dimension type (d-1, d) to d*d data of type (d, d+1).
 
-The stable count ``chi_trees`` lists labelled trees only on the smallest
-supports.  Otherwise it decides stability one arrow at a time, from the
-vertex counts on either side of it, and counts the stable trees by one
-memoized recursion on subtree vertex counts; see ``_count_by_subtrees``.
-The per-tree sum is kept as a test oracle.
+The stable count ``chi_trees`` builds no tree.  It decides stability one
+arrow at a time, from the vertex counts on either side of it, and counts the
+stable trees of every support by one memoized recursion on subtree vertex
+counts; see ``_count_stable_trees``.  The per-tree sum over
+``spanning_trees`` and ``stability_weight`` is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cache
 from itertools import combinations, product
 from math import comb, prod
 
-from .quiver import Quiver, Refinement, _Frozen, n_support
+from .quiver import Quiver, _Frozen, n_support
 
 
 class SpanningTree(_Frozen):
@@ -204,7 +204,8 @@ def chi_trees(r):
 
     Equals the Euler characteristic of the stable type-one moduli space;
     depends on the refinement only through its weight multiplicities per
-    side, so those are the arguments of the memoized count.
+    side, so those are the arguments of the memoized count, which lists no
+    tree (the per-tree sum over ``spanning_trees`` is the test oracle).
     """
     r.check_nonempty()
     return _count_stable_trees(*_support_key(r))
@@ -214,13 +215,6 @@ def _support_key(r):
     """The sorted (weight, multiplicity) pairs of the sources and of the
     sinks of the support quiver of ``r``, which fix it up to isomorphism."""
     return tuple(tuple(sorted(r.weight_multiplicities(side).items())) for side in (1, 2))
-
-
-# A support with at most this many labelled spanning trees is counted by
-# listing them (at most a few hundred microseconds), so that the per-tree
-# route, ``spanning_trees`` and ``stability_weight``, stays on the path and
-# shows in a traced run.
-LISTED_TREES_MAX = 16
 
 
 def _labelled_tree_count(sources, sinks):
@@ -236,16 +230,6 @@ def _labelled_tree_count(sources, sinks):
 
 @cache
 def _count_stable_trees(sources, sinks):
-    """Stable spanning trees of the support quiver with the given sorted
-    (weight, multiplicity) pairs of sources and sinks: listed one by one on
-    a support with at most ``LISTED_TREES_MAX`` labelled trees, and counted
-    from subtree vertex counts (``_count_by_subtrees``) otherwise."""
-    if _labelled_tree_count(sources, sinks) <= LISTED_TREES_MAX:
-        return sum(stability_weight(T) for T in spanning_trees(Refinement((sources,), (sinks,))))
-    return _count_by_subtrees(sources, sinks)
-
-
-def _count_by_subtrees(sources, sinks):
     """Stable spanning trees of the support quiver with the given sorted
     (weight, multiplicity) pairs of sources and sinks, counted without
     building a tree.

@@ -35,11 +35,12 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .quiver import as_int, check_quiver, hat_quiver
 from .ratfunc import ONE, Poly, RationalFunction, _add_into, _poly, linear_sum
-from .symfunc import Partition, mps_weight, multiplicity_vectors, partitions, weighted_splits
+from .symfunc import (Partition, mps_weight, multiplicity_vectors, p_to_e, partitions,
+                      weighted_splits)
 
 MotiveClass = RationalFunction
 
@@ -551,17 +552,14 @@ def partition_form_check(Q, s, i, d):
 
 def dual_mps_check(Q, s, i, d):
     """[P^(d_i-1)]^(-1) times the class at the single level-d_i blow-up
-    vertex against the alternating sum over level-one splittings."""
+    vertex against the alternating sum over level-one splittings, weighted
+    by the coefficients of p_(d_i) in the elementary basis."""
     di = _blown_up_dim(Q, i, d)
     Qh, dh0, sh = hat_quiver(Q, i, {di: 1}, d, s)
     lhs = hn_sst_class(Qh, sh, dh0).times_proj_inverse(di)
 
     terms = []
-    for parts in sorted(partitions(di)):
-        lam = Partition(parts)
-        coef = Fraction((-1) ** (di - lam.length()) * di * factorial(lam.length() - 1))
-        for m in lam.multiplicities().values():
-            coef /= factorial(m)
+    for parts, coef in sorted(p_to_e(di).coeffs.items()):
         Qc, dc, sc = check_quiver(Q, i, parts, d, s)
         term = hn_sst_class(Qc, sc, dc).times_l_power(sum(comb(p, 2) for p in parts))
         terms.append((coef, term))

@@ -1,10 +1,13 @@
 import gc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_motive import _coprime_pairs
 
 import quivermoduli
 import quivermoduli.localization as localization_mod
@@ -25,7 +28,7 @@ from quivermoduli.localization import (
 )
 from quivermoduli.quiver import Quiver, Refinement, n_support
 from quivermoduli.symfunc import partitions
-from quivermoduli.tropical import mps_euler
+from quivermoduli.tropical import degeneration_total, mps_euler
 
 R_2_111 = Refinement.of([((2, 1),)], [((1, 1),), ((1, 1),), ((1, 1),)])
 R_11_111 = Refinement.of([((1, 2),)], [((1, 1),), ((1, 1),), ((1, 1),)])
@@ -194,21 +197,36 @@ def _labelled_tree_count(r):
 
 
 def _subtree_count(r):
-    """The count by subtree vertex counts, which ``chi_trees`` leaves out on
-    a support with few labelled trees."""
-    return localization_mod._count_by_subtrees(*localization_mod._support_key(r))
+    """The memoized count by subtree vertex counts that ``chi_trees`` reads."""
+    return localization_mod._count_stable_trees(*localization_mod._support_key(r))
 
 
 def test_chi_trees_matches_per_tree_sum_on_every_key_to_size_8():
     keys = _every_key(8)
     assert len(keys) == 301
-    listed = 0
     for r in keys:
         expected = _per_tree_sum(r)
         assert _subtree_count(r) == expected, (r.k1, r.k2)
         assert chi_trees(r) == expected, (r.k1, r.k2)
-        listed += _labelled_tree_count(r) <= localization_mod.LISTED_TREES_MAX
-    assert 0 < listed < len(keys)
+
+
+def test_mps_lists_no_tree(monkeypatch):
+    # every support is counted by the subtree recursion, from cold memos:
+    # mps_euler neither lists a tree nor slope-tests one
+    quivermoduli.clear_memos()
+
+    def listed(*args):
+        raise AssertionError("mps_euler reached the per-tree route")
+
+    monkeypatch.setattr(localization_mod, "spanning_trees", listed)
+    monkeypatch.setattr(localization_mod, "stability_weight", listed)
+    pairs = _coprime_pairs(8)
+    assert len(pairs) == 199
+    for p1, p2 in pairs:
+        assert mps_euler(p1, p2) == degeneration_total(p1, p2), (p1, p2)
+    for n in range(1, 7):
+        closed_form = Fraction(comb(2 * n + 1, n) * comb(n + 1, n), 2) - Fraction(2 ** (2 * n + 1), 4)
+        assert mps_euler((2,), (1,) * (2 * n + 1)) == closed_form, n
 
 
 def test_chi_trees_matches_per_tree_sum_on_three_level_3_sources():
@@ -238,7 +256,7 @@ def _edge_cut_test(T):
     """Oracle: for every arrow s -> t into a sink t that is not a leaf, the
     part of T - (s -> t) holding s has d A < e B, with A its sink level
     total and B its source level total (the arrow-by-arrow form of the
-    strict slope test that ``_count_by_subtrees`` counts with)."""
+    strict slope test that ``_count_stable_trees`` counts with)."""
     Q = T.quiver
     levels = Q.levels()
     pairs = T.arrow_pairs()

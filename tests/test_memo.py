@@ -24,8 +24,7 @@ def _hn_from_a_new_solver():
     return motive.hn_sst_class(K3, S10, {"i1": 2, "j1": 3})
 
 
-# 432 labelled trees, over ``LISTED_TREES_MAX``, so counted from subtree
-# vertex counts
+# a support with 432 labelled trees, counted from subtree vertex counts
 R_3_4 = Refinement.of([((1, 3),)], [((1, 4),)])
 
 

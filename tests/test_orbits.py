@@ -14,7 +14,7 @@ from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import groupby, product
 from math import comb
 
 import pytest
@@ -597,6 +597,38 @@ def _split_part_by_part(weights, targets):
     return out
 
 
+def _compatible_assignments(weights, targets):
+    """Maps index -> part with per-part weight sums equal to targets, one per
+    orbit under permutations of equal entries of the weakly increasing
+    ``weights``.
+
+    Returns ``(groups, multiplicity)`` pairs: ``groups[p]`` is the weakly
+    increasing weight vector sent to part p, and ``multiplicity`` is the
+    number of labelled maps with those groups.  Each run of g equal weights
+    is split among the parts, which gives g!/prod c_p! labelled maps.
+    """
+    runs = [(x, len(list(run))) for x, run in groupby(weights)]
+    n = len(targets)
+    results = []
+
+    def rec(r, remaining, groups, mult):
+        if r == len(runs):
+            if not any(remaining):
+                results.append((tuple(groups), mult))
+            return
+        x, g = runs[r]
+        for counts, weight in weighted_splits(g, n):
+            if any(x * c > left for c, left in zip(counts, remaining)):
+                continue
+            rec(r + 1,
+                [left - x * c for left, c in zip(remaining, counts)],
+                [grp + (x,) * c for grp, c in zip(groups, counts)],
+                mult * weight)
+
+    rec(0, list(targets), [()] * n, 1)
+    return results
+
+
 @st.composite
 def weights_and_targets(draw):
     """A weakly increasing weight vector and 1-3 targets with the same sum,
@@ -614,9 +646,6 @@ def weights_and_targets(draw):
 @given(weights_and_targets())
 def test_compatible_assignments_match_labelled_maps(case):
     # the assignment orbits of the recursion that the piece sum replaced
-    # (imported here: test_tropical imports this module through test_motive)
-    from test_tropical import _compatible_assignments
-
     weights, targets = case
     labelled = _labelled_groups(weights, targets)
     orbits = _compatible_assignments(weights, targets)

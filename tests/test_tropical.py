@@ -2,18 +2,19 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import groupby, product
+from itertools import product
 from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_motive import _coprime_pairs
+from test_orbits import _compatible_assignments
 
 from quivermoduli.localization import admissible_decompositions, chi_trees
 from quivermoduli.motive import euler_char
 from quivermoduli.quiver import Refinement, as_int, bipartite_setup, partition_pair
-from quivermoduli.symfunc import partitions, weighted_splits
+from quivermoduli.symfunc import partitions
 from quivermoduli.tropical import (
     _side_coefficients,
     as_weight_vector,
@@ -530,40 +531,8 @@ def test_side_coefficients_are_ramification_factors_over_automorphisms():
 # -- the recursion that the piece-by-piece sum replaced ------------------------
 #
 # Kept as the reference: for each decomposition it lists the assignment
-# orbits of each side, with the groups sent to each piece, and multiplies the
-# two lists out.
-
-
-def _compatible_assignments(weights, targets):
-    """Maps index -> part with per-part weight sums equal to targets, one per
-    orbit under permutations of equal entries of the weakly increasing
-    ``weights``.
-
-    Returns ``(groups, multiplicity)`` pairs: ``groups[p]`` is the weakly
-    increasing weight vector sent to part p, and ``multiplicity`` is the
-    number of labelled maps with those groups.  Each run of g equal weights
-    is split among the parts, which gives g!/prod c_p! labelled maps.
-    """
-    runs = [(x, len(list(run))) for x, run in groupby(weights)]
-    n = len(targets)
-    results = []
-
-    def rec(r, remaining, groups, mult):
-        if r == len(runs):
-            if not any(remaining):
-                results.append((tuple(groups), mult))
-            return
-        x, g = runs[r]
-        for counts, weight in weighted_splits(g, n):
-            if any(x * c > left for c, left in zip(counts, remaining)):
-                continue
-            rec(r + 1,
-                [left - x * c for left, c in zip(remaining, counts)],
-                [grp + (x,) * c for grp, c in zip(groups, counts)],
-                mult * weight)
-
-    rec(0, list(targets), [()] * n, 1)
-    return results
+# orbits of each side (``test_orbits._compatible_assignments``), with the
+# groups sent to each piece, and multiplies the two lists out.
 
 
 @cache
